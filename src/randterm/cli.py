@@ -37,11 +37,6 @@ def _write_summary(out_dir, summary):
         fh.write("\n")
 
 
-def _override_p(problem, p):
-    for edge in problem.p:
-        problem.p[edge] = p
-
-
 def cmd_run_graph(args):
     os.makedirs(args.out, exist_ok=True)
     if io.is_idle_scenario(args.scenario):
@@ -50,18 +45,14 @@ def cmd_run_graph(args):
     else:
         problem = io.load_graph(args.scenario, default_p=args.p)
     if args.p is not None:
-        _override_p(problem, args.p)
-    issues = graph.validate(problem)
-    if issues and args.solver != "vi":
-        print("validation failed:", file=sys.stderr)
-        for msg in issues:
-            print("  " + msg, file=sys.stderr)
-        return 2
+        problem.p = dict.fromkeys(problem.p, args.p)
+    # the label-setting solvers check A1-A3 themselves (ValueError, exit 2);
+    # value iteration does not need them
     t0 = time.perf_counter()
     heap_ops = 0
     if args.solver == "dijkstra":
-        sol = graph.dijkstra_solve(problem, track_updates=True)
-        heap_ops = len(sol.acceptance_order) + len(sol.update_log)
+        sol = graph.dijkstra_solve(problem)
+        heap_ops = len(sol.acceptance_order) + sol.updates
     elif args.solver == "dial":
         sol = graph.dial_solve(problem)
         heap_ops = len(sol.acceptance_order)

@@ -15,13 +15,17 @@ Dial-like) methods as well as by plain value iteration.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MOTIONLESS_RTOL = 1e-12
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -43,19 +47,10 @@ class GraphProblem:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
 
-    def neighbors(self, i):
-        return self.adjacency[i]
-
     def edges(self):
         for i, nbrs in enumerate(self.adjacency):
             for j in nbrs:
                 yield i, j
-
-    def reverse_adjacency(self):
-        rev = [[] for _ in range(self.node_count)]
-        for i, j in self.edges():
-            rev[j].append(i)
-        return rev
 
     def uniform_p(self):
         """The common termination probability, or None if p varies by edge."""
@@ -66,11 +61,9 @@ class GraphProblem:
 
     def local_minima(self):
         """Nodes whose terminal cost is <= that of every out-neighbor."""
-        return [
-            i
-            for i in range(self.node_count)
-            if all(self.q[i] <= self.q[j] for j in self.adjacency[i])
-        ]
+        q = self.q.tolist()
+        return [i for i, nbrs in enumerate(self.adjacency)
+                if all(q[i] <= q[j] for j in nbrs)]
 
     def global_minima(self):
         qmin = self.q.min()
@@ -85,7 +78,7 @@ class GraphSolution:
     acceptance_order: np.ndarray = None
     status: str = "ok"
     iterations: int = 0
-    update_log: list = field(default_factory=list, repr=False)
+    updates: int = 0  # improving updates made by label setting
 
 
 def validate(problem):
@@ -98,7 +91,7 @@ def validate(problem):
         elif problem.K.get((i, i), 0.0) != 0.0:
             issues.append("A2 nonzero self-cost at node %d" % i)
     for i, j in problem.edges():
-        if j != i and problem.K[(i, j)] < problem.delta:
+        if j != i and not problem.K[(i, j)] >= problem.delta:  # nan too
             issues.append(
                 "A3 edge (%d,%d) cost %g below delta %g"
                 % (i, j, problem.K[(i, j)], problem.delta)
@@ -117,7 +110,8 @@ def _require_valid(problem):
         raise ValueError("invalid problem: " + "; ".join(issues))
 
 
-def _recompute_delta(K):
+def tightest_delta(K):
+    """Smallest non-self transition cost (0 without non-self edges)."""
     offdiag = [v for (i, j), v in K.items() if i != j]
     return min(offdiag) if offdiag else 0.0
 
@@ -157,7 +151,7 @@ def normalize_self_costs(problem):
         K=K_new,
         q=q_new,
         p=dict(problem.p),
-        delta=_recompute_delta(K_new),
+        delta=tightest_delta(K_new),
     )
 
 
@@ -198,7 +192,7 @@ def from_infinite_horizon(Ktilde, adjacency, alpha):
         K=K,
         q=q,
         p=p_edges,
-        delta=_recompute_delta(K),
+        delta=tightest_delta(K),
     )
 
 
@@ -216,21 +210,49 @@ def to_infinite_horizon(problem):
     return Ktilde, 1.0 - p
 
 
-def _policy_and_motionless(problem, V):
-    """Greedy successor per node (ties to lowest index, self for motionless)."""
-    M = problem.node_count
-    policy = np.empty(M, dtype=int)
-    motionless = np.zeros(M, dtype=bool)
-    for i in range(M):
-        tol = MOTIONLESS_RTOL * max(1.0, abs(problem.q[i]))
-        if abs(V[i] - problem.q[i]) <= tol:
-            policy[i] = i
-            motionless[i] = True
-            continue
+def _edge_terms(problem, sources=None, reverse=False, v0=False):
+    """Rows of (neighbor, const, surv) per node, for the edges leaving sources
+    (default all nodes); built per solve since callers may edit K and p.
+
+    const + surv * V_j repeats the float operations of
+    K_ij + p_ij q_j + (1 - p_ij) V_j (const = K_ij, surv = 1 for V0).  Forward
+    rows list the sorted out-neighbors j of i; reverse rows list the
+    in-neighbors i != j of j, in node order.
+    """
+    q = problem.q.tolist()
+    K, P, adjacency = problem.K, problem.p, problem.adjacency
+    rows = [[] for _ in range(problem.node_count)]
+    for i in range(problem.node_count) if sources is None else sources:
+        for j in adjacency[i] if reverse else sorted(adjacency[i]):
+            if reverse and i == j:
+                continue
+            e = (i, j)
+            if v0:
+                const, surv = K[e], 1.0
+            else:
+                pij = P[e]
+                const, surv = K[e] + pij * q[j], 1.0 - pij
+            if reverse:
+                rows[j].append((i, const, surv))
+            else:
+                rows[i].append((j, const, surv))
+    return rows
+
+
+def _policy_and_motionless(problem, V, rows=None):
+    """Greedy successor per node (ties to lowest index, self for motionless);
+    rows are the forward edge terms, built for the moving nodes if not given."""
+    q = problem.q
+    motionless = np.abs(V - q) <= MOTIONLESS_RTOL * np.maximum(1.0, np.abs(q))
+    moving = np.flatnonzero(~motionless).tolist()
+    if rows is None:
+        rows = _edge_terms(problem, moving)
+    policy = np.arange(problem.node_count)
+    values = V.tolist()
+    for i in moving:
         best, best_j = math.inf, i
-        for j in sorted(problem.adjacency[i]):
-            pij = problem.p[(i, j)]
-            cand = problem.K[(i, j)] + pij * problem.q[j] + (1.0 - pij) * V[j]
+        for j, const, surv in rows[i]:
+            cand = const + surv * values[j]
             if cand < best:
                 best, best_j = cand, j
         policy[i] = best_j
@@ -245,23 +267,15 @@ def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000,
     node order when requested.  Non-convergence is reported through the status
     field, carrying the last iterate.
     """
-    M = problem.node_count
-    V = problem.q.copy() if initial is None else np.asarray(initial, float).copy()
-    nbrs = [sorted(problem.adjacency[i]) for i in range(M)]
-    Kq = [
-        [(problem.K[(i, j)] + problem.p[(i, j)] * problem.q[j],
-          1.0 - problem.p[(i, j)], j) for j in nbrs[i]]
-        for i in range(M)
-    ]
+    V = (problem.q if initial is None else np.asarray(initial, float)).tolist()
+    rows = _edge_terms(problem)
+    status, it = "not_converged", 0
     for it in range(1, max_iters + 1):
-        if gauss_seidel:
-            W = V
-        else:
-            W = V.copy()
+        W = V if gauss_seidel else V.copy()
         change = 0.0
-        for i in range(M):
+        for i, row in enumerate(rows):
             best = math.inf
-            for const, surv, j in Kq[i]:
+            for j, const, surv in row:
                 cand = const + surv * V[j]
                 if cand < best:
                     best = cand
@@ -269,14 +283,98 @@ def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000,
             W[i] = best
         V = W
         if change <= tol:
-            policy, motionless = _policy_and_motionless(problem, V)
-            return GraphSolution(V, policy, motionless, status="ok", iterations=it)
+            status = "ok"
+            break
+    V = np.array(V)
+    policy, motionless = _policy_and_motionless(problem, V, rows)
+    return GraphSolution(V, policy, motionless, status=status, iterations=it)
+
+
+def _heap_queue(V):
+    """(push, pops) for _label_setting: a heap of (value, node), so ties go to
+    the lowest index; an entry is stale once its node's value is lower."""
+    heap = []
+
+    def pops():
+        while heap:
+            v, j = heapq.heappop(heap)
+            if v <= V[j]:
+                yield j
+
+    return functools.partial(heapq.heappush, heap), pops
+
+
+def _bucket_queue(V, base, delta, n_buckets):
+    """(push, pops) for _label_setting: Dial's buckets of width delta above
+    base; an entry is stale once its node's value has left the bucket."""
+    buckets = [[] for _ in range(n_buckets)]
+
+    def bucket_of(v):
+        return min(int((v - base) / delta), n_buckets - 1)
+
+    def push(entry):
+        buckets[bucket_of(entry[0])].append(entry[1])
+
+    def pops():
+        for b, bucket in enumerate(buckets):
+            # improving updates always land in later buckets (cand >= V_j +
+            # delta since q_j >= V_j), but a first touch of a far node can
+            # append to the current bucket -- hence the index loop instead of
+            # a snapshot
+            k = 0
+            while k < len(bucket):
+                j = bucket[k]
+                k += 1
+                if bucket_of(V[j]) == b:
+                    yield j
+
+    return push, pops
+
+
+def _label_setting(problem, V, seeds, queue, v0=False):
+    """Accept nodes in the order queue = (push, pops) releases them, relaxing
+    the in-edges of each; the list V, starting at q, is lowered in place.
+    Returns the acceptance order and the number of improving updates."""
+    FAR, CONSIDERED, ACCEPTED = 0, 1, 2
+    push, pops = queue
+    rows = _edge_terms(problem, reverse=True, v0=v0)
+    state = bytearray(len(V))
+    for i in seeds:
+        state[i] = CONSIDERED
+        push((V[i], i))
+    order, updates = [], 0
+    for j in pops():
+        if state[j] == ACCEPTED:
+            continue
+        state[j] = ACCEPTED
+        order.append(j)
+        vj = V[j]
+        for i, const, surv in rows[j]:
+            if state[i] == ACCEPTED:
+                continue
+            cand = const + surv * vj
+            if cand < V[i]:
+                V[i] = cand
+                updates += 1
+                state[i] = CONSIDERED
+                push((cand, i))
+            elif state[i] == FAR:
+                state[i] = CONSIDERED
+                push((V[i], i))
+    return order, updates
+
+
+def _label_solve(problem, V, seeds, queue):
+    """_label_setting, then the policy; the in-edge table is freed before the
+    forward rows are built, so the two never coexist in memory."""
+    order, updates = _label_setting(problem, V, seeds, queue)
+    V = np.array(V)
     policy, motionless = _policy_and_motionless(problem, V)
-    return GraphSolution(V, policy, motionless, status="not_converged",
-                         iterations=max_iters)
+    return GraphSolution(V, policy, motionless, updates=updates,
+                         acceptance_order=np.array(order, dtype=int))
 
 
-def dijkstra_solve(problem, seed_all=False, track_updates=False):
+def dijkstra_solve(problem, seed_all=False):
     """Label-setting solve by acceptance in nondecreasing value order.
 
     Tentative values start at q; the initial Considered set is the local minima
@@ -284,44 +382,9 @@ def dijkstra_solve(problem, seed_all=False, track_updates=False):
     node index so acceptance order is deterministic.
     """
     _require_valid(problem)
-    M = problem.node_count
-    V = problem.q.astype(float).copy()
-    rev = problem.reverse_adjacency()
-    FAR, CONSIDERED, ACCEPTED = 0, 1, 2
-    state = np.full(M, FAR, dtype=np.int8)
-    heap = []
-    seeds = range(M) if seed_all else problem.local_minima()
-    for i in seeds:
-        state[i] = CONSIDERED
-        heapq.heappush(heap, (V[i], i))
-    order = []
-    log = [] if track_updates else None
-    while heap:
-        vj, j = heapq.heappop(heap)
-        if state[j] == ACCEPTED or vj > V[j]:
-            continue
-        state[j] = ACCEPTED
-        order.append(j)
-        for i in rev[j]:
-            if i == j or state[i] == ACCEPTED:
-                continue
-            pij = problem.p[(i, j)]
-            cand = problem.K[(i, j)] + pij * problem.q[j] + (1.0 - pij) * V[j]
-            if cand < V[i]:
-                V[i] = cand
-                if track_updates:
-                    log.append((i, j))
-                state[i] = CONSIDERED
-                heapq.heappush(heap, (V[i], i))
-            elif state[i] == FAR:
-                state[i] = CONSIDERED
-                heapq.heappush(heap, (V[i], i))
-    policy, motionless = _policy_and_motionless(problem, V)
-    sol = GraphSolution(V, policy, motionless,
-                        acceptance_order=np.array(order, dtype=int))
-    if track_updates:
-        sol.update_log = log
-    return sol
+    V = problem.q.tolist()
+    seeds = range(problem.node_count) if seed_all else problem.local_minima()
+    return _label_solve(problem, V, seeds, _heap_queue(V))
 
 
 def dial_solve(problem):
@@ -330,58 +393,24 @@ def dial_solve(problem):
     Considered nodes sit in buckets of width delta; a whole bucket can be
     accepted before any of its members can influence one another, since every
     non-self transition costs at least delta.  Produces the same values as
-    dijkstra_solve (bucket order only permutes equal-cost work).
+    dijkstra_solve (bucket order only permutes equal-cost work).  Uses the
+    heap instead when there would be more buckets than nodes plus edges.
     """
     _require_valid(problem)
     if problem.delta <= 0.0:
         raise ValueError("dial_solve requires delta > 0")
-    M = problem.node_count
-    delta = problem.delta
-    V = problem.q.astype(float).copy()
-    rev = problem.reverse_adjacency()
-    base = V.min()
-    span = max(problem.K.values(), default=0.0) + (problem.q.max() - base)
-    n_buckets = int(span / delta) + 2
-    buckets = [[] for _ in range(n_buckets)]
-    FAR, CONSIDERED, ACCEPTED = 0, 1, 2
-    state = np.full(M, FAR, dtype=np.int8)
-
-    def bucket_of(v):
-        b = int((v - base) / delta)
-        return min(b, n_buckets - 1)
-
-    for i in problem.local_minima():
-        state[i] = CONSIDERED
-        buckets[bucket_of(V[i])].append(i)
-    order = []
-    for b in range(n_buckets):
-        bucket = buckets[b]
-        # improving updates always land in later buckets (cand >= V_j + delta
-        # since q_j >= V_j), but a first touch of a far node can append to the
-        # current bucket -- hence the index loop instead of a snapshot
-        k = 0
-        while k < len(bucket):
-            j = bucket[k]
-            k += 1
-            if state[j] == ACCEPTED or bucket_of(V[j]) != b:
-                continue  # stale entry, node moved to another bucket
-            state[j] = ACCEPTED
-            order.append(j)
-            for i in rev[j]:
-                if i == j or state[i] == ACCEPTED:
-                    continue
-                pij = problem.p[(i, j)]
-                cand = problem.K[(i, j)] + pij * problem.q[j] + (1.0 - pij) * V[j]
-                if cand < V[i]:
-                    V[i] = cand
-                    state[i] = CONSIDERED
-                    buckets[bucket_of(cand)].append(i)
-                elif state[i] == FAR:
-                    state[i] = CONSIDERED
-                    buckets[bucket_of(V[i])].append(i)
-    policy, motionless = _policy_and_motionless(problem, V)
-    return GraphSolution(V, policy, motionless,
-                         acceptance_order=np.array(order, dtype=int))
+    V = problem.q.tolist()
+    base = min(V)
+    span = max(problem.K.values(), default=0.0) + (max(V) - base)
+    widths = span / problem.delta
+    limit = problem.node_count + sum(map(len, problem.adjacency))
+    if widths <= limit:  # false for an inf or nan span too
+        queue = _bucket_queue(V, base, problem.delta, int(widths) + 2)
+    else:
+        _log.info("dial_solve: %g bucket widths exceed %d nodes plus edges; "
+                  "using the heap queue", widths, limit)
+        queue = _heap_queue(V)
+    return _label_solve(problem, V, problem.local_minima(), queue)
 
 
 def solve_v0(problem):
@@ -390,25 +419,10 @@ def solve_v0(problem):
     V0_i = min( min_{j != i} { K_ij + V0_j },  q_i ).
     """
     _require_valid(problem)
-    M = problem.node_count
-    V = problem.q.astype(float).copy()
-    rev = problem.reverse_adjacency()
-    accepted = np.zeros(M, dtype=bool)
-    heap = [(V[i], i) for i in range(M)]
-    heapq.heapify(heap)
-    while heap:
-        vj, j = heapq.heappop(heap)
-        if accepted[j] or vj > V[j]:
-            continue
-        accepted[j] = True
-        for i in rev[j]:
-            if i == j or accepted[i]:
-                continue
-            cand = problem.K[(i, j)] + V[j]
-            if cand < V[i]:
-                V[i] = cand
-                heapq.heappush(heap, (cand, i))
-    return V
+    V = problem.q.tolist()
+    _label_setting(problem, V, range(problem.node_count), _heap_queue(V),
+                   v0=True)
+    return np.array(V)
 
 
 def solve_v1(problem):

@@ -14,13 +14,12 @@ Solving the resulting problem yields the minimal expected wait time.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphProblem
+from .graph import GraphProblem, tightest_delta
 
 # placeholder only: self-loops are free and motionless nodes pay q directly,
 # so no solver ever reads the self-loop probability
@@ -43,7 +42,7 @@ class IdleScenario:
         if abs(total - 1.0) > 1e-12:
             raise ValueError("call probabilities sum to %g, expected 1" % total)
         for (i, j), t in self.tau.items():
-            if i != j and t <= 0:
+            if i != j and not t > 0:
                 raise ValueError("tau must be positive on edge (%d,%d)" % (i, j))
 
 
@@ -56,29 +55,9 @@ def edge_wait_cost(tau, lam):
     return (math.exp(-x) - (1.0 - x)) / lam
 
 
-def _dijkstra_times(scenario, source):
-    dist = [math.inf] * scenario.node_count
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    # travel times are symmetric in usage but the graph is directed; run on
-    # reversed edges so dist[x] = min time from x to the source
-    rev = [[] for _ in range(scenario.node_count)]
-    for (i, j), t in scenario.tau.items():
-        if i != j:
-            rev[j].append((i, t))
-    while heap:
-        d, j = heapq.heappop(heap)
-        if d > dist[j]:
-            continue
-        for i, t in rev[j]:
-            nd = d + t
-            if nd < dist[i]:
-                dist[i] = nd
-                heapq.heappush(heap, (nd, i))
-    return dist
-
-
-def _floyd_warshall_times(scenario):
+def all_pairs_times(scenario):
+    """Matrix of minimal travel times; d[x, y] = min time from x to y,
+    +inf for unreachable pairs (Floyd-Warshall)."""
     M = scenario.node_count
     d = np.full((M, M), np.inf)
     np.fill_diagonal(d, 0.0)
@@ -90,31 +69,27 @@ def _floyd_warshall_times(scenario):
     return d
 
 
-def all_pairs_times(scenario):
-    """Matrix of minimal travel times; d[x, y] = min time from x to y,
-    +inf for unreachable pairs."""
-    return _floyd_warshall_times(scenario)
-
-
 def expected_response_times(scenario):
     """q(x) = sum over call nodes of P * d(x, call node).
 
-    Uses per-target Dijkstra when the call support is small, Floyd-Warshall
-    otherwise.
+    One scipy.sparse.csgraph Dijkstra call on the reversed travel-time graph
+    gives d(., c) for every call node c of nonzero probability; the terms
+    are added in call order.
     """
+    # imported here so that importing randterm does not load csgraph
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     M = scenario.node_count
-    support = [n for n, pr in zip(scenario.call_nodes, scenario.call_probs) if pr > 0]
+    calls = [(n, pr) for n, pr in zip(scenario.call_nodes, scenario.call_probs)
+             if pr != 0]
+    edges = [(i, j, t) for (i, j), t in scenario.tau.items() if i != j]
+    src, dst, tau = zip(*edges) if edges else ((), (), ())
+    reversed_tau = csr_matrix((tau, (dst, src)), shape=(M, M))
+    dist = dijkstra(reversed_tau, indices=[n for n, _ in calls])
     q = np.zeros(M)
-    if len(support) < max(1.0, M / max(math.log(M), 1.0)):
-        for node, prob in zip(scenario.call_nodes, scenario.call_probs):
-            if prob == 0:
-                continue
-            dist = _dijkstra_times(scenario, node)
-            q += prob * np.array(dist)
-    else:
-        d = all_pairs_times(scenario)
-        for node, prob in zip(scenario.call_nodes, scenario.call_probs):
-            q += prob * d[:, node]
+    for (_, prob), d in zip(calls, dist):
+        q += prob * d
     return q
 
 
@@ -137,7 +112,5 @@ def build_problem(scenario):
                 t = scenario.tau[(i, j)]
                 K[(i, j)] = edge_wait_cost(t, scenario.lam)
                 p[(i, j)] = 1.0 - math.exp(-scenario.lam * t)
-    offdiag = [v for (i, j), v in K.items() if i != j]
-    delta = min(offdiag) if offdiag else 0.0
     return GraphProblem(node_count=M, adjacency=adjacency, K=K, q=q, p=p,
-                        delta=delta)
+                        delta=tightest_delta(K))

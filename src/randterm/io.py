@@ -34,7 +34,7 @@ import os
 import numpy as np
 
 from .eikonal import CallSpec, response_cost
-from .graph import GraphProblem
+from .graph import GraphProblem, tightest_delta
 from .grid import Grid2D, GridProblem
 from .idle import IdleScenario
 
@@ -107,10 +107,8 @@ def load_graph(path, default_p=None):
                     raise FormatError(
                         "%s: edge (%d,%d) has no p and no default" % (path, i, j))
                 p[(i, j)] = default_p
-    offdiag = [v for (i, j), v in K.items() if i != j]
-    delta = min(offdiag) if offdiag else 0.0
     return GraphProblem(node_count=M, adjacency=adjacency, K=K, q=qarr, p=p,
-                        delta=max(delta, 0.0))
+                        delta=max(tightest_delta(K), 0.0))
 
 
 def load_idle(path):
@@ -120,6 +118,7 @@ def load_idle(path):
     tau = {}
     adjacency = {}
     calls = []
+    indices = []  # (line number, node indices named on that line)
     for lineno, tok in _parse_lines(path):
         try:
             if tok[0] == "nodes" and len(tok) == 2:
@@ -130,14 +129,20 @@ def load_idle(path):
                 i, j = int(tok[1]), int(tok[2])
                 tau[(i, j)] = float(tok[3])
                 adjacency.setdefault(i, []).append(j)
+                indices.append((lineno, (i, j)))
             elif tok[0] == "call" and len(tok) == 3:
                 calls.append((int(tok[1]), float(tok[2])))
+                indices.append((lineno, (calls[-1][0],)))
             else:
                 raise ValueError
         except ValueError:
             raise FormatError("%s:%d: cannot parse %r" % (path, lineno, " ".join(tok)))
     if M is None or lam is None or not calls:
         raise FormatError("%s: needs 'nodes', 'lambda' and 'call' lines" % path)
+    for lineno, nodes in indices:
+        if not all(0 <= n < M for n in nodes):
+            raise FormatError("%s:%d: node index out of range [0, %d)"
+                              % (path, lineno, M))
     adj = [sorted(set(adjacency.get(i, []))) for i in range(M)]
     return IdleScenario(node_count=M, adjacency=adj, tau=tau, lam=lam,
                         call_nodes=[c[0] for c in calls],
@@ -222,16 +227,29 @@ def load_grid_scenario(path, lam=None, n=None):
     with open(path) as fh:
         doc = json.load(fh)
     base_dir = os.path.dirname(os.path.abspath(path))
-    gspec = doc["grid"]
-    x0, x1, y0, y1 = gspec["extent"]
-    if "n" in gspec:
-        nx = ny = int(gspec["n"])
-    else:
-        nx, ny = int(gspec["nx"]), int(gspec["ny"])
+    gspec = doc.get("grid") if isinstance(doc, dict) else None
+    if not isinstance(gspec, dict):
+        raise FormatError("%s: missing or ill-typed 'grid' object" % path)
+    extent = gspec.get("extent")
+    if not (isinstance(extent, list) and len(extent) == 4
+            and all(isinstance(v, (int, float)) for v in extent)):
+        raise FormatError("%s: 'grid.extent' must be four numbers "
+                          "[x0, x1, y0, y1]" % path)
+    x0, x1, y0, y1 = extent
+    try:
+        if "n" in gspec:
+            nx = ny = int(gspec["n"])
+        else:
+            nx, ny = int(gspec["nx"]), int(gspec["ny"])
+    except (KeyError, TypeError, ValueError):
+        raise FormatError("%s: 'grid' needs an integer 'n', or 'nx' and 'ny'"
+                          % path)
     if n is not None:
         if nx != ny:
             raise FormatError("--grid override needs a square scenario grid")
         nx = ny = int(n)
+    if min(nx, ny) < 2:
+        raise FormatError("%s: the grid needs at least 2 points per axis" % path)
     hx = (x1 - x0) / (nx - 1)
     hy = (y1 - y0) / (ny - 1)
     if abs(hx - hy) > 1e-12 * max(abs(hx), abs(hy)):

@@ -37,7 +37,7 @@ class TestRunGraph:
         # the two-node cycle violates the cost-margin assumption unless run
         # through value iteration; label-setting must refuse it
         assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "0.5",
-                   "--solver", "dial", "--out", str(tmp_path)) != 0
+                   "--solver", "dial", "--out", str(tmp_path)) == 2
 
     def test_vi_accepts_zero_margin_cycle(self, tmp_path):
         assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "0.5",
@@ -59,6 +59,14 @@ class TestRunGraph:
     def test_missing_file_exit_4(self, tmp_path):
         assert run("run-graph", str(tmp_path / "nope.txt"), "--p", "0.5",
                    "--out", str(tmp_path)) == 4
+
+    @pytest.mark.parametrize("line", ["edge 1 7 1.0", "call 9 0.0"])
+    def test_idle_index_out_of_range_exit_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("nodes 3\nlambda 1.0\nedge 0 1 1.0\nedge 1 2 1.0\n"
+                       "edge 2 0 1.0\ncall 0 1.0\n%s\n" % line)
+        assert run("run-graph", str(bad), "--out", str(tmp_path)) == 2
+        assert "bad.txt:7:" in capsys.readouterr().err
 
     def test_idle_scenario_detected(self, tmp_path):
         out = tmp_path / "out"
@@ -121,6 +129,22 @@ class TestRunGrid:
         assert run("run-grid", scenario("radial_trivial.json"),
                    "--grid", "21x21", "--emit", "bogus",
                    "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"lambda": 0.5, "q": 1.0}, "'grid'"),
+        ({"grid": [0, 1], "lambda": 0.5, "q": 1.0}, "'grid'"),
+        ({"grid": {"n": 11}, "lambda": 0.5, "q": 1.0}, "'grid.extent'"),
+        ({"grid": {"n": 11, "extent": [0, 1, "a", 1]}, "lambda": 0.5,
+          "q": 1.0}, "'grid.extent'"),
+        ({"grid": {"extent": [0, 1, 0, 1]}, "lambda": 0.5, "q": 1.0}, "'n'"),
+        ({"grid": {"n": 1, "extent": [0, 1, 0, 1]}, "lambda": 0.5,
+          "q": 1.0}, "at least 2 points"),
+    ])
+    def test_grid_schema_exit_2(self, tmp_path, capsys, doc, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
+        assert key in capsys.readouterr().err
 
     def test_rectangular_grid_override_rejected(self, tmp_path):
         assert run("run-grid", scenario("radial_trivial.json"),

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from randterm import graph
 from randterm.cli import random_graph_problem
+from randterm.io import load_graph
 
 from conftest import fig1b, fig2, make_graph
 
@@ -37,6 +39,11 @@ class TestValidate:
     def test_cost_below_delta(self):
         pb = fig2(0.5)
         pb.delta = 2.0
+        assert any("A3" in m for m in graph.validate(pb))
+
+    def test_nan_cost(self):
+        pb = fig2(0.5)
+        pb.K[(0, 1)] = math.nan
         assert any("A3" in m for m in graph.validate(pb))
 
 
@@ -182,10 +189,33 @@ class TestLabelSetting:
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_acceptance_order_causality(self, random_problem):
-        # each improving update must come from a node at least delta cheaper
-        sol = graph.dijkstra_solve(random_problem, track_updates=True)
-        for i, j in sol.update_log:
+        # every moving node's successor is at least delta cheaper and was
+        # accepted before it
+        sol = graph.dijkstra_solve(random_problem)
+        rank = np.empty(random_problem.node_count, dtype=int)
+        rank[sol.acceptance_order] = np.arange(len(sol.acceptance_order))
+        for i in np.flatnonzero(~sol.motionless):
+            j = sol.policy[i]
             assert sol.V[i] >= sol.V[j] + random_problem.delta - 1e-9
+            assert rank[j] < rank[i]
+
+    def test_dial_equals_dijkstra(self, random_problem):
+        a = graph.dijkstra_solve(random_problem)
+        b = graph.dial_solve(random_problem)
+        assert np.array_equal(a.V, b.V)
+        assert np.array_equal(a.policy, b.policy)
+
+    def test_dial_tiny_delta_uses_heap(self, tmp_path, caplog):
+        # 6 / 1e-9 bucket widths would ask for 6e9 bucket lists
+        f = tmp_path / "tiny.txt"
+        f.write_text("nodes 3\np 0.5\nq 0 5\nq 1 3\nq 2 0\n"
+                     "edge 0 1 1e-9\nedge 1 2 1\n")
+        pb = load_graph(str(f))
+        assert pb.delta == 1e-9
+        with caplog.at_level(logging.INFO, logger="randterm"):
+            dial = graph.dial_solve(pb)
+        assert "heap queue" in caplog.text
+        assert np.array_equal(dial.V, graph.dijkstra_solve(pb).V)
 
     def test_deterministic(self, random_problem):
         a = graph.dijkstra_solve(random_problem)

@@ -71,6 +71,8 @@ class TestTravelTimes:
         assert d[0, 1] == 1.0 and d[0, 2] == 1.0  # ring of 3
 
     def test_dijkstra_matches_floyd_warshall(self, rng):
+        # expected_response_times against the Floyd-Warshall matrix, for a
+        # few and for many call nodes
         n = 30
         tau = {}
         adj = [[] for _ in range(n)]
@@ -84,11 +86,16 @@ class TestTravelTimes:
             if (i, j) not in tau:
                 tau[(i, j)] = 1.0
                 adj[i].append(j)
-        sc = idle.IdleScenario(node_count=n, adjacency=adj, tau=tau, lam=1.0,
-                               call_nodes=[0], call_probs=[1.0])
-        d = idle.all_pairs_times(sc)
-        for s in range(n):
-            assert np.allclose(idle._dijkstra_times(sc, s), d[:, s])
+        for calls in (3, 20):
+            nodes = rng.choice(n, size=calls, replace=False).tolist()
+            w = rng.uniform(0.5, 1.5, size=calls)
+            sc = idle.IdleScenario(node_count=n, adjacency=adj, tau=tau,
+                                   lam=1.0, call_nodes=nodes,
+                                   call_probs=(w / w.sum()).tolist())
+            d = idle.all_pairs_times(sc)
+            ref = sum(pr * d[:, c] for c, pr in zip(nodes, sc.call_probs))
+            q = idle.expected_response_times(sc)
+            assert np.allclose(q, ref, rtol=1e-12, atol=0.0)
 
     def test_unreachable_is_inf(self):
         sc = idle.IdleScenario(node_count=2, adjacency=[[1], []],

@@ -15,17 +15,13 @@ Dial-like) methods as well as by plain value iteration.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 MOTIONLESS_RTOL = 1e-12
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -210,43 +206,46 @@ def to_infinite_horizon(problem):
     return Ktilde, 1.0 - p
 
 
-def _edge_terms(problem, sources=None, reverse=False, v0=False):
-    """Rows of (neighbor, const, surv) per node, for the edges leaving sources
-    (default all nodes); built per solve since callers may edit K and p.
+def _edge_terms(problem, sources, v0=False):
+    """(i, j, const, surv) for the edges leaving each node i of sources, j in
+    increasing order; built per solve since callers may edit K and p.
 
     const + surv * V_j repeats the float operations of
-    K_ij + p_ij q_j + (1 - p_ij) V_j (const = K_ij, surv = 1 for V0).  Forward
-    rows list the sorted out-neighbors j of i; reverse rows list the
-    in-neighbors i != j of j, in node order.
+    K_ij + p_ij q_j + (1 - p_ij) V_j; the V0 limit is p_ij = 0.
     """
     q = problem.q.tolist()
     K, P, adjacency = problem.K, problem.p, problem.adjacency
+    for i in sources:
+        for j in sorted(adjacency[i]):
+            pij = 0.0 if v0 else P[i, j]
+            yield i, j, K[i, j] + pij * q[j], 1.0 - pij
+
+
+def _out_rows(problem, sources):
+    """Per node i of sources, (j, const, surv) for its out-neighbors j in
+    increasing order; other nodes get empty rows."""
     rows = [[] for _ in range(problem.node_count)]
-    for i in range(problem.node_count) if sources is None else sources:
-        for j in adjacency[i] if reverse else sorted(adjacency[i]):
-            if reverse and i == j:
-                continue
-            e = (i, j)
-            if v0:
-                const, surv = K[e], 1.0
-            else:
-                pij = P[e]
-                const, surv = K[e] + pij * q[j], 1.0 - pij
-            if reverse:
-                rows[j].append((i, const, surv))
-            else:
-                rows[i].append((j, const, surv))
+    for i, j, const, surv in _edge_terms(problem, sources):
+        rows[i].append((j, const, surv))
     return rows
 
 
-def _policy_and_motionless(problem, V, rows=None):
-    """Greedy successor per node (ties to lowest index, self for motionless);
-    rows are the forward edge terms, built for the moving nodes if not given."""
+def _in_rows(problem, v0=False):
+    """Per node j, (i, const, surv) for its in-neighbors i != j in node order."""
+    rows = [[] for _ in range(problem.node_count)]
+    for i, j, const, surv in _edge_terms(problem, range(problem.node_count),
+                                         v0):
+        if i != j:
+            rows[j].append((i, const, surv))
+    return rows
+
+
+def _policy_and_motionless(problem, V):
+    """Greedy successor per node (ties to lowest index, self for motionless)."""
     q = problem.q
     motionless = np.abs(V - q) <= MOTIONLESS_RTOL * np.maximum(1.0, np.abs(q))
     moving = np.flatnonzero(~motionless).tolist()
-    if rows is None:
-        rows = _edge_terms(problem, moving)
+    rows = _out_rows(problem, moving)
     policy = np.arange(problem.node_count)
     values = V.tolist()
     for i in moving:
@@ -268,7 +267,7 @@ def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000,
     field, carrying the last iterate.
     """
     V = (problem.q if initial is None else np.asarray(initial, float)).tolist()
-    rows = _edge_terms(problem)
+    rows = _out_rows(problem, range(problem.node_count))
     status, it = "not_converged", 0
     for it in range(1, max_iters + 1):
         W = V if gauss_seidel else V.copy()
@@ -285,66 +284,27 @@ def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000,
         if change <= tol:
             status = "ok"
             break
+    del rows  # one edge table in memory at a time
     V = np.array(V)
-    policy, motionless = _policy_and_motionless(problem, V, rows)
+    policy, motionless = _policy_and_motionless(problem, V)
     return GraphSolution(V, policy, motionless, status=status, iterations=it)
 
 
-def _heap_queue(V):
-    """(push, pops) for _label_setting: a heap of (value, node), so ties go to
-    the lowest index; an entry is stale once its node's value is lower."""
-    heap = []
-
-    def pops():
-        while heap:
-            v, j = heapq.heappop(heap)
-            if v <= V[j]:
-                yield j
-
-    return functools.partial(heapq.heappush, heap), pops
-
-
-def _bucket_queue(V, base, delta, n_buckets):
-    """(push, pops) for _label_setting: Dial's buckets of width delta above
-    base; an entry is stale once its node's value has left the bucket."""
-    buckets = [[] for _ in range(n_buckets)]
-
-    def bucket_of(v):
-        return min(int((v - base) / delta), n_buckets - 1)
-
-    def push(entry):
-        buckets[bucket_of(entry[0])].append(entry[1])
-
-    def pops():
-        for b, bucket in enumerate(buckets):
-            # improving updates always land in later buckets (cand >= V_j +
-            # delta since q_j >= V_j), but a first touch of a far node can
-            # append to the current bucket -- hence the index loop instead of
-            # a snapshot
-            k = 0
-            while k < len(bucket):
-                j = bucket[k]
-                k += 1
-                if bucket_of(V[j]) == b:
-                    yield j
-
-    return push, pops
-
-
-def _label_setting(problem, V, seeds, queue, v0=False):
-    """Accept nodes in the order queue = (push, pops) releases them, relaxing
-    the in-edges of each; the list V, starting at q, is lowered in place.
-    Returns the acceptance order and the number of improving updates."""
+def _label_setting(rows, V, seeds, key):
+    """Accept nodes in increasing (key(V_j), j) order from a heap, relaxing
+    their in-edge rows; the list V, starting at q, is lowered in place.  An
+    entry is stale once its node's key has changed.  Returns the acceptance
+    order and the number of improving updates."""
     FAR, CONSIDERED, ACCEPTED = 0, 1, 2
-    push, pops = queue
-    rows = _edge_terms(problem, reverse=True, v0=v0)
     state = bytearray(len(V))
+    heap = []
     for i in seeds:
         state[i] = CONSIDERED
-        push((V[i], i))
+        heapq.heappush(heap, (key(V[i]), i))
     order, updates = [], 0
-    for j in pops():
-        if state[j] == ACCEPTED:
+    while heap:
+        k, j = heapq.heappop(heap)
+        if state[j] == ACCEPTED or key(V[j]) != k:
             continue
         state[j] = ACCEPTED
         order.append(j)
@@ -357,17 +317,18 @@ def _label_setting(problem, V, seeds, queue, v0=False):
                 V[i] = cand
                 updates += 1
                 state[i] = CONSIDERED
-                push((cand, i))
+                heapq.heappush(heap, (key(cand), i))
             elif state[i] == FAR:
                 state[i] = CONSIDERED
-                push((V[i], i))
+                heapq.heappush(heap, (key(V[i]), i))
     return order, updates
 
 
-def _label_solve(problem, V, seeds, queue):
-    """_label_setting, then the policy; the in-edge table is freed before the
-    forward rows are built, so the two never coexist in memory."""
-    order, updates = _label_setting(problem, V, seeds, queue)
+def _label_solve(problem, seeds, key):
+    """_label_setting from V = q, then the policy; the in-edge rows are freed
+    before the policy builds its forward rows."""
+    V = problem.q.tolist()
+    order, updates = _label_setting(_in_rows(problem), V, seeds, key)
     V = np.array(V)
     policy, motionless = _policy_and_motionless(problem, V)
     return GraphSolution(V, policy, motionless, updates=updates,
@@ -382,35 +343,26 @@ def dijkstra_solve(problem, seed_all=False):
     node index so acceptance order is deterministic.
     """
     _require_valid(problem)
-    V = problem.q.tolist()
     seeds = range(problem.node_count) if seed_all else problem.local_minima()
-    return _label_solve(problem, V, seeds, _heap_queue(V))
+    return _label_solve(problem, seeds, float)
 
 
 def dial_solve(problem):
     """Bucket-based label setting; requires delta > 0.
 
-    Considered nodes sit in buckets of width delta; a whole bucket can be
-    accepted before any of its members can influence one another, since every
-    non-self transition costs at least delta.  Produces the same values as
-    dijkstra_solve (bucket order only permutes equal-cost work).  Uses the
-    heap instead when there would be more buckets than nodes plus edges.
+    Considered nodes are accepted a bucket of width delta (above min q) at a
+    time, lowest index first within a bucket: no member of a bucket can
+    influence another, since every non-self transition costs at least delta.
+    Produces the same values as dijkstra_solve (bucket order only permutes
+    equal-cost work).  The bucket index is the key of the shared heap, so no
+    bucket array is allocated, however fine delta is.
     """
     _require_valid(problem)
     if problem.delta <= 0.0:
         raise ValueError("dial_solve requires delta > 0")
-    V = problem.q.tolist()
-    base = min(V)
-    span = max(problem.K.values(), default=0.0) + (max(V) - base)
-    widths = span / problem.delta
-    limit = problem.node_count + sum(map(len, problem.adjacency))
-    if widths <= limit:  # false for an inf or nan span too
-        queue = _bucket_queue(V, base, problem.delta, int(widths) + 2)
-    else:
-        _log.info("dial_solve: %g bucket widths exceed %d nodes plus edges; "
-                  "using the heap queue", widths, limit)
-        queue = _heap_queue(V)
-    return _label_solve(problem, V, problem.local_minima(), queue)
+    base, delta = float(problem.q.min()), problem.delta
+    return _label_solve(problem, problem.local_minima(),
+                        lambda v: int((v - base) / delta))
 
 
 def solve_v0(problem):
@@ -420,8 +372,8 @@ def solve_v0(problem):
     """
     _require_valid(problem)
     V = problem.q.tolist()
-    _label_setting(problem, V, range(problem.node_count), _heap_queue(V),
-                   v0=True)
+    _label_setting(_in_rows(problem, v0=True), V,
+                   range(problem.node_count), float)
     return np.array(V)
 
 

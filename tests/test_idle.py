@@ -31,6 +31,8 @@ class TestScenario:
     def test_tau_positive(self):
         with pytest.raises(ValueError):
             ring(tau=-1.0)
+        with pytest.raises(ValueError):
+            ring(tau=float("nan"))
 
     def test_lam_positive(self):
         with pytest.raises(ValueError):

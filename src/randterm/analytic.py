@@ -39,31 +39,31 @@ class RadialCase:
 
 
 def _moving_cost(r, lam):
-    # r - (1 - e^{-lam r})/lam, computed stably for small lam*r
+    """r - (1 - e^{-lam r})/lam over an array of radii, stable for small
+    lam*r; math.exp per point, as np.exp differs from libm in the last bits."""
     x = lam * r
-    if x < 1e-4:
-        return r * x / 2.0 * (1.0 - x / 3.0 + x * x / 12.0)
-    return r - (1.0 - math.exp(-x)) / lam
+    e = np.array([math.exp(-v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.where(x < 1e-4, r * x / 2.0 * (1.0 - x / 3.0 + x * x / 12.0),
+                    r - (1.0 - e) / lam)
+
+
+def _exact(case, r):
+    """Analytic value over an array of radii."""
+    m = _moving_cost(r, case.lam)
+    if case.case == "trivial":
+        return m
+    return np.minimum(r, (case.lam + 1.0) / case.lam * m)
 
 
 def exact_value(case, point):
     """Analytic value at an (x, y) point (or at a radius given as a scalar)."""
     r = float(np.hypot(*point)) if np.ndim(point) else float(abs(point))
-    lam = case.lam
-    if case.case == "trivial":
-        return _moving_cost(r, lam)
-    j = (lam + 1.0) / lam * _moving_cost(r, lam)
-    return min(r, j)
+    return float(_exact(case, np.array(r)))
 
 
 def exact_field(case, grid):
     """Analytic value sampled on a whole grid."""
-    X, Y = grid.meshgrid()
-    R = np.hypot(X, Y)
-    out = np.empty_like(R)
-    for idx, r in np.ndenumerate(R):
-        out[idx] = exact_value(case, r)
-    return out
+    return _exact(case, np.hypot(*grid.meshgrid()))
 
 
 def free_boundary_radius(lam):
@@ -71,7 +71,7 @@ def free_boundary_radius(lam):
     root of (lam+1)/lam * (r - (1 - e^{-lam r})/lam) = r, bracketed in (1, 2)."""
 
     def fun(r):
-        return (lam + 1.0) / lam * _moving_cost(r, lam) - r
+        return (lam + 1.0) / lam * float(_moving_cost(np.array(r), lam)) - r
 
     return brentq(fun, 0.5, 2.5, xtol=1e-13, rtol=8.9e-16)
 

@@ -12,11 +12,12 @@ while the vehicle sits at x.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grid import _as_field, _march
 
 INF = math.inf
 
@@ -30,8 +31,9 @@ class CallSpec:
 
     def __post_init__(self):
         total = float(np.sum(self.probabilities))
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("call probabilities sum to %g, expected 1" % total)
+        if abs(total - 1.0) > 1e-12 or not all(p >= 0 for p in self.probabilities):
+            raise ValueError("call probabilities must be >= 0 and sum to 1 "
+                             "(sum %g)" % total)
         if len(self.locations) != len(self.probabilities):
             raise ValueError("locations and probabilities length mismatch")
 
@@ -41,57 +43,32 @@ def eikonal_solve(grid, f, source, mask=None):
 
     source is a (j, i) index pair; masked points stay at +inf (state
     constraint: motion along boundary rows/columns is allowed, leaving the
-    domain is not).  Uses the standard two-axis upwind update.
+    domain is not).  Marches (grid._march) from u = 0 at the source with the
+    standard two-axis upwind update.
     """
     nx, ny = grid.nx, grid.ny
-    h = grid.h
-    farr = np.empty((ny, nx))
-    farr[:] = f
-    fl = farr.ravel().tolist()
-    blocked = [False] * (nx * ny)
-    if mask is not None:
-        blocked = np.asarray(mask, dtype=bool).ravel().tolist()
-    u = [INF] * (nx * ny)
-    accepted = [False] * (nx * ny)
-    sj, si = source
-    sidx = sj * nx + si
+    farr = _as_field(f, grid)
+    blocked = (np.zeros(nx * ny, dtype=bool) if mask is None
+               else np.asarray(mask, dtype=bool).ravel())
+    if not np.all(farr.ravel()[~blocked] > 0):
+        raise ValueError("speed must be positive off the mask")
+    hf = np.divide(grid.h, farr.ravel(), out=np.full(nx * ny, INF),
+                   where=~blocked).tolist()
+    sidx = int(np.ravel_multi_index(source, (ny, nx)))
     if blocked[sidx]:
         raise ValueError("source lies on a masked point")
+
+    def update(a, b, n):
+        s = hf[n]
+        if a > b:
+            a, b = b, a
+        if b - a >= s:
+            return a + s
+        return 0.5 * (a + b + math.sqrt(2.0 * s * s - (b - a) ** 2))
+
+    u = [INF] * (nx * ny)
     u[sidx] = 0.0
-    heap = [(0.0, sidx)]
-    while heap:
-        val, idx = heapq.heappop(heap)
-        if accepted[idx] or val > u[idx]:
-            continue
-        accepted[idx] = True
-        j, i = divmod(idx, nx)
-        for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            jj, ii = j + dj, i + di
-            if not (0 <= ii < nx and 0 <= jj < ny):
-                continue
-            nidx = jj * nx + ii
-            if accepted[nidx] or blocked[nidx]:
-                continue
-            a = INF  # best accepted horizontal neighbor
-            if ii > 0 and accepted[nidx - 1]:
-                a = u[nidx - 1]
-            if ii < nx - 1 and accepted[nidx + 1] and u[nidx + 1] < a:
-                a = u[nidx + 1]
-            b = INF  # best accepted vertical neighbor
-            if jj > 0 and accepted[nidx - nx]:
-                b = u[nidx - nx]
-            if jj < ny - 1 and accepted[nidx + nx] and u[nidx + nx] < b:
-                b = u[nidx + nx]
-            hf = h / fl[nidx]
-            if a > b:
-                a, b = b, a
-            if b - a >= hf:
-                cand = a + hf
-            else:
-                cand = 0.5 * (a + b + math.sqrt(2.0 * hf * hf - (b - a) ** 2))
-            if cand < u[nidx]:
-                u[nidx] = cand
-                heapq.heappush(heap, (cand, nidx))
+    _march(nx, ny, u, [sidx], blocked.tolist(), update)
     return np.array(u).reshape(ny, nx)
 
 

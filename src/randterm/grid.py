@@ -10,8 +10,8 @@ The upwind discretization replaces |grad V| by the Rouy-Tourin one-sided
 maximum in each axis.  Each gridpoint value is the minimum of q and four
 quadrant solutions, each a root of a quadratic; this is causal in the smaller
 neighbors, so a Fast-Marching sweep (heap ordered acceptance) solves the whole
-system non-iteratively.  A Gauss-Seidel sweeping solver is kept as an
-independent oracle.
+system non-iteratively; the same marching skeleton serves the eikonal travel
+times.  A Gauss-Seidel sweeping solver is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -208,15 +208,65 @@ def local_minima_mask(q):
     return m
 
 
+def _march(nx, ny, V, seeds, blocked, update):
+    """Fast-Marching skeleton (Sethian 1996) of fmm_solve and eikonal_solve.
+
+    V (flat, row-major) is lowered in place.  Points are accepted in
+    (value, index) order from the seeds; for each unaccepted, unblocked
+    4-neighbor n of a point accepted with value va, cand = update(va, vo, n)
+    with vo the best accepted neighbor of n on the other axis (+inf if none).
+    A point is pushed when first reached or when its value drops.  Returns
+    the acceptance index per point, -1 if never accepted.
+    """
+    state = [0] * (nx * ny)  # 0 far, 1 considered, 2 accepted
+    order = [-1] * (nx * ny)
+    heap = [(V[idx], idx) for idx in seeds]
+    heapq.heapify(heap)
+    for idx in seeds:
+        state[idx] = 1
+    n_accepted = 0
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        va, idx = pop(heap)
+        if state[idx] == 2:  # stale: a lower entry was accepted first
+            continue
+        state[idx] = 2
+        order[idx] = n_accepted
+        n_accepted += 1
+        j, i = divmod(idx, nx)
+        # (neighbor, inside?, (step to its other-axis neighbors, exist?))
+        xo = (nx, j > 0, j < ny - 1)
+        yo = (1, i > 0, i < nx - 1)
+        for n, inside, (s, lo, hi) in ((idx + 1, i < nx - 1, xo),
+                                       (idx - 1, i > 0, xo),
+                                       (idx + nx, j < ny - 1, yo),
+                                       (idx - nx, j > 0, yo)):
+            if not inside or state[n] == 2 or blocked[n]:
+                continue
+            vo = INF
+            if lo and state[n - s] == 2:
+                vo = V[n - s]
+            if hi and state[n + s] == 2 and V[n + s] < vo:
+                vo = V[n + s]
+            cand = update(va, vo, n)
+            if cand < V[n]:
+                V[n] = cand
+            elif state[n]:
+                continue
+            state[n] = 1
+            push(heap, (V[n], n))
+    return order
+
+
 def fmm_solve(problem):
     """Non-iterative solve: initialize V = q, seed the local minima of q, and
-    accept gridpoints in nondecreasing value order, updating each neighbor
-    through the single quadrant containing the newly accepted point.
+    march (see _march), updating each neighbor through the single quadrant
+    spanned by the newly accepted point and its best accepted orthogonal
+    neighbor (quadrant_update).  Masked points are never accepted.
 
     Heap ties break on row-major index.  O(M log M) for M gridpoints.
     """
     g = problem.grid
-    nx, ny = g.nx, g.ny
     h = g.h
     # flat python lists are noticeably faster than ndarray scalar access here
     V = problem.q.ravel().tolist()
@@ -224,52 +274,15 @@ def fmm_solve(problem):
     Kv = problem.K.ravel().tolist()
     qv = problem.q.ravel().tolist()
     lamv = problem.lam.ravel().tolist()
-    accepted = [False] * (nx * ny)
-    order = [-1] * (nx * ny)
-    heap = [
-        (V[idx], idx)
-        for idx in np.flatnonzero(local_minima_mask(problem.q).ravel()).tolist()
-    ]
-    heapq.heapify(heap)
-    n_accepted = 0
-    while heap:
-        v, idx = heapq.heappop(heap)
-        if accepted[idx] or v > V[idx]:
-            continue
-        accepted[idx] = True
-        order[idx] = n_accepted
-        n_accepted += 1
-        j, i = divmod(idx, nx)
-        for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            jj, ii = j + dj, i + di
-            if not (0 <= ii < nx and 0 <= jj < ny):
-                continue
-            nidx = jj * nx + ii
-            if accepted[nidx] or qv[nidx] == INF:
-                continue
-            # accepted orthogonal neighbors of the updated point
-            if dj == 0:
-                o1, o2 = nidx - nx if jj > 0 else -1, nidx + nx if jj < ny - 1 else -1
-            else:
-                o1, o2 = nidx - 1 if ii > 0 else -1, nidx + 1 if ii < nx - 1 else -1
-            vo = INF
-            if o1 >= 0 and accepted[o1] and V[o1] < vo:
-                vo = V[o1]
-            if o2 >= 0 and accepted[o2] and V[o2] < vo:
-                vo = V[o2]
-            # at most one quadrant matters: (accepted value, best orthogonal)
-            cand = quadrant_update(V[idx], vo, Kv[nidx], qv[nidx], fv[nidx],
-                                   lamv[nidx], h)
-            if cand < V[nidx]:
-                V[nidx] = cand
-            # (re-)enter the heap so the point is Considered; stale entries
-            # are skipped on pop
-            heapq.heappush(heap, (V[nidx], nidx))
-    Varr = np.array(V).reshape(ny, nx)
-    order_arr = np.array(order).reshape(ny, nx)
-    sol = GridSolution(Varr, order_arr, np.zeros_like(Varr, dtype=bool))
-    sol.motionless_mask = motionless_set(sol, problem).mask
-    return sol
+
+    def update(va, vo, n):
+        return quadrant_update(va, vo, Kv[n], qv[n], fv[n], lamv[n], h)
+
+    seeds = np.flatnonzero(local_minima_mask(problem.q).ravel()).tolist()
+    order = _march(g.nx, g.ny, V, seeds, problem.mask().ravel().tolist(), update)
+    Varr = np.array(V).reshape(g.ny, g.nx)
+    return GridSolution(Varr, np.array(order).reshape(g.ny, g.nx),
+                        _motionless_mask(problem, Varr))
 
 
 def default_motionless_eps(problem):
@@ -282,15 +295,21 @@ def default_motionless_eps(problem):
     return 1e-9 * max(1.0, scale)
 
 
-def motionless_set(solution, problem, eps=None):
-    """Points where staying put is optimal (q - V <= eps), plus the free
-    boundary: motionless points with at least one moving 4-neighbor."""
+def _motionless_mask(problem, V, eps=None):
+    """q - V <= eps on live points; eps defaults to default_motionless_eps."""
     if eps is None:
         eps = default_motionless_eps(problem)
     live = ~problem.mask()
     gap = np.full(problem.q.shape, INF)
-    gap[live] = problem.q[live] - solution.V[live]
-    mask = gap <= eps
+    gap[live] = problem.q[live] - V[live]
+    return gap <= eps
+
+
+def motionless_set(solution, problem, eps=None):
+    """Points where staying put is optimal (q - V <= eps), plus the free
+    boundary: motionless points with at least one moving 4-neighbor."""
+    live = ~problem.mask()
+    mask = _motionless_mask(problem, solution.V, eps)
     inner = np.pad(mask | ~live, 1, constant_values=True)
     has_moving_nbr = ~(
         inner[1:-1, :-2] & inner[1:-1, 2:] & inner[:-2, 1:-1] & inner[2:, 1:-1]
@@ -307,22 +326,19 @@ def sweep_oracle(problem, tol=1e-12, max_sweeps=2000):
     g = problem.grid
     nx, ny = g.nx, g.ny
     h = g.h
-    V = problem.q.copy()
-    fa, Ka, qa, lama = problem.f, problem.K, problem.q, problem.lam
-    live = ~problem.mask()
     orders = [
         (range(ny), range(nx)),
         (range(ny), range(nx - 1, -1, -1)),
         (range(ny - 1, -1, -1), range(nx)),
         (range(ny - 1, -1, -1), range(nx - 1, -1, -1)),
     ]
-    Vl = V.tolist()
-    fl, Kl, ql, laml = fa.tolist(), Ka.tolist(), qa.tolist(), lama.tolist()
-    livel = live.tolist()
+    Vl = problem.q.tolist()
+    fl, Kl, ql = problem.f.tolist(), problem.K.tolist(), problem.q.tolist()
+    laml, livel = problem.lam.tolist(), (~problem.mask()).tolist()
+    status, sweep = "not_converged", 0
     for sweep in range(1, max_sweeps + 1):
         change = 0.0
         jorder, iorder = orders[(sweep - 1) % 4]
-        iorder = list(iorder)
         for j in jorder:
             row = Vl[j]
             up = Vl[j - 1] if j > 0 else None
@@ -341,18 +357,12 @@ def sweep_oracle(problem, tol=1e-12, max_sweeps=2000):
                     change = d
                 row[i] = new
         if change <= tol:
-            Varr = np.array(Vl)
-            sol = GridSolution(Varr, np.full((ny, nx), -1),
-                               np.zeros((ny, nx), dtype=bool),
-                               status="ok", sweeps=sweep)
-            sol.motionless_mask = motionless_set(sol, problem).mask
-            return sol
+            status = "ok"
+            break
     Varr = np.array(Vl)
-    sol = GridSolution(Varr, np.full((ny, nx), -1),
-                       np.zeros((ny, nx), dtype=bool),
-                       status="not_converged", sweeps=max_sweeps)
-    sol.motionless_mask = motionless_set(sol, problem).mask
-    return sol
+    return GridSolution(Varr, np.full((ny, nx), -1),
+                        _motionless_mask(problem, Varr), status=status,
+                        sweeps=sweep)
 
 
 def semi_lagrangian_update(v1, v2, K, q, f, lam, h, xatol=1e-12):

@@ -39,8 +39,9 @@ class IdleScenario:
         if self.lam <= 0:
             raise ValueError("call rate must be positive")
         total = float(np.sum(self.call_probs))
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("call probabilities sum to %g, expected 1" % total)
+        if abs(total - 1.0) > 1e-12 or not all(p >= 0 for p in self.call_probs):
+            raise ValueError("call probabilities must be >= 0 and sum to 1 "
+                             "(sum %g)" % total)
         for (i, j), t in self.tau.items():
             if i != j and not t > 0:
                 raise ValueError("tau must be positive on edge (%d,%d)" % (i, j))

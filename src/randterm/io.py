@@ -65,7 +65,8 @@ def load_graph(path, default_p=None):
     """Parse a graph scenario file into a GraphProblem."""
     M = None
     q = {}
-    edges = []
+    K = {}
+    p = {}
     for lineno, tok in _parse_lines(path):
         try:
             if tok[0] == "nodes" and len(tok) == 2:
@@ -75,12 +76,20 @@ def load_graph(path, default_p=None):
             elif tok[0] == "q" and len(tok) == 3:
                 q[int(tok[1])] = float(tok[2])
             elif tok[0] == "edge" and len(tok) in (4, 5):
+                edge = int(tok[1]), int(tok[2])
+                kij = float(tok[3])
                 pij = float(tok[4]) if len(tok) == 5 else None
-                edges.append((int(tok[1]), int(tok[2]), float(tok[3]), pij))
             else:
                 raise ValueError
         except ValueError:
             raise FormatError("%s:%d: cannot parse %r" % (path, lineno, " ".join(tok)))
+        if tok[0] == "edge":
+            if edge in K:
+                raise FormatError("%s:%d: duplicate edge (%d,%d)"
+                                  % ((path, lineno) + edge))
+            K[edge] = kij
+            if pij is not None:
+                p[edge] = pij
     if M is None:
         raise FormatError("%s: missing 'nodes' line" % path)
     qarr = np.zeros(M)
@@ -89,16 +98,13 @@ def load_graph(path, default_p=None):
             raise FormatError("%s: q index %d out of range" % (path, i))
         qarr[i] = v
     adjacency = [[i] for i in range(M)]
-    K = {(i, i): 0.0 for i in range(M)}
-    p = {}
-    for i, j, kij, pij in edges:
+    for i, j in K:
         if not (0 <= i < M and 0 <= j < M):
             raise FormatError("%s: edge (%d,%d) out of range" % (path, i, j))
-        if j not in adjacency[i]:
+        if i != j:
             adjacency[i].append(j)
-        K[(i, j)] = kij
-        if pij is not None:
-            p[(i, j)] = pij
+    for i in range(M):
+        K.setdefault((i, i), 0.0)  # implicit free self-loop
     for i, nbrs in enumerate(adjacency):
         nbrs.sort()
         for j in nbrs:
@@ -126,10 +132,8 @@ def load_idle(path):
             elif tok[0] == "lambda" and len(tok) == 2:
                 lam = float(tok[1])
             elif tok[0] == "edge" and len(tok) == 4:
-                i, j = int(tok[1]), int(tok[2])
-                tau[(i, j)] = float(tok[3])
-                adjacency.setdefault(i, []).append(j)
-                indices.append((lineno, (i, j)))
+                edge = int(tok[1]), int(tok[2])
+                t = float(tok[3])
             elif tok[0] == "call" and len(tok) == 3:
                 calls.append((int(tok[1]), float(tok[2])))
                 indices.append((lineno, (calls[-1][0],)))
@@ -137,13 +141,20 @@ def load_idle(path):
                 raise ValueError
         except ValueError:
             raise FormatError("%s:%d: cannot parse %r" % (path, lineno, " ".join(tok)))
+        if tok[0] == "edge":
+            if edge in tau:
+                raise FormatError("%s:%d: duplicate edge (%d,%d)"
+                                  % ((path, lineno) + edge))
+            tau[edge] = t
+            adjacency.setdefault(edge[0], []).append(edge[1])
+            indices.append((lineno, edge))
     if M is None or lam is None or not calls:
         raise FormatError("%s: needs 'nodes', 'lambda' and 'call' lines" % path)
     for lineno, nodes in indices:
         if not all(0 <= n < M for n in nodes):
             raise FormatError("%s:%d: node index out of range [0, %d)"
                               % (path, lineno, M))
-    adj = [sorted(set(adjacency.get(i, []))) for i in range(M)]
+    adj = [sorted(adjacency.get(i, [])) for i in range(M)]
     return IdleScenario(node_count=M, adjacency=adj, tau=tau, lam=lam,
                         call_nodes=[c[0] for c in calls],
                         call_probs=[c[1] for c in calls])

@@ -68,6 +68,33 @@ class TestRunGraph:
         assert run("run-graph", str(bad), "--out", str(tmp_path)) == 2
         assert "bad.txt:7:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "nodes 3\np 0.5\nedge 0 1 1\nedge 1 2 1\nedge 0 1 5\n",
+        "nodes 3\nlambda 1.0\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 1 5.0\n"
+        "call 2 1.0\n",
+    ], ids=["graph", "idle"])
+    def test_duplicate_edge_exit_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run("run-graph", str(bad), "--out", str(tmp_path)) == 2
+        assert "bad.txt:5: duplicate edge (0,1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text", [
+        ("bad.txt", "nodes 2\nlambda 1.0\nedge 0 1 1.0\nedge 1 0 1.0\n"
+                    "call 0 1.5\ncall 1 -0.5\n"),
+        ("bad.json", json.dumps({
+            "grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": 0.5,
+            "calls": [{"location": [0.2, 0.2], "prob": 1.5},
+                      {"location": [0.8, 0.8], "prob": -0.5}]})),
+    ], ids=["idle", "grid"])
+    def test_negative_call_probability_exit_2(self, tmp_path, capsys, name,
+                                              text):
+        bad = tmp_path / name
+        bad.write_text(text)
+        command = "run-grid" if name.endswith(".json") else "run-graph"
+        assert run(command, str(bad), "--out", str(tmp_path)) == 2
+        assert ">= 0" in capsys.readouterr().err
+
     def test_idle_scenario_detected(self, tmp_path):
         out = tmp_path / "out"
         assert run("run-graph", scenario("idle_ring.txt"),

@@ -17,6 +17,11 @@ class TestCallSpec:
             eikonal.CallSpec(locations=[(0, 0), (1, 1)],
                              probabilities=[0.5, 0.6])
 
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            eikonal.CallSpec(locations=[(0, 0), (1, 1)],
+                             probabilities=[1.5, -0.5])
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             eikonal.CallSpec(locations=[(0, 0)], probabilities=[0.5, 0.5])
@@ -59,6 +64,39 @@ class TestEikonalSolve:
         # straight-line distance from (0.5, 2.0) to (3.5, 2.0) is 3.0 but the
         # wall forces a detour
         assert u[20, 35] > 3.5
+
+    def test_upwind_residual_masked_variable_speed(self):
+        # every reached point solves the two-axis upwind equation from its
+        # smaller neighbors: |(u - a)^+, (u - b)^+| = h / f
+        rng = np.random.default_rng(7)
+        g = Grid2D(nx=47, ny=39, h=0.05)
+        mask = rng.random((39, 47)) < 0.1
+        mask[5:30, 20] = True
+        mask[20, 25:45] = True
+        mask[3, 4] = False
+        f = rng.uniform(0.5, 2.0, (39, 47))
+        u = eikonal.eikonal_solve(g, f, (3, 4), mask=mask)
+        assert np.all(np.isinf(u[mask]))
+        up = np.pad(u, 1, constant_values=math.inf)
+        a = np.minimum(up[1:-1, :-2], up[1:-1, 2:])
+        b = np.minimum(up[:-2, 1:-1], up[2:, 1:-1])
+        with np.errstate(invalid="ignore"):  # inf - inf on masked points
+            grad = np.hypot(np.maximum(u - a, 0.0), np.maximum(u - b, 0.0))
+        check = np.isfinite(u)
+        check[3, 4] = False
+        assert check.sum() > 0.8 * (~mask).sum()
+        assert np.max(np.abs(grad - g.h / f)[check]) <= 1e-12
+
+    def test_speed_must_be_positive_off_mask(self):
+        g = Grid2D(nx=11, ny=11, h=0.1)
+        f = np.ones((11, 11))
+        f[2, 2] = 0.0
+        with pytest.raises(ValueError, match="speed"):
+            eikonal.eikonal_solve(g, f, (5, 5))
+        mask = np.zeros((11, 11), dtype=bool)
+        mask[2, 2] = True
+        u = eikonal.eikonal_solve(g, f, (5, 5), mask=mask)
+        assert np.isinf(u[2, 2]) and np.isfinite(u[~mask]).all()
 
     def test_masked_source_rejected(self):
         g = Grid2D(nx=11, ny=11, h=0.1)

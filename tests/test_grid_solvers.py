@@ -26,15 +26,23 @@ class TestFmmAgainstSweep:
 
     def test_agreement_variable_coefficients(self, rng):
         g = grid.Grid2D(nx=41, ny=31, h=0.1)
-        pb = grid.GridProblem(grid=g,
-                              f=rng.uniform(0.5, 2.0, (31, 41)),
-                              K=rng.uniform(0.0, 1.0, (31, 41)),
-                              q=rng.uniform(0.0, 3.0, (31, 41)),
-                              lam=rng.uniform(0.2, 2.0, (31, 41)))
-        fmm = grid.fmm_solve(pb)
-        sw = grid.sweep_oracle(pb)
-        assert sw.status == "ok"
-        assert np.max(np.abs(fmm.V - sw.V)) <= 1e-9
+        for walls in (False, True):
+            f = rng.uniform(0.5, 2.0, (31, 41))
+            K = rng.uniform(0.0, 1.0, (31, 41))
+            q = rng.uniform(0.0, 3.0, (31, 41))
+            lam = rng.uniform(0.2, 2.0, (31, 41))
+            if walls:  # +inf terminal cost masks the points out
+                q[5:25, 12] = math.inf
+                q[10, 20:38] = math.inf
+                q[rng.random((31, 41)) < 0.1] = math.inf
+            pb = grid.GridProblem(grid=g, f=f, K=K, q=q, lam=lam)
+            fmm = grid.fmm_solve(pb)
+            sw = grid.sweep_oracle(pb)
+            assert sw.status == "ok"
+            live = ~pb.mask()
+            assert np.max(np.abs(fmm.V[live] - sw.V[live])) <= 1e-9
+            assert np.all(np.isinf(fmm.V[~live]))
+            assert np.array_equal(fmm.motionless_mask, sw.motionless_mask)
 
 
 class TestSolutionProperties:

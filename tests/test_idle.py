@@ -28,6 +28,10 @@ class TestScenario:
         with pytest.raises(ValueError):
             ring(calls=((0, 0.5), (3, 0.6)))
 
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            ring(calls=((0, 1.5), (3, -0.5)))
+
     def test_tau_positive(self):
         with pytest.raises(ValueError):
             ring(tau=-1.0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -77,33 +78,61 @@ class GraphSolution:
     updates: int = 0  # improving updates made by label setting
 
 
-def validate(problem):
-    """Check assumptions A1-A3 and probability ranges; returns a list of violations."""
-    issues = []
-    M = problem.node_count
-    for i in range(M):
-        if i not in problem.adjacency[i]:
-            issues.append("A1 missing self-transition at node %d" % i)
-        elif problem.K.get((i, i), 0.0) != 0.0:
-            issues.append("A2 nonzero self-cost at node %d" % i)
-    for i, j in problem.edges():
-        if j != i and not problem.K[(i, j)] >= problem.delta:  # nan too
-            issues.append(
-                "A3 edge (%d,%d) cost %g below delta %g"
-                % (i, j, problem.K[(i, j)], problem.delta)
-            )
-        pij = problem.p.get((i, j))
-        if pij is None or not (0.0 < pij < 1.0):
-            issues.append("p out of (0,1) on edge (%d,%d)" % (i, j))
+def _edges(problem):
+    """The edge table (indptr, src, dst, K, p) in CSR arrays: row i holds the
+    edges (i, j) in the order of adjacency[i], and p is nan where an edge has
+    none.  Built per call, reading each dict once, so edits to problem.K and
+    problem.p reach it."""
+    adjacency, n = problem.adjacency, problem.node_count
+    counts = np.fromiter(map(len, adjacency), np.intp, n)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    m = int(indptr[-1])
+
+    def keys():  # (i, j) in table order, without a list of them
+        return zip(chain.from_iterable(map(repeat, range(n), counts.tolist())),
+                   chain.from_iterable(adjacency))
+
+    src = np.repeat(np.arange(n), counts)
+    dst = np.fromiter(chain.from_iterable(adjacency), np.intp, m)
+    K = np.fromiter(map(problem.K.__getitem__, keys()), float, m)
+    p = np.fromiter(map(problem.p.get, keys(), repeat(math.nan)), float, m)
+    return indptr, src, dst, K, p
+
+
+def _checked(problem):
+    """The edge table and the violations of A1-A3 and of the probability
+    ranges, node by node and then edge by edge in problem.edges() order."""
+    edges = indptr, src, dst, K, p = _edges(problem)
+    n, loop = problem.node_count, src == dst
+    has_loop = np.bincount(src[loop], minlength=n) > 0
+    costly = np.bincount(src[loop & (K != 0.0)], minlength=n) > 0
+    issues = [("A2 nonzero self-cost at node %d" if has_loop[i] else
+               "A1 missing self-transition at node %d") % i
+              for i in np.flatnonzero(~has_loop | costly).tolist()]
+    below = ~loop & ~(K >= problem.delta)  # nan too
+    bad_p = ~((0.0 < p) & (p < 1.0))
+    for e in np.flatnonzero(below | bad_p).tolist():
+        if below[e]:
+            issues.append("A3 edge (%d,%d) cost %g below delta %g"
+                          % (src[e], dst[e], K[e], problem.delta))
+        if bad_p[e]:
+            issues.append("p out of (0,1) on edge (%d,%d)" % (src[e], dst[e]))
     if not np.all(np.isfinite(problem.q)):
         issues.append("non-finite terminal cost")
-    return issues
+    return edges, issues
+
+
+def validate(problem):
+    """Check assumptions A1-A3 and probability ranges; returns a list of violations."""
+    return _checked(problem)[1]
 
 
 def _require_valid(problem):
-    issues = validate(problem)
+    """The edge table of a problem that satisfies A1-A3; ValueError if not."""
+    edges, issues = _checked(problem)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
+    return edges
 
 
 def tightest_delta(K):
@@ -206,96 +235,77 @@ def to_infinite_horizon(problem):
     return Ktilde, 1.0 - p
 
 
-def _edge_terms(problem, sources, v0=False):
-    """(i, j, const, surv) for the edges leaving each node i of sources, j in
-    increasing order; built per solve since callers may edit K and p.
-
-    const + surv * V_j repeats the float operations of
-    K_ij + p_ij q_j + (1 - p_ij) V_j; the V0 limit is p_ij = 0.
-    """
-    q = problem.q.tolist()
-    K, P, adjacency = problem.K, problem.p, problem.adjacency
-    for i in sources:
-        for j in sorted(adjacency[i]):
-            pij = 0.0 if v0 else P[i, j]
-            yield i, j, K[i, j] + pij * q[j], 1.0 - pij
+def _terms(problem, edges):
+    """Per edge, const and surv with const + surv * V_j repeating the float
+    operations of K_ij + p_ij q_j + (1 - p_ij) V_j."""
+    indptr, src, dst, K, p = edges
+    with np.errstate(invalid="ignore", over="ignore"):  # silent, as floats
+        return K + p * problem.q[dst], 1.0 - p
 
 
-def _out_rows(problem, sources):
-    """Per node i of sources, (j, const, surv) for its out-neighbors j in
-    increasing order; other nodes get empty rows."""
-    rows = [[] for _ in range(problem.node_count)]
-    for i, j, const, surv in _edge_terms(problem, sources):
-        rows[i].append((j, const, surv))
-    return rows
+def _row_min(indptr, values):
+    """Minimum of values over each CSR row, skipping nan, and inf where a row
+    has no other value: what a scan from inf that keeps each `<` gives."""
+    out = np.fmin.reduceat(np.append(values, np.inf), indptr[:-1])
+    out[(indptr[:-1] == indptr[1:]) | np.isnan(out)] = np.inf
+    return out
 
 
-def _in_rows(problem, v0=False):
-    """Per node j, (i, const, surv) for its in-neighbors i != j in node order."""
-    rows = [[] for _ in range(problem.node_count)]
-    for i, j, const, surv in _edge_terms(problem, range(problem.node_count),
-                                         v0):
-        if i != j:
-            rows[j].append((i, const, surv))
-    return rows
-
-
-def _policy_and_motionless(problem, V):
-    """Greedy successor per node (ties to lowest index, self for motionless)."""
+def _solution(problem, V, edges, const, surv, **stats):
+    """GraphSolution of V with the motionless set and the greedy successor
+    per node (ties to lowest index, self for motionless)."""
+    indptr, src, dst = edges[:3]
     q = problem.q
-    motionless = np.abs(V - q) <= MOTIONLESS_RTOL * np.maximum(1.0, np.abs(q))
-    moving = np.flatnonzero(~motionless).tolist()
-    rows = _out_rows(problem, moving)
+    with np.errstate(invalid="ignore", over="ignore"):
+        cand = const + surv * V[dst]
+        motionless = np.abs(V - q) <= MOTIONLESS_RTOL * np.maximum(1.0, abs(q))
+    best = _row_min(indptr, cand)
+    lowest = _row_min(indptr, np.where(cand == best[src], dst, np.inf))
+    moving = ~motionless & (best < np.inf)
     policy = np.arange(problem.node_count)
-    values = V.tolist()
-    for i in moving:
-        best, best_j = math.inf, i
-        for j, const, surv in rows[i]:
-            cand = const + surv * values[j]
-            if cand < best:
-                best, best_j = cand, j
-        policy[i] = best_j
-    return policy, motionless
+    policy[moving] = lowest[moving]
+    return GraphSolution(V, policy, motionless, **stats)
 
 
-def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000,
-                    gauss_seidel=False):
+def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000):
     """Fixed-point iteration for the optimality equation (the general oracle).
 
-    Does not require A1-A3.  Jacobi sweeps by default; Gauss-Seidel in natural
-    node order when requested.  Non-convergence is reported through the status
-    field, carrying the last iterate.
+    Does not require A1-A3, but every edge needs a p.  Each Jacobi sweep is
+    a row minimum over the edge table.  Non-convergence is reported through
+    the status field, carrying the last iterate.
     """
-    V = (problem.q if initial is None else np.asarray(initial, float)).tolist()
-    rows = _out_rows(problem, range(problem.node_count))
+    edges = indptr, src, dst, K, p = _edges(problem)
+    for e in np.flatnonzero(np.isnan(p))[:1].tolist():  # the first, if any
+        raise ValueError("p missing or nan on edge (%d,%d)" % (src[e], dst[e]))
+    const, surv = _terms(problem, edges)
+    V = np.array(problem.q if initial is None else initial, dtype=float)
     status, it = "not_converged", 0
     for it in range(1, max_iters + 1):
-        W = V if gauss_seidel else V.copy()
-        change = 0.0
-        for i, row in enumerate(rows):
-            best = math.inf
-            for j, const, surv in row:
-                cand = const + surv * V[j]
-                if cand < best:
-                    best = cand
-            change = max(change, abs(best - W[i]))
-            W[i] = best
-        V = W
+        with np.errstate(invalid="ignore", over="ignore"):
+            best = _row_min(indptr, const + surv * V[dst])
+            change = np.fmax.reduce(np.abs(best - V), initial=0.0)  # skips nan
+        V = best
         if change <= tol:
             status = "ok"
             break
-    del rows  # one edge table in memory at a time
-    V = np.array(V)
-    policy, motionless = _policy_and_motionless(problem, V)
-    return GraphSolution(V, policy, motionless, status=status, iterations=it)
+    return _solution(problem, V, edges, const, surv, status=status,
+                     iterations=it)
 
 
-def _label_setting(rows, V, seeds, key):
+def _label_setting(edges, const, surv, q, seeds, key):
     """Accept nodes in increasing (key(V_j), j) order from a heap, relaxing
-    their in-edge rows; the list V, starting at q, is lowered in place.  An
-    entry is stale once its node's key has changed.  Returns the acceptance
-    order and the number of improving updates."""
+    the in-edges i -> j, i != j, of each accepted j in node order i; V starts
+    at q.  An entry is stale once its node's key has changed.  Returns V, the
+    acceptance order and the number of improving updates."""
+    indptr, src, dst = edges[:3]
+    moves = np.flatnonzero(src != dst)
+    rev = moves[np.argsort(dst[moves], kind="stable")]
+    # reverse CSR in memoryviews (no Python object per edge): the in-edges
+    # of j are the slices ptr[j]:ptr[j + 1]
+    ptr = memoryview(np.searchsorted(dst[rev], np.arange(len(indptr))))
+    src, const, surv = (memoryview(a[rev]) for a in (src, const, surv))
     FAR, CONSIDERED, ACCEPTED = 0, 1, 2
+    V = q.tolist()
     state = bytearray(len(V))
     heap = []
     for i in seeds:
@@ -309,10 +319,11 @@ def _label_setting(rows, V, seeds, key):
         state[j] = ACCEPTED
         order.append(j)
         vj = V[j]
-        for i, const, surv in rows[j]:
+        lo, hi = ptr[j], ptr[j + 1]
+        for i, cij, sij in zip(src[lo:hi], const[lo:hi], surv[lo:hi]):
             if state[i] == ACCEPTED:
                 continue
-            cand = const + surv * vj
+            cand = cij + sij * vj
             if cand < V[i]:
                 V[i] = cand
                 updates += 1
@@ -321,18 +332,16 @@ def _label_setting(rows, V, seeds, key):
             elif state[i] == FAR:
                 state[i] = CONSIDERED
                 heapq.heappush(heap, (key(V[i]), i))
-    return order, updates
+    return np.array(V), order, updates
 
 
-def _label_solve(problem, seeds, key):
-    """_label_setting from V = q, then the policy; the in-edge rows are freed
-    before the policy builds its forward rows."""
-    V = problem.q.tolist()
-    order, updates = _label_setting(_in_rows(problem), V, seeds, key)
-    V = np.array(V)
-    policy, motionless = _policy_and_motionless(problem, V)
-    return GraphSolution(V, policy, motionless, updates=updates,
-                         acceptance_order=np.array(order, dtype=int))
+def _label_solve(problem, edges, seeds, key):
+    """_label_setting from V = q over the edge table, then the policy."""
+    const, surv = _terms(problem, edges)
+    V, order, updates = _label_setting(edges, const, surv, problem.q, seeds,
+                                       key)
+    return _solution(problem, V, edges, const, surv, updates=updates,
+                     acceptance_order=np.array(order, dtype=int))
 
 
 def dijkstra_solve(problem, seed_all=False):
@@ -342,9 +351,9 @@ def dijkstra_solve(problem, seed_all=False):
     of q (or every node when seed_all is set).  Heap ties break on the lowest
     node index so acceptance order is deterministic.
     """
-    _require_valid(problem)
+    edges = _require_valid(problem)
     seeds = range(problem.node_count) if seed_all else problem.local_minima()
-    return _label_solve(problem, seeds, float)
+    return _label_solve(problem, edges, seeds, float)
 
 
 def dial_solve(problem):
@@ -357,11 +366,11 @@ def dial_solve(problem):
     equal-cost work).  The bucket index is the key of the shared heap, so no
     bucket array is allocated, however fine delta is.
     """
-    _require_valid(problem)
+    edges = _require_valid(problem)
     if problem.delta <= 0.0:
         raise ValueError("dial_solve requires delta > 0")
     base, delta = float(problem.q.min()), problem.delta
-    return _label_solve(problem, problem.local_minima(),
+    return _label_solve(problem, edges, problem.local_minima(),
                         lambda v: int((v - base) / delta))
 
 
@@ -370,22 +379,16 @@ def solve_v0(problem):
 
     V0_i = min( min_{j != i} { K_ij + V0_j },  q_i ).
     """
-    _require_valid(problem)
-    V = problem.q.tolist()
-    _label_setting(_in_rows(problem, v0=True), V,
-                   range(problem.node_count), float)
-    return np.array(V)
+    edges = indptr, src, dst, K, p = _require_valid(problem)
+    # the p_ij = 0 limit of the edge terms: const K_ij, surv 1
+    return _label_setting(edges, K, np.ones_like(K), problem.q,
+                          range(problem.node_count), float)[0]
 
 
 def solve_v1(problem):
-    """Certain-kill limit: single-step lookahead, one pass over the edges."""
-    _require_valid(problem)
-    V = np.full(problem.node_count, np.inf)
-    for i, j in problem.edges():
-        cand = problem.K[(i, j)] + problem.q[j]
-        if cand < V[i]:
-            V[i] = cand
-    return V
+    """Certain-kill limit: single-step lookahead, min_j K_ij + q_j."""
+    indptr, src, dst, K, p = _require_valid(problem)
+    return _row_min(indptr, K + problem.q[dst])
 
 
 def m1_strict(problem):
@@ -397,17 +400,12 @@ def m1_strict(problem):
     to 1; the margin indicates how robust that is, but no certified
     probability threshold is claimed.
     """
-    out = {}
-    for i in range(problem.node_count):
-        margin = math.inf
-        for j in problem.adjacency[i]:
-            if j == i:
-                continue
-            margin = min(margin,
-                         problem.K[(i, j)] + problem.q[j] - problem.q[i])
-        if margin > 0:
-            out[i] = margin
-    return out
+    indptr, src, dst, K, p = _edges(problem)
+    q = problem.q
+    with np.errstate(invalid="ignore", over="ignore"):
+        margin = _row_min(indptr, np.where(src == dst, np.inf,
+                                           K + q[dst] - q[src]))
+    return {i: margin[i] for i in np.flatnonzero(margin > 0).tolist()}
 
 
 def extract_path(solution, start):

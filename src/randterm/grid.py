@@ -94,7 +94,7 @@ class GridProblem:
 
     def mask(self):
         """True on out-of-domain points (q = +inf); never accepted by solvers."""
-        return np.isinf(self.q)
+        return self.q == np.inf
 
 
 @dataclass

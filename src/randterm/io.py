@@ -270,21 +270,46 @@ def load_grid_scenario(path, lam=None, n=None):
         lam = doc.get("lambda")
     if lam is None:
         raise FormatError("%s: no termination rate (lambda)" % path)
-    f = _build_field(doc.get("f", 1.0), grid, base_dir)
-    K = _build_field(doc.get("K", 0.0), grid, base_dir)
+    if "q" in doc and "calls" in doc:
+        raise FormatError("%s: give either 'q' or 'calls', not both" % path)
+    if "q" not in doc and "calls" not in doc:
+        raise FormatError("%s: no terminal cost ('q' or 'calls')" % path)
+
+    def field(key, default=None):
+        try:
+            return _build_field(doc.get(key, default), grid, base_dir)
+        except (AttributeError, IndexError, KeyError, TypeError,
+                ValueError) as exc:
+            raise FormatError("%s: ill-formed field '%s' (%s)"
+                              % (path, key, _reason(exc))) from None
+
+    f, K = field("f", 1.0), field("K", 0.0)
     calls = None
     if "calls" in doc:
-        calls = CallSpec(locations=[c["location"] for c in doc["calls"]],
-                         probabilities=[c["prob"] for c in doc["calls"]])
+        calls = _call_spec(path, doc["calls"])
         q = response_cost(grid, f, calls)
-        if "q" in doc:
-            raise FormatError("give either 'q' or 'calls', not both")
-    elif "q" in doc:
-        q = _build_field(doc["q"], grid, base_dir)
     else:
-        raise FormatError("%s: no terminal cost ('q' or 'calls')" % path)
+        q = field("q")
     problem = GridProblem(grid=grid, f=f, K=K, q=q, lam=float(lam))
     return problem, calls
+
+
+def _reason(exc):
+    return "missing key %s" % exc if isinstance(exc, KeyError) else str(exc)
+
+
+def _call_spec(path, calls):
+    """CallSpec of a 'calls' list of {"location": [x, y], "prob": p}."""
+    try:
+        locations, probabilities = [], []
+        for call in calls:
+            x, y = call["location"]
+            locations.append((float(x), float(y)))
+            probabilities.append(float(call["prob"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError("%s: 'calls' needs a list of {\"location\": [x, y], "
+                          "\"prob\": p} (%s)" % (path, _reason(exc))) from None
+    return CallSpec(locations=locations, probabilities=probabilities)
 
 
 def read_field_csv(path):

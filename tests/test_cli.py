@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from randterm import graph
+from randterm import graph, io
 from randterm.cli import main, random_graph_problem
 
 from conftest import scenario
@@ -172,6 +172,38 @@ class TestRunGrid:
         bad.write_text(json.dumps(doc))
         assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"calls": [{"prob": 1.0}]}, "'location'"),
+        ({"calls": [{"location": [0.5], "prob": 1.0}]}, "'calls'"),
+        ({"calls": 5}, "'calls'"),
+        ({"f": {"radial": 5}, "q": 1.0}, "'f'"),
+        ({"q": {"rects": {"rects": []}}}, "'default'"),
+        ({"f": {"disk": {"radius": 1, "value": 1}}, "q": 1.0}, "'center'"),
+        ({"q": {"constant": "-inf"}}, "finite"),
+    ], ids=["no-location", "short-location", "calls-not-list", "radial-5",
+            "rects-no-default", "disk-no-center", "q-minus-inf"])
+    def test_malformed_grid_fields_exit_2(self, tmp_path, capsys, spec, key):
+        doc = {"grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": 0.5}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, **spec}))
+        assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_q_and_calls_rejected_before_solving(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("eikonal solve before the schema check")
+
+        monkeypatch.setattr(io, "response_cost", unexpected)
+        with open(scenario("slow_disk.json")) as fh:
+            doc = json.load(fh)
+        doc["q"] = 1.0
+        bad = tmp_path / "both.json"
+        bad.write_text(json.dumps(doc))
+        assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
+        assert "either 'q' or 'calls'" in capsys.readouterr().err
 
     def test_rectangular_grid_override_rejected(self, tmp_path):
         assert run("run-grid", scenario("radial_trivial.json"),

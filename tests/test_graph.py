@@ -45,6 +45,29 @@ class TestValidate:
         pb.K[(0, 1)] = math.nan
         assert any("A3" in m for m in graph.validate(pb))
 
+    def test_all_violations_in_order(self):
+        # nodes first (A1 or A2), then per edge in adjacency order, A3
+        # before p, then q; row 1 is deliberately unsorted
+        pb = make_graph([0.0, 1.0, 2.0], [(0, 1, 1.0), (1, 0, 1.0),
+                                          (1, 2, 1.0), (2, 0, 1.0)], 0.5)
+        pb.adjacency[0].remove(0)
+        pb.K[(1, 1)] = 3.0
+        pb.adjacency[1] = [2, 1, 0]
+        pb.K[(1, 2)] = -1.0
+        pb.K[(1, 0)] = math.nan
+        pb.p[(1, 0)] = 1.0
+        del pb.p[(2, 0)]
+        pb.q[2] = math.inf
+        assert graph.validate(pb) == [
+            "A1 missing self-transition at node 0",
+            "A2 nonzero self-cost at node 1",
+            "A3 edge (1,2) cost -1 below delta 1",
+            "A3 edge (1,0) cost nan below delta 1",
+            "p out of (0,1) on edge (1,0)",
+            "p out of (0,1) on edge (2,0)",
+            "non-finite terminal cost",
+        ]
+
 
 class TestNormalizeSelfCosts:
     def test_identity_when_clean(self):
@@ -132,10 +155,22 @@ class TestValueIteration:
         sol = graph.value_iteration(fig2(0.25))
         assert np.allclose(sol.V, [4.0, 1.0, 0.0], atol=1e-12)
 
-    def test_gauss_seidel_agrees(self, random_problem):
-        a = graph.value_iteration(random_problem)
-        b = graph.value_iteration(random_problem, gauss_seidel=True)
-        assert np.abs(a.V - b.V).max() <= 1e-9
+    def test_node_without_out_edges(self):
+        # node 2 has no edges: V_2 = inf from the first sweep on, and the
+        # nan change inf - inf of later sweeps is skipped, not taken as
+        # nonconvergence; V_1 climbs back to q_1 = 4 geometrically
+        pb = make_graph([6.0, 4.0, 0.0], [(0, 1, 1.0), (1, 2, 1.0)], 0.5)
+        pb.adjacency[2] = []
+        sol = graph.value_iteration(pb)
+        assert sol.V[:2] == pytest.approx([5.0, 4.0], abs=1e-12)
+        assert sol.V[2] == math.inf
+        assert sol.status == "ok" and sol.iterations == 46
+
+    def test_missing_p_rejected(self):
+        pb = fig2(0.5)
+        del pb.p[(0, 1)]
+        with pytest.raises(ValueError, match=r"edge \(0,1\)"):
+            graph.value_iteration(pb)
 
     def test_nonconvergence_status(self):
         pb = fig1a()
@@ -160,6 +195,13 @@ class TestLabelSetting:
         sol = graph.dijkstra_solve(pb)
         assert np.allclose(sol.V, 3.0)
         assert sol.motionless.all()
+
+    def test_sees_edited_cost(self):
+        # the edge table is derived per solve, so dict edits reach it
+        pb = make_graph([10.0, 1.0], [(0, 1, 2.0), (1, 0, 2.0)], 0.5)
+        assert graph.dijkstra_solve(pb).V[0] == 3.0
+        pb.K[(0, 1)] = 4.0
+        assert graph.dijkstra_solve(pb).V[0] == 5.0
 
     def test_rejects_invalid(self):
         pb = fig1a()

@@ -153,6 +153,14 @@ class TestMask:
         live = ~pb.mask()
         assert np.max(np.abs(fmm.V[live] - sw.V[live])) <= 1e-10
 
+    def test_minus_inf_q_rejected(self):
+        # only q = +inf marks a wall; -inf is a non-finite terminal cost
+        g = grid.Grid2D(nx=5, ny=5, h=0.25)
+        q = np.ones((5, 5))
+        q[2, 2] = -math.inf
+        with pytest.raises(ValueError, match="finite off the mask"):
+            grid.GridProblem(grid=g, f=1.0, K=0.0, q=q, lam=0.5)
+
 
 class TestSweepStatus:
     def test_nonconvergence_reported(self):

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 DOMAIN = (-2.0, 2.0)
 
@@ -69,6 +68,8 @@ def exact_field(case, grid):
 def free_boundary_radius(lam):
     """Radius of the stop-immediately circle in the circular case: the positive
     root of (lam+1)/lam * (r - (1 - e^{-lam r})/lam) = r, bracketed in (1, 2)."""
+    # imported here so that importing randterm loads no scipy module
+    from scipy.optimize import brentq
 
     def fun(r):
         return (lam + 1.0) / lam * float(_moving_cost(np.array(r), lam)) - r

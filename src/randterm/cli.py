@@ -45,7 +45,7 @@ def cmd_run_graph(args):
     else:
         problem = io.load_graph(args.scenario, default_p=args.p)
     if args.p is not None:
-        problem.p = dict.fromkeys(problem.p, args.p)
+        problem.p[:] = args.p
     # the label-setting solvers check A1-A3 themselves (ValueError, exit 2);
     # value iteration does not need them
     t0 = time.perf_counter()
@@ -184,40 +184,32 @@ def random_graph_problem(seed, nodes=50, degree=4, delta=0.1, p_range=(0.2, 0.9)
     """Random strongly-A1-A3 instance; shared by tests and the CLI generator."""
     rng = np.random.default_rng(seed)
     M = nodes
-    adjacency = [[i] for i in range(M)]
-    for i in range(M):
-        # a ring edge guarantees strong connectivity, the rest are random
-        nbrs = {(i + 1) % M}
-        nbrs.update(int(j) for j in rng.integers(0, M, size=degree - 1)
-                    if j != i)
-        adjacency[i] = sorted({i} | nbrs)
+    # row i: a self-loop, a ring edge (strong connectivity) and random ones
+    loops = np.arange(M)
+    src = np.repeat(loops, degree + 1)
+    dst = np.column_stack((loops, (loops + 1) % M,
+                           rng.integers(0, M, size=(M, degree - 1)))).ravel()
+    rows = np.delete(*graph.sort_edges(src, dst))  # each (i, j) once
+    src, dst = src[rows], dst[rows]
     q = rng.uniform(0.0, 10.0, size=M)
-    K = {}
-    p = {}
-    for i, nbrs in enumerate(adjacency):
-        for j in nbrs:
-            if i == j:
-                K[(i, j)] = 0.0
-                p[(i, j)] = float(rng.uniform(*p_range))
-            else:
-                K[(i, j)] = delta + float(rng.uniform(0.0, 5.0))
-                p[(i, j)] = float(rng.uniform(*p_range))
-    return graph.GraphProblem(node_count=M, adjacency=adjacency, K=K, q=q,
-                              p=p, delta=delta)
+    # draws in row order: p of a self-loop; K, then p, of any other edge
+    moves = src != dst
+    is_K = np.insert(np.zeros(len(dst), bool), np.flatnonzero(moves), True)
+    draws = rng.uniform(np.where(is_K, 0.0, p_range[0]),
+                        np.where(is_K, 5.0, p_range[1]))
+    K = np.zeros(len(dst))
+    K[moves] = delta + draws[is_K]
+    return graph.GraphProblem.from_edges(M, src, dst, K, draws[~is_K], q,
+                                         delta=delta)
 
 
 def cmd_random_graph(args):
     problem = random_graph_problem(args.seed, nodes=args.nodes)
     lines = ["nodes %d" % problem.node_count]
-    for i in range(problem.node_count):
-        lines.append("q %d %s" % (i, repr(float(problem.q[i]))))
-    for i, j in problem.edges():
-        if i != j:
-            lines.append("edge %d %d %s %s"
-                         % (i, j, repr(problem.K[(i, j)]),
-                            repr(problem.p[(i, j)])))
-        else:
-            lines.append("edge %d %d 0.0 %s" % (i, i, repr(problem.p[(i, i)])))
+    lines += ["q %d %r" % iv for iv in enumerate(problem.q.tolist())]
+    lines += ["edge %d %d %r %r" % e for e in zip(
+        problem.src.tolist(), problem.dst.tolist(), problem.K.tolist(),
+        problem.p.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

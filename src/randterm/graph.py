@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -27,44 +26,80 @@ MOTIONLESS_RTOL = 1e-12
 
 @dataclass
 class GraphProblem:
-    """Directed graph with transition costs, terminal costs and kill probabilities.
+    """Directed graph with transition costs, terminal costs and kill
+    probabilities, stored as compressed sparse rows.
 
-    adjacency[i] lists the out-neighbors of node i (self-loops included when A1
-    holds).  K and p are keyed by edge (i, j).  delta is the stored lower bound
-    on non-self transition costs (assumption A3).
+    Row i holds the out-edges (i, j) of node i (self-loops included when A1
+    holds) at positions indptr[i]:indptr[i + 1] of dst, K and p, in the
+    order they were given in.  delta is the stored lower bound on non-self
+    transition costs (assumption A3).
     """
 
     node_count: int
-    adjacency: list
-    K: dict
+    indptr: np.ndarray
+    dst: np.ndarray
+    K: np.ndarray
+    p: np.ndarray
     q: np.ndarray
-    p: dict
     delta: float = 0.0
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
+        self.indptr, self.dst = (np.asarray(a, np.intp)
+                                 for a in (self.indptr, self.dst))
+        self.K, self.p, self.q = (np.asarray(a, float)
+                                  for a in (self.K, self.p, self.q))
 
-    def edges(self):
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                yield i, j
+    @classmethod
+    def from_dicts(cls, adjacency, K, q, p, delta=0.0):
+        """Problem of out-neighbour lists (rows keep their order) and dicts
+        keyed by edge (i, j): KeyError for an edge without a K, nan for one
+        without a p (which validate reports)."""
+        keys = [(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs]
+        return cls(len(adjacency), np.cumsum([0] + list(map(len, adjacency))),
+                   [j for _, j in keys], [K[e] for e in keys],
+                   [p.get(e, math.nan) for e in keys], q, delta)
+
+    @classmethod
+    def from_edges(cls, node_count, src, dst, K, p, q, delta=0.0):
+        """Problem of edges listed row by row (src nondecreasing)."""
+        counts = np.bincount(src, minlength=node_count)
+        return cls(node_count=node_count, indptr=np.append(0, np.cumsum(counts)),
+                   dst=dst, K=K, p=p, q=q, delta=delta)
+
+    @property
+    def src(self):
+        """The source node of every edge."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+
+    def edge(self, i, j):
+        """Position of the first edge (i, j) in dst, K and p, or None."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        at = lo + np.flatnonzero(self.dst[lo:hi] == j)
+        return int(at[0]) if at.size else None
 
     def uniform_p(self):
         """The common termination probability, or None if p varies by edge."""
-        vals = set(self.p.values())
-        if len(vals) == 1:
-            return vals.pop()
-        return None
+        same = self.p.size and np.all(self.p == self.p[0])
+        return float(self.p[0]) if same else None
 
     def local_minima(self):
         """Nodes whose terminal cost is <= that of every out-neighbor."""
-        q = self.q.tolist()
-        return [i for i, nbrs in enumerate(self.adjacency)
-                if all(q[i] <= q[j] for j in nbrs)]
+        src = self.src
+        above = src[~(self.q[src] <= self.q[self.dst])]  # nan too
+        return np.flatnonzero(
+            np.bincount(above, minlength=self.node_count) == 0).tolist()
 
     def global_minima(self):
-        qmin = self.q.min()
-        return [i for i in range(self.node_count) if self.q[i] == qmin]
+        return np.flatnonzero(self.q == self.q.min()).tolist()
+
+
+def sort_edges(src, dst):
+    """The stable order that sorts edges by (src, dst), and the positions in
+    it of the edges equal to the one before."""
+    order = np.lexsort((dst, src))
+    again = 1 + np.flatnonzero((np.diff(src[order]) == 0)
+                               & (np.diff(dst[order]) == 0))
+    return order, again
 
 
 @dataclass
@@ -78,32 +113,12 @@ class GraphSolution:
     updates: int = 0  # improving updates made by label setting
 
 
-def _edges(problem):
-    """The edge table (indptr, src, dst, K, p) in CSR arrays: row i holds the
-    edges (i, j) in the order of adjacency[i], and p is nan where an edge has
-    none.  Built per call, reading each dict once, so edits to problem.K and
-    problem.p reach it."""
-    adjacency, n = problem.adjacency, problem.node_count
-    counts = np.fromiter(map(len, adjacency), np.intp, n)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    m = int(indptr[-1])
-
-    def keys():  # (i, j) in table order, without a list of them
-        return zip(chain.from_iterable(map(repeat, range(n), counts.tolist())),
-                   chain.from_iterable(adjacency))
-
-    src = np.repeat(np.arange(n), counts)
-    dst = np.fromiter(chain.from_iterable(adjacency), np.intp, m)
-    K = np.fromiter(map(problem.K.__getitem__, keys()), float, m)
-    p = np.fromiter(map(problem.p.get, keys(), repeat(math.nan)), float, m)
-    return indptr, src, dst, K, p
-
-
-def _checked(problem):
-    """The edge table and the violations of A1-A3 and of the probability
-    ranges, node by node and then edge by edge in problem.edges() order."""
-    edges = indptr, src, dst, K, p = _edges(problem)
-    n, loop = problem.node_count, src == dst
+def validate(problem):
+    """Check assumptions A1-A3 and probability ranges; returns the
+    violations, node by node and then edge by edge in row order."""
+    n, src, dst, K, p = (problem.node_count, problem.src, problem.dst,
+                         problem.K, problem.p)
+    loop = src == dst
     has_loop = np.bincount(src[loop], minlength=n) > 0
     costly = np.bincount(src[loop & (K != 0.0)], minlength=n) > 0
     issues = [("A2 nonzero self-cost at node %d" if has_loop[i] else
@@ -119,26 +134,43 @@ def _checked(problem):
             issues.append("p out of (0,1) on edge (%d,%d)" % (src[e], dst[e]))
     if not np.all(np.isfinite(problem.q)):
         issues.append("non-finite terminal cost")
-    return edges, issues
-
-
-def validate(problem):
-    """Check assumptions A1-A3 and probability ranges; returns a list of violations."""
-    return _checked(problem)[1]
+    return issues
 
 
 def _require_valid(problem):
-    """The edge table of a problem that satisfies A1-A3; ValueError if not."""
-    edges, issues = _checked(problem)
+    """ValueError unless the problem satisfies A1-A3."""
+    issues = validate(problem)
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
-    return edges
 
 
-def tightest_delta(K):
-    """Smallest non-self transition cost (0 without non-self edges)."""
-    offdiag = [v for (i, j), v in K.items() if i != j]
+def tightest_delta(src, dst, K):
+    """Smallest non-self transition cost by min() over them in the order
+    given, so a leading nan gives nan; 0 without non-self edges."""
+    offdiag = np.asarray(K)[np.asarray(src) != np.asarray(dst)].tolist()
     return min(offdiag) if offdiag else 0.0
+
+
+def _self_costs(problem, missing):
+    """K of each node's first self-loop; ValueError(missing % i) for the
+    first node i without one."""
+    src = problem.src
+    loops = np.flatnonzero(src == problem.dst)
+    nodes, first = np.unique(src[loops], return_index=True)
+    for i in np.setdiff1d(np.arange(problem.node_count), nodes)[:1].tolist():
+        raise ValueError(missing % i)
+    return problem.K[loops[first]]
+
+
+def _with_costs(problem, K, q, p, bad):
+    """problem's rows with costs K (self-loops free), q and p; ValueError(bad
+    % (i, j, K_ij)) for the first edge whose cost is negative."""
+    src, dst = problem.src, problem.dst
+    K = np.where(src == dst, 0.0, K)
+    for e in np.flatnonzero(K < 0)[:1].tolist():
+        raise ValueError(bad % (src[e], dst[e], K[e]))
+    return GraphProblem(problem.node_count, problem.indptr.copy(), dst.copy(),
+                        K, p, q, tightest_delta(src, dst, K))
 
 
 def normalize_self_costs(problem):
@@ -153,31 +185,11 @@ def normalize_self_costs(problem):
     p = problem.uniform_p()
     if p is None:
         raise ValueError("normalize_self_costs requires a uniform p")
-    for i in range(problem.node_count):
-        if i not in problem.adjacency[i]:
-            raise ValueError("A1 missing self-transition at node %d" % i)
-    q_new = problem.q.copy()
-    K_new = {}
-    for i, j in problem.edges():
-        if i == j:
-            q_new[i] = problem.q[i] + problem.K.get((i, i), 0.0) / p
-            K_new[(i, i)] = 0.0
-        else:
-            kij = problem.K[(i, j)] - problem.K.get((j, j), 0.0)
-            if kij < 0:
-                raise ValueError(
-                    "edge (%d,%d): K_ij - K_jj = %g < 0, A3 unsatisfiable"
-                    % (i, j, kij)
-                )
-            K_new[(i, j)] = kij
-    return GraphProblem(
-        node_count=problem.node_count,
-        adjacency=[list(n) for n in problem.adjacency],
-        K=K_new,
-        q=q_new,
-        p=dict(problem.p),
-        delta=tightest_delta(K_new),
-    )
+    K_self = _self_costs(problem, "A1 missing self-transition at node %d")
+    with np.errstate(invalid="ignore", over="ignore"):  # silent, as floats
+        K, q = problem.K - K_self[problem.dst], problem.q + K_self / p
+    return _with_costs(problem, K, q, problem.p.copy(),
+                       "edge (%d,%d): K_ij - K_jj = %g < 0, A3 unsatisfiable")
 
 
 def from_infinite_horizon(Ktilde, adjacency, alpha):
@@ -189,58 +201,34 @@ def from_infinite_horizon(Ktilde, adjacency, alpha):
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0,1)")
-    M = len(adjacency)
     p = 1.0 - alpha
-    q = np.empty(M)
-    for i in range(M):
-        if i not in adjacency[i]:
-            raise ValueError("self-transition missing at node %d" % i)
-        q[i] = Ktilde[(i, i)] / p
-    K = {}
-    p_edges = {}
-    for i, nbrs in enumerate(adjacency):
-        for j in nbrs:
-            if i == j:
-                K[(i, i)] = 0.0
-            else:
-                kij = Ktilde[(i, j)] - p * q[j]
-                if kij < 0:
-                    raise ValueError(
-                        "edge (%d,%d): converted cost %g < 0, A3 unsatisfiable"
-                        % (i, j, kij)
-                    )
-                K[(i, j)] = kij
-            p_edges[(i, j)] = p
-    return GraphProblem(
-        node_count=M,
-        adjacency=[list(n) for n in adjacency],
-        K=K,
-        q=q,
-        p=p_edges,
-        delta=tightest_delta(K),
-    )
+    tilde = GraphProblem.from_dicts(adjacency, Ktilde, np.zeros(len(adjacency)),
+                                    {})
+    K_self = _self_costs(tilde, "self-transition missing at node %d")
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = K_self / p
+        K = tilde.K - p * q[tilde.dst]
+    return _with_costs(tilde, K, q, np.full(len(K), p),
+                       "edge (%d,%d): converted cost %g < 0, A3 unsatisfiable")
 
 
 def to_infinite_horizon(problem):
-    """Inverse of from_infinite_horizon; returns (Ktilde, alpha)."""
+    """Inverse of from_infinite_horizon; returns (Ktilde, alpha), Ktilde a
+    dict keyed by edge (i, j)."""
     p = problem.uniform_p()
     if p is None:
         raise ValueError("conversion requires a uniform p")
-    Ktilde = {}
-    for i, j in problem.edges():
-        if i == j:
-            Ktilde[(i, i)] = p * problem.q[i]
-        else:
-            Ktilde[(i, j)] = problem.K[(i, j)] + p * problem.q[j]
-    return Ktilde, 1.0 - p
+    src, dst, q = problem.src, problem.dst, problem.q
+    Ktilde = np.where(src == dst, p * q[src], problem.K + p * q[dst])
+    return dict(zip(zip(src.tolist(), dst.tolist()), Ktilde.tolist())), 1.0 - p
 
 
-def _terms(problem, edges):
+def _terms(problem):
     """Per edge, const and surv with const + surv * V_j repeating the float
     operations of K_ij + p_ij q_j + (1 - p_ij) V_j."""
-    indptr, src, dst, K, p = edges
+    p = problem.p
     with np.errstate(invalid="ignore", over="ignore"):  # silent, as floats
-        return K + p * problem.q[dst], 1.0 - p
+        return problem.K + p * problem.q[problem.dst], 1.0 - p
 
 
 def _row_min(indptr, values):
@@ -251,11 +239,10 @@ def _row_min(indptr, values):
     return out
 
 
-def _solution(problem, V, edges, const, surv, **stats):
+def _solution(problem, V, const, surv, **stats):
     """GraphSolution of V with the motionless set and the greedy successor
     per node (ties to lowest index, self for motionless)."""
-    indptr, src, dst = edges[:3]
-    q = problem.q
+    indptr, src, dst, q = problem.indptr, problem.src, problem.dst, problem.q
     with np.errstate(invalid="ignore", over="ignore"):
         cand = const + surv * V[dst]
         motionless = np.abs(V - q) <= MOTIONLESS_RTOL * np.maximum(1.0, abs(q))
@@ -271,13 +258,14 @@ def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000):
     """Fixed-point iteration for the optimality equation (the general oracle).
 
     Does not require A1-A3, but every edge needs a p.  Each Jacobi sweep is
-    a row minimum over the edge table.  Non-convergence is reported through
+    a row minimum over the edge arrays.  Non-convergence is reported through
     the status field, carrying the last iterate.
     """
-    edges = indptr, src, dst, K, p = _edges(problem)
-    for e in np.flatnonzero(np.isnan(p))[:1].tolist():  # the first, if any
-        raise ValueError("p missing or nan on edge (%d,%d)" % (src[e], dst[e]))
-    const, surv = _terms(problem, edges)
+    for e in np.flatnonzero(np.isnan(problem.p))[:1].tolist():  # the first
+        raise ValueError("p missing or nan on edge (%d,%d)"
+                         % (problem.src[e], problem.dst[e]))
+    indptr, dst = problem.indptr, problem.dst
+    const, surv = _terms(problem)
     V = np.array(problem.q if initial is None else initial, dtype=float)
     status, it = "not_converged", 0
     for it in range(1, max_iters + 1):
@@ -288,24 +276,24 @@ def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000):
         if change <= tol:
             status = "ok"
             break
-    return _solution(problem, V, edges, const, surv, status=status,
-                     iterations=it)
+    return _solution(problem, V, const, surv, status=status, iterations=it)
 
 
-def _label_setting(edges, const, surv, q, seeds, key):
+def _label_setting(problem, const, surv, seeds, key):
     """Accept nodes in increasing (key(V_j), j) order from a heap, relaxing
     the in-edges i -> j, i != j, of each accepted j in node order i; V starts
     at q.  An entry is stale once its node's key has changed.  Returns V, the
     acceptance order and the number of improving updates."""
-    indptr, src, dst = edges[:3]
+    src, dst = problem.src, problem.dst
     moves = np.flatnonzero(src != dst)
     rev = moves[np.argsort(dst[moves], kind="stable")]
     # reverse CSR in memoryviews (no Python object per edge): the in-edges
     # of j are the slices ptr[j]:ptr[j + 1]
-    ptr = memoryview(np.searchsorted(dst[rev], np.arange(len(indptr))))
+    ptr = memoryview(np.searchsorted(dst[rev],
+                                     np.arange(problem.node_count + 1)))
     src, const, surv = (memoryview(a[rev]) for a in (src, const, surv))
     FAR, CONSIDERED, ACCEPTED = 0, 1, 2
-    V = q.tolist()
+    V = problem.q.tolist()
     state = bytearray(len(V))
     heap = []
     for i in seeds:
@@ -335,12 +323,11 @@ def _label_setting(edges, const, surv, q, seeds, key):
     return np.array(V), order, updates
 
 
-def _label_solve(problem, edges, seeds, key):
-    """_label_setting from V = q over the edge table, then the policy."""
-    const, surv = _terms(problem, edges)
-    V, order, updates = _label_setting(edges, const, surv, problem.q, seeds,
-                                       key)
-    return _solution(problem, V, edges, const, surv, updates=updates,
+def _label_solve(problem, seeds, key):
+    """_label_setting from V = q over the edge arrays, then the policy."""
+    const, surv = _terms(problem)
+    V, order, updates = _label_setting(problem, const, surv, seeds, key)
+    return _solution(problem, V, const, surv, updates=updates,
                      acceptance_order=np.array(order, dtype=int))
 
 
@@ -351,26 +338,28 @@ def dijkstra_solve(problem, seed_all=False):
     of q (or every node when seed_all is set).  Heap ties break on the lowest
     node index so acceptance order is deterministic.
     """
-    edges = _require_valid(problem)
+    _require_valid(problem)
     seeds = range(problem.node_count) if seed_all else problem.local_minima()
-    return _label_solve(problem, edges, seeds, float)
+    return _label_solve(problem, seeds, float)
 
 
 def dial_solve(problem):
     """Bucket-based label setting; requires delta > 0.
 
-    Considered nodes are accepted a bucket of width delta (above min q) at a
-    time, lowest index first within a bucket: no member of a bucket can
-    influence another, since every non-self transition costs at least delta.
-    Produces the same values as dijkstra_solve (bucket order only permutes
-    equal-cost work).  The bucket index is the key of the shared heap, so no
-    bucket array is allocated, however fine delta is.
+    Considered nodes are accepted by bucket of width delta above min q, the
+    buckets in nondecreasing order.  No member of a bucket can improve
+    another, since every non-self transition costs at least delta, so every
+    value equals dijkstra_solve's.  Within a bucket the order is not by
+    index: a Far neighbour enters at its unimproved q_i, which can fall in
+    the bucket being accepted after higher indices of it have gone.  The
+    bucket index is the key of the shared heap, so no bucket array is
+    allocated, however fine delta is.
     """
-    edges = _require_valid(problem)
+    _require_valid(problem)
     if problem.delta <= 0.0:
         raise ValueError("dial_solve requires delta > 0")
     base, delta = float(problem.q.min()), problem.delta
-    return _label_solve(problem, edges, problem.local_minima(),
+    return _label_solve(problem, problem.local_minima(),
                         lambda v: int((v - base) / delta))
 
 
@@ -379,16 +368,16 @@ def solve_v0(problem):
 
     V0_i = min( min_{j != i} { K_ij + V0_j },  q_i ).
     """
-    edges = indptr, src, dst, K, p = _require_valid(problem)
+    _require_valid(problem)
     # the p_ij = 0 limit of the edge terms: const K_ij, surv 1
-    return _label_setting(edges, K, np.ones_like(K), problem.q,
+    return _label_setting(problem, problem.K, np.ones_like(problem.K),
                           range(problem.node_count), float)[0]
 
 
 def solve_v1(problem):
     """Certain-kill limit: single-step lookahead, min_j K_ij + q_j."""
-    indptr, src, dst, K, p = _require_valid(problem)
-    return _row_min(indptr, K + problem.q[dst])
+    _require_valid(problem)
+    return _row_min(problem.indptr, problem.K + problem.q[problem.dst])
 
 
 def m1_strict(problem):
@@ -400,11 +389,10 @@ def m1_strict(problem):
     to 1; the margin indicates how robust that is, but no certified
     probability threshold is claimed.
     """
-    indptr, src, dst, K, p = _edges(problem)
-    q = problem.q
+    src, dst, q = problem.src, problem.dst, problem.q
     with np.errstate(invalid="ignore", over="ignore"):
-        margin = _row_min(indptr, np.where(src == dst, np.inf,
-                                           K + q[dst] - q[src]))
+        margin = _row_min(problem.indptr, np.where(
+            src == dst, np.inf, problem.K + q[dst] - q[src]))
     return {i: margin[i] for i in np.flatnonzero(margin > 0).tolist()}
 
 
@@ -439,23 +427,23 @@ def path_cost(problem, path):
     pays the same amount, so the series closes without truncation.
     """
     last = path[-1]
-    if last not in problem.adjacency[last]:
+    if problem.edge(last, last) is None:
         raise ValueError("path endpoint %d has no self-loop" % last)
-    for a, b in zip(path, path[1:]):
-        if b not in problem.adjacency[a]:
-            raise ValueError("invalid transition (%d,%d)" % (a, b))
+    edges = [problem.edge(a, b) for a, b in zip(path, path[1:])]
+    if None in edges:
+        t = edges.index(None)
+        raise ValueError("invalid transition (%d,%d)" % (path[t], path[t + 1]))
     m = len(path) - 1
     if m == 0:
         return float(problem.q[last])
     total = 0.0
     survive = 1.0
     running = 0.0
-    for t in range(1, m + 1):
-        a, b = path[t - 1], path[t]
-        running += problem.K[(a, b)]
-        cost_t = running + problem.q[b]
+    for t, e in enumerate(edges, 1):
+        running += problem.K[e]
+        cost_t = running + problem.q[path[t]]
         if t < m:
-            pt = problem.p[(a, b)]
+            pt = problem.p[e]
             total += survive * pt * cost_t
             survive *= 1.0 - pt
         else:

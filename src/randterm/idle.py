@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .graph import GraphProblem, tightest_delta
+from .graph import GraphProblem, sort_edges, tightest_delta
 
 # placeholder only: self-loops are free and motionless nodes pay q directly,
 # so no solver ever reads the self-loop probability
@@ -101,17 +102,18 @@ def build_problem(scenario):
     q = expected_response_times(scenario)
     if not np.all(np.isfinite(q)):
         raise ValueError("some node cannot reach a call location")
-    adjacency = [sorted(set(nbrs) | {i}) for i, nbrs in enumerate(scenario.adjacency)]
-    K = {}
-    p = {}
-    for i, nbrs in enumerate(adjacency):
-        for j in nbrs:
-            if i == j:
-                K[(i, i)] = 0.0
-                p[(i, i)] = SELF_LOOP_P
-            else:
-                t = scenario.tau[(i, j)]
-                K[(i, j)] = edge_wait_cost(t, scenario.lam)
-                p[(i, j)] = 1.0 - math.exp(-scenario.lam * t)
-    return GraphProblem(node_count=M, adjacency=adjacency, K=K, q=q, p=p,
-                        delta=tightest_delta(K))
+    loops = np.arange(M)
+    src = np.append(np.repeat(loops, [len(n) for n in scenario.adjacency]),
+                    loops)
+    dst = np.append(np.fromiter(chain.from_iterable(scenario.adjacency),
+                                np.intp), loops)
+    rows = np.delete(*sort_edges(src, dst))  # each (i, j) once
+    src, dst = src[rows], dst[rows]
+    K, p = np.zeros(len(src)), np.full(len(src), SELF_LOOP_P)
+    moves = np.flatnonzero(src != dst)
+    tau = [scenario.tau[e] for e in zip(src[moves].tolist(),
+                                        dst[moves].tolist())]
+    K[moves] = [edge_wait_cost(t, scenario.lam) for t in tau]
+    p[moves] = [1.0 - math.exp(-scenario.lam * t) for t in tau]
+    return GraphProblem.from_edges(M, src, dst, K, p, q,
+                                   delta=tightest_delta(src, dst, K))

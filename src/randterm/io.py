@@ -15,10 +15,14 @@ same skeleton with a tau column instead of K/p:
     edge I J TAU
     call I PROB
 
+In both, M must lie in [1, MAX_NODES] (ten million); a larger count is
+rejected before anything is allocated.
+
 Grid scenarios are JSON descriptors: a grid block, a termination rate, and
 per-field specs (constant value, radial piecewise, rectangles over a default,
 or a CSV of cell values).  The terminal cost may instead be derived from call
-locations via the travel-time mix.
+locations via the travel-time mix.  Any key other than comment, grid, lambda,
+f, K, q and calls, or grid.extent, n, nx and ny, is rejected.
 
 All CSV output uses shortest round-trip decimals (repr) so identical runs are
 byte-identical.
@@ -30,11 +34,13 @@ import csv
 import json
 import math
 import os
+from array import array
+from itertools import chain
 
 import numpy as np
 
 from .eikonal import CallSpec, response_cost
-from .graph import GraphProblem, tightest_delta
+from .graph import GraphProblem, sort_edges, tightest_delta
 from .grid import Grid2D, GridProblem
 from .idle import IdleScenario
 
@@ -43,14 +49,9 @@ class FormatError(ValueError):
     """Malformed scenario file; message names the offending line."""
 
 
-def _fmt(v):
-    if v != v:
-        return "nan"
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return repr(float(v))
+# The largest node count a graph or idle file may declare; every array of
+# the problem is sized by it, so it is checked before anything is allocated.
+MAX_NODES = 10_000_000
 
 
 def _parse_lines(path):
@@ -61,12 +62,19 @@ def _parse_lines(path):
                 yield lineno, line.split()
 
 
+def _check_nodes(path, lineno, M):
+    if not 1 <= M <= MAX_NODES:
+        raise FormatError("%s:%d: nodes %d outside [1, %d]"
+                          % (path, lineno, M, MAX_NODES))
+
+
 def load_graph(path, default_p=None):
-    """Parse a graph scenario file into a GraphProblem."""
+    """Parse a graph scenario file into a GraphProblem: the edges in file
+    order, then the implicit self-loops, sorted stably by (i, j)."""
     M = None
     q = {}
-    K = {}
-    p = {}
+    src, dst, lines, no_p = (array("q") for _ in range(4))
+    K, p = array("d"), array("d")
     for lineno, tok in _parse_lines(path):
         try:
             if tok[0] == "nodes" and len(tok) == 2:
@@ -76,20 +84,32 @@ def load_graph(path, default_p=None):
             elif tok[0] == "q" and len(tok) == 3:
                 q[int(tok[1])] = float(tok[2])
             elif tok[0] == "edge" and len(tok) in (4, 5):
-                edge = int(tok[1]), int(tok[2])
-                kij = float(tok[3])
-                pij = float(tok[4]) if len(tok) == 5 else None
+                i, j, kij = int(tok[1]), int(tok[2]), float(tok[3])
+                p.append(float(tok[4]) if len(tok) == 5 else math.nan)
+                src.append(i)
+                dst.append(j)
             else:
                 raise ValueError
         except ValueError:
             raise FormatError("%s:%d: cannot parse %r" % (path, lineno, " ".join(tok)))
-        if tok[0] == "edge":
-            if edge in K:
-                raise FormatError("%s:%d: duplicate edge (%d,%d)"
-                                  % ((path, lineno) + edge))
-            K[edge] = kij
-            if pij is not None:
-                p[edge] = pij
+        except OverflowError:  # an index past int64, so past any node count
+            raise FormatError("%s: edge (%d,%d) out of range" % (path, i, j))
+        if tok[0] == "nodes":
+            _check_nodes(path, lineno, M)
+        elif tok[0] == "edge":
+            if len(tok) == 4:
+                no_p.append(len(K))
+            K.append(kij)
+            lines.append(lineno)
+    n_file, loops = len(K), np.arange(M or 0)  # implicit free self-loops
+    zeros = np.zeros(len(loops))
+    file_src, file_dst = np.asarray(src, np.intp), np.asarray(dst, np.intp)
+    src, dst = np.append(file_src, loops), np.append(file_dst, loops)
+    order, again = sort_edges(src, dst)  # file order within an (i, j)
+    repeated = order[again]
+    for e in np.sort(repeated[repeated < n_file])[:1].tolist():
+        raise FormatError("%s:%d: duplicate edge (%d,%d)"
+                          % (path, lines[e], src[e], dst[e]))
     if M is None:
         raise FormatError("%s: missing 'nodes' line" % path)
     qarr = np.zeros(M)
@@ -97,24 +117,22 @@ def load_graph(path, default_p=None):
         if not 0 <= i < M:
             raise FormatError("%s: q index %d out of range" % (path, i))
         qarr[i] = v
-    adjacency = [[i] for i in range(M)]
-    for i, j in K:
-        if not (0 <= i < M and 0 <= j < M):
-            raise FormatError("%s: edge (%d,%d) out of range" % (path, i, j))
-        if i != j:
-            adjacency[i].append(j)
-    for i in range(M):
-        K.setdefault((i, i), 0.0)  # implicit free self-loop
-    for i, nbrs in enumerate(adjacency):
-        nbrs.sort()
-        for j in nbrs:
-            if (i, j) not in p:
-                if default_p is None:
-                    raise FormatError(
-                        "%s: edge (%d,%d) has no p and no default" % (path, i, j))
-                p[(i, j)] = default_p
-    return GraphProblem(node_count=M, adjacency=adjacency, K=K, q=qarr, p=p,
-                        delta=max(tightest_delta(K), 0.0))
+    outside = (file_src < 0) | (file_src >= M) | (file_dst < 0) | (file_dst >= M)
+    for e in np.flatnonzero(outside)[:1].tolist():
+        raise FormatError("%s: edge (%d,%d) out of range"
+                          % (path, file_src[e], file_dst[e]))
+    rows = np.delete(order, again)  # again holds only implicit loops now
+    unset = np.zeros(len(src), bool)
+    unset[np.asarray(no_p, np.intp)] = unset[n_file:] = True
+    src, dst, unset = src[rows], dst[rows], np.flatnonzero(unset[rows])
+    if unset.size and default_p is None:
+        raise FormatError("%s: edge (%d,%d) has no p and no default"
+                          % (path, src[unset[0]], dst[unset[0]]))
+    p = np.append(p, zeros)[rows]
+    p[unset] = default_p
+    return GraphProblem.from_edges(
+        M, src, dst, np.append(K, zeros)[rows], p, qarr,
+        delta=max(tightest_delta(file_src, file_dst, K), 0.0))
 
 
 def load_idle(path):
@@ -141,7 +159,9 @@ def load_idle(path):
                 raise ValueError
         except ValueError:
             raise FormatError("%s:%d: cannot parse %r" % (path, lineno, " ".join(tok)))
-        if tok[0] == "edge":
+        if tok[0] == "nodes":
+            _check_nodes(path, lineno, M)
+        elif tok[0] == "edge":
             if edge in tau:
                 raise FormatError("%s:%d: duplicate edge (%d,%d)"
                                   % ((path, lineno) + edge))
@@ -165,13 +185,18 @@ def is_idle_scenario(path):
     return any(tok[0] == "lambda" for _, tok in _parse_lines(path))
 
 
-def write_graph_solution(path, problem, solution):
+def _write_csv(path, rows):
+    """Rows as comma-separated lines ending in \\r\\n: the bytes csv.writer
+    writes for rows of str, int and float (a float's str is its repr)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", "V", "q", "motionless", "policy_successor"])
-        for i in range(problem.node_count):
-            w.writerow([i, _fmt(solution.V[i]), _fmt(problem.q[i]),
-                        int(solution.motionless[i]), int(solution.policy[i])])
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+
+
+def write_graph_solution(path, problem, solution):
+    _write_csv(path, chain(
+        [("node", "V", "q", "motionless", "policy_successor")],
+        zip(range(problem.node_count), solution.V.tolist(), problem.q.tolist(),
+            solution.motionless.astype(int).tolist(), solution.policy.tolist())))
 
 
 # --- grid scenario descriptors -------------------------------------------
@@ -241,6 +266,13 @@ def load_grid_scenario(path, lam=None, n=None):
     gspec = doc.get("grid") if isinstance(doc, dict) else None
     if not isinstance(gspec, dict):
         raise FormatError("%s: missing or ill-typed 'grid' object" % path)
+    unknown = ([k for k in doc if k not in
+                ("comment", "grid", "lambda", "f", "K", "q", "calls")]
+               + ["grid." + k for k in gspec if k not in
+                  ("n", "nx", "ny", "extent")])
+    if unknown:
+        raise FormatError("%s: unknown keys %s"
+                          % (path, ", ".join(map(repr, unknown))))
     extent = gspec.get("extent")
     if not (isinstance(extent, list) and len(extent) == 4
             and all(isinstance(v, (int, float)) for v in extent)):
@@ -320,40 +352,24 @@ def read_field_csv(path):
 
 def write_field_csv(path, field):
     """Row-major CSV, one grid row per line."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in np.asarray(field):
-            w.writerow([_fmt(v) for v in row])
+    _write_csv(path, (row.tolist() for row in np.asarray(field, float)))
 
 
 def write_mask_csv(path, mask):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in np.asarray(mask):
-            w.writerow([int(v) for v in row])
+    _write_csv(path, (row.tolist() for row in np.asarray(mask).astype(int)))
 
 
 def write_points_csv(path, points, header=("x", "y")):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in np.asarray(points):
-            w.writerow([_fmt(v) for v in row])
+    _write_csv(path, chain([header], np.asarray(points, float).tolist()))
 
 
 def write_trajectory_csv(path, traj):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "V"])
-        for (x, y), v in zip(traj.points, traj.values):
-            w.writerow([_fmt(x), _fmt(y), _fmt(v)])
+    rows = np.column_stack((np.reshape(traj.points, (-1, 2)), traj.values))
+    _write_csv(path, chain([("x", "y", "V")], rows.astype(float).tolist()))
 
 
 def write_convergence_csv(path, rows):
     """rows: (grid, line_linf, l2, linf, order-or-None)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["grid", "line_Linf", "L2", "Linf", "order"])
-        for n, e1, e2, e3, order in rows:
-            w.writerow([n, _fmt(e1), _fmt(e2), _fmt(e3),
-                        "" if order is None else _fmt(order)])
+    _write_csv(path, chain([("grid", "line_Linf", "L2", "Linf", "order")], (
+        (n, float(e1), float(e2), float(e3), "" if order is None else float(order))
+        for n, e1, e2, e3, order in rows)))

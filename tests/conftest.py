@@ -29,8 +29,8 @@ def make_graph(q, edges, p, node_count=None):
         nbrs.sort()
     offdiag = [v for (i, j), v in K.items() if i != j]
     delta = min(offdiag) if offdiag else 0.0
-    return GraphProblem(node_count=M, adjacency=adjacency, K=K,
-                        q=np.asarray(q, float), p=pd, delta=max(delta, 0.0))
+    return GraphProblem.from_dicts(adjacency, K, np.asarray(q, float), pd,
+                                   delta=max(delta, 0.0))
 
 
 def fig1b(p):

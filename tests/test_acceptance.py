@@ -187,8 +187,7 @@ def test_criterion_7_property_suites():
         prev = None
         for p in (0.1, 0.3, 0.6, 0.9):
             up = random_graph_problem(seed, nodes=80, degree=5)
-            for e in up.p:
-                up.p[e] = p
+            up.p[:] = p
             s = graph.dijkstra_solve(up)
             if prev is not None:
                 graph_ok &= bool(np.all(s.V >= prev.V - 1e-10))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +98,19 @@ class TestRunGraph:
         assert run(command, str(bad), "--out", str(tmp_path)) == 2
         assert ">= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "nodes 10000000000\np 0.5\nedge 0 1 1\n",
+        "nodes 0\np 0.5\n",
+        "nodes 10000000000\nlambda 1.0\nedge 0 1 1.0\ncall 0 1.0\n",
+    ], ids=["graph", "graph-empty", "idle"])
+    def test_node_count_bound_exit_2(self, tmp_path, capsys, text):
+        # checked on the nodes line, before anything is sized by it
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run("run-graph", str(bad), "--out", str(tmp_path)) == 2
+        assert ("bad.txt:1: nodes %s outside [1, %d]"
+                % (text.split()[1], io.MAX_NODES)) in capsys.readouterr().err
+
     def test_idle_scenario_detected(self, tmp_path):
         out = tmp_path / "out"
         assert run("run-graph", scenario("idle_ring.txt"),
@@ -173,6 +189,20 @@ class TestRunGrid:
         assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, keys", [
+        ({"k": 5.0}, "'k'"),
+        ({"grid": {"n": 11, "extent": [0, 1, 0, 1], "N": 21}}, "'grid.N'"),
+        ({"Lambda": 1.0, "grid": {"n": 11, "extent": [0, 1, 0, 1], "m": 1}},
+         "'Lambda', 'grid.m'"),
+    ], ids=["top-level", "grid", "both"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, doc, keys):
+        base = {"grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": 0.5,
+                "q": 1.0}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**base, **doc}))
+        assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
+        assert "unknown keys %s" % keys in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec, key", [
         ({"calls": [{"prob": 1.0}]}, "'location'"),
         ({"calls": [{"location": [0.5], "prob": 1.0}]}, "'calls'"),
@@ -222,12 +252,27 @@ class TestRunConvergence:
         assert "order=" in printed
 
 
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported inside the functions that need it, which keeps
+        # the start-up of every command short
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, randterm, randterm.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+
 class TestRandomGraph:
     def test_generator_is_valid_and_deterministic(self):
         a = random_graph_problem(7)
         b = random_graph_problem(7)
         assert graph.validate(a) == []
-        assert a.K == b.K and a.p == b.p and np.array_equal(a.q, b.q)
+        assert np.array_equal(a.K, b.K) and np.array_equal(a.p, b.p)
+        assert np.array_equal(a.q, b.q)
 
     def test_round_trip_through_file(self, tmp_path):
         f = tmp_path / "g.txt"

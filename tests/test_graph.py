@@ -14,25 +14,72 @@ def fig1a():
     return make_graph([0.0, 0.0], [(0, 1, 1.0), (1, 0, 1.0)], 0.5)
 
 
+def drop_edge(pb, i, j):
+    """pb without its edge (i, j)."""
+    keep = np.arange(len(pb.dst)) != pb.edge(i, j)
+    indptr = pb.indptr - (np.arange(len(pb.indptr)) > i)
+    return graph.GraphProblem(pb.node_count, indptr, pb.dst[keep], pb.K[keep],
+                              pb.p[keep], pb.q, pb.delta)
+
+
+class TestGraphProblem:
+    def test_from_dicts_keeps_row_order(self):
+        pb = graph.GraphProblem.from_dicts(
+            [[1, 0], [], [2]], {(0, 1): 2.0, (0, 0): 0.0, (2, 2): 0.0},
+            [1.0, 2.0, 3.0], {(0, 1): 0.5, (0, 0): 0.25, (2, 2): 0.5})
+        assert pb.indptr.tolist() == [0, 2, 2, 3]
+        assert pb.dst.tolist() == [1, 0, 2]
+        assert pb.src.tolist() == [0, 0, 2]
+        assert pb.K.tolist() == [2.0, 0.0, 0.0]
+        assert pb.p.tolist() == [0.5, 0.25, 0.5]
+        assert pb.edge(0, 0) == 1 and pb.edge(2, 2) == 2
+        assert pb.edge(1, 0) is None and pb.edge(0, 2) is None
+
+    def test_from_dicts_missing_entries(self):
+        with pytest.raises(KeyError):
+            graph.GraphProblem.from_dicts([[0, 1], [1]], {(0, 0): 0.0},
+                                          [0.0, 0.0], {})
+        pb = graph.GraphProblem.from_dicts([[0]], {(0, 0): 0.0}, [0.0], {})
+        assert math.isnan(pb.p[0])
+        assert graph.validate(pb) == ["p out of (0,1) on edge (0,0)"]
+
+    def test_local_minima(self, random_problem):
+        pb = random_problem
+        q, src, dst = pb.q, pb.src, pb.dst
+        expect = [i for i in range(pb.node_count)
+                  if all(q[i] <= q[j] for j in dst[src == i])]
+        assert pb.local_minima() == expect
+        # no out-edges: vacuously minimal; a nan neighbour: not minimal
+        flat = graph.GraphProblem.from_dicts(
+            [[1], [], [0]], {(0, 1): 1.0, (2, 0): 1.0},
+            [1.0, math.nan, 0.0], {})
+        assert flat.local_minima() == [1, 2]
+
+    def test_uniform_p(self):
+        assert fig2(0.25).uniform_p() == 0.25
+        pb = fig2(0.25)
+        pb.p[pb.edge(0, 1)] = 0.5
+        assert pb.uniform_p() is None
+
+
 class TestValidate:
     def test_valid_two_node(self):
         pb = make_graph([1.0, 2.0], [(0, 1, 2.0), (1, 0, 2.0)], 0.5)
         assert graph.validate(pb) == []
 
     def test_missing_self_loop(self):
-        pb = make_graph([0.0, 0.0], [(0, 1, 1.0), (1, 0, 1.0)], 0.5)
-        pb.adjacency[0].remove(0)
+        pb = drop_edge(fig1a(), 0, 0)
         issues = graph.validate(pb)
         assert any("A1" in m and "0" in m for m in issues)
 
     def test_nonzero_self_cost(self):
         pb = fig1a()
-        pb.K[(0, 0)] = 10.0
+        pb.K[pb.edge(0, 0)] = 10.0
         assert any("A2" in m for m in graph.validate(pb))
 
     def test_p_out_of_range(self):
         pb = fig1a()
-        pb.p[(0, 1)] = 1.0
+        pb.p[pb.edge(0, 1)] = 1.0
         assert any("p out of (0,1)" in m for m in graph.validate(pb))
 
     def test_cost_below_delta(self):
@@ -42,22 +89,19 @@ class TestValidate:
 
     def test_nan_cost(self):
         pb = fig2(0.5)
-        pb.K[(0, 1)] = math.nan
+        pb.K[pb.edge(0, 1)] = math.nan
         assert any("A3" in m for m in graph.validate(pb))
 
     def test_all_violations_in_order(self):
         # nodes first (A1 or A2), then per edge in adjacency order, A3
         # before p, then q; row 1 is deliberately unsorted
-        pb = make_graph([0.0, 1.0, 2.0], [(0, 1, 1.0), (1, 0, 1.0),
-                                          (1, 2, 1.0), (2, 0, 1.0)], 0.5)
-        pb.adjacency[0].remove(0)
-        pb.K[(1, 1)] = 3.0
-        pb.adjacency[1] = [2, 1, 0]
-        pb.K[(1, 2)] = -1.0
-        pb.K[(1, 0)] = math.nan
-        pb.p[(1, 0)] = 1.0
-        del pb.p[(2, 0)]
-        pb.q[2] = math.inf
+        K = {(0, 1): 1.0, (1, 2): -1.0, (1, 1): 3.0, (1, 0): math.nan,
+             (2, 0): 1.0, (2, 2): 0.0}
+        p = dict.fromkeys(K, 0.5)
+        p[(1, 0)] = 1.0
+        del p[(2, 0)]
+        pb = graph.GraphProblem.from_dicts([[1], [2, 1, 0], [0, 2]], K,
+                                           [0.0, 1.0, math.inf], p, delta=1.0)
         assert graph.validate(pb) == [
             "A1 missing self-transition at node 0",
             "A2 nonzero self-cost at node 1",
@@ -74,21 +118,21 @@ class TestNormalizeSelfCosts:
         pb = fig2(0.5)
         out = graph.normalize_self_costs(pb)
         assert np.allclose(out.q, pb.q)
-        assert out.K == pb.K
+        assert np.array_equal(out.K, pb.K)
 
     def test_single_node(self):
         pb = make_graph([3.0], [], 0.5)
-        pb.K[(0, 0)] = 2.0
+        pb.K[pb.edge(0, 0)] = 2.0
         out = graph.normalize_self_costs(pb)
         assert out.q[0] == pytest.approx(7.0)
-        assert out.K[(0, 0)] == 0.0
+        assert out.K[out.edge(0, 0)] == 0.0
         sol = graph.value_iteration(out)
         assert sol.V[0] == pytest.approx(7.0)
 
     def test_value_preserved(self):
         # costly self-loops shifted into q must not change the value function
         pb = make_graph([5.0, 1.0], [(0, 1, 3.0), (1, 0, 3.0)], 0.5)
-        pb.K[(0, 0)] = 1.0
+        pb.K[pb.edge(0, 0)] = 1.0
         ref = graph.value_iteration(pb).V
         out = graph.normalize_self_costs(pb)
         assert graph.validate(out) == []
@@ -97,8 +141,8 @@ class TestNormalizeSelfCosts:
 
     def test_rejects_unrecoverable(self):
         pb = fig1a()
-        pb.K[(0, 0)] = 10.0
-        pb.K[(1, 1)] = 10.0
+        pb.K[pb.edge(0, 0)] = 10.0
+        pb.K[pb.edge(1, 1)] = 10.0
         with pytest.raises(ValueError):
             graph.normalize_self_costs(pb)
 
@@ -112,14 +156,14 @@ class TestInfiniteHorizonConversion:
         pb = graph.from_infinite_horizon(Kt, adjacency, alpha=0.5)
         assert pb.uniform_p() == 0.5
         assert np.allclose(pb.q, 2 * c)
-        assert pb.K[(0, 1)] == pytest.approx(d)
+        assert pb.K[pb.edge(0, 1)] == pytest.approx(d)
 
     def test_diagonal_zero(self):
         adjacency = [[0, 1], [0, 1]]
         Kt = {(0, 0): 0.0, (1, 1): 0.0, (0, 1): 2.0, (1, 0): 3.0}
         pb = graph.from_infinite_horizon(Kt, adjacency, alpha=0.5)
         assert np.allclose(pb.q, 0.0)
-        assert pb.K[(0, 1)] == 2.0 and pb.K[(1, 0)] == 3.0
+        assert pb.K[pb.edge(0, 1)] == 2.0 and pb.K[pb.edge(1, 0)] == 3.0
 
     def test_round_trip(self):
         adjacency = [[0, 1], [0, 1]]
@@ -141,8 +185,8 @@ class TestValueIteration:
     def test_two_node_cycle(self):
         # costly self-loops, optimal path loops forever: V = 1/p
         pb = fig1a()
-        pb.K[(0, 0)] = 10.0
-        pb.K[(1, 1)] = 10.0
+        pb.K[pb.edge(0, 0)] = 10.0
+        pb.K[pb.edge(1, 1)] = 10.0
         sol = graph.value_iteration(pb)
         assert sol.status == "ok"
         assert np.allclose(sol.V, 2.0, atol=1e-10)
@@ -160,7 +204,7 @@ class TestValueIteration:
         # nan change inf - inf of later sweeps is skipped, not taken as
         # nonconvergence; V_1 climbs back to q_1 = 4 geometrically
         pb = make_graph([6.0, 4.0, 0.0], [(0, 1, 1.0), (1, 2, 1.0)], 0.5)
-        pb.adjacency[2] = []
+        pb = drop_edge(pb, 2, 2)
         sol = graph.value_iteration(pb)
         assert sol.V[:2] == pytest.approx([5.0, 4.0], abs=1e-12)
         assert sol.V[2] == math.inf
@@ -168,14 +212,14 @@ class TestValueIteration:
 
     def test_missing_p_rejected(self):
         pb = fig2(0.5)
-        del pb.p[(0, 1)]
+        pb.p[pb.edge(0, 1)] = math.nan
         with pytest.raises(ValueError, match=r"edge \(0,1\)"):
             graph.value_iteration(pb)
 
     def test_nonconvergence_status(self):
         pb = fig1a()
-        pb.K[(0, 0)] = 10.0
-        pb.K[(1, 1)] = 10.0
+        pb.K[pb.edge(0, 0)] = 10.0
+        pb.K[pb.edge(1, 1)] = 10.0
         sol = graph.value_iteration(pb, max_iters=3)
         assert sol.status == "not_converged"
         assert sol.iterations == 3
@@ -197,15 +241,15 @@ class TestLabelSetting:
         assert sol.motionless.all()
 
     def test_sees_edited_cost(self):
-        # the edge table is derived per solve, so dict edits reach it
+        # the edge arrays are the storage, so an edit reaches the next solve
         pb = make_graph([10.0, 1.0], [(0, 1, 2.0), (1, 0, 2.0)], 0.5)
         assert graph.dijkstra_solve(pb).V[0] == 3.0
-        pb.K[(0, 1)] = 4.0
+        pb.K[pb.edge(0, 1)] = 4.0
         assert graph.dijkstra_solve(pb).V[0] == 5.0
 
     def test_rejects_invalid(self):
         pb = fig1a()
-        pb.K[(0, 0)] = 10.0
+        pb.K[pb.edge(0, 0)] = 10.0
         with pytest.raises(ValueError):
             graph.dijkstra_solve(pb)
 
@@ -255,6 +299,14 @@ class TestLabelSetting:
         assert pb.delta == 1e-9
         dial = graph.dial_solve(pb)
         assert np.array_equal(dial.V, graph.dijkstra_solve(pb).V)
+
+    def test_dial_buckets_nondecreasing(self, random_problem):
+        # buckets are accepted in order; within one the order is not by index
+        sol = graph.dial_solve(random_problem)
+        base, delta = random_problem.q.min(), random_problem.delta
+        keys = [int((v - base) / delta)
+                for v in sol.V[sol.acceptance_order].tolist()]
+        assert keys == sorted(keys)
 
     def test_deterministic(self, random_problem):
         a = graph.dijkstra_solve(random_problem)

@@ -21,7 +21,7 @@ class TestLoadGraph:
 
     def test_file_p_overrides_default(self):
         pb = io.load_graph(scenario("two_node_cycle.txt"), default_p=0.3)
-        assert pb.p[(0, 1)] == 0.3  # file has no p line; default applies
+        assert pb.p[pb.edge(0, 1)] == 0.3  # file has no p line; default applies
 
     def test_missing_p_rejected(self):
         with pytest.raises(io.FormatError):
@@ -50,13 +50,51 @@ class TestLoadGraph:
         f.write_text("# header\nnodes 2\n\nq 0 3.0  # trailing\nedge 0 1 1.0 0.5\n")
         pb = io.load_graph(str(f), default_p=0.5)
         assert pb.q[0] == 3.0
-        assert pb.K[(0, 1)] == 1.0
+        assert pb.K[pb.edge(0, 1)] == 1.0
+
+    def test_rows_sorted_from_file_order(self, tmp_path):
+        f = tmp_path / "ok.txt"
+        f.write_text("nodes 3\nedge 2 0 4.0\nedge 0 2 3.0 0.25\n"
+                     "edge 0 1 2.0\nedge 1 1 0.0 0.75\np 0.5\n")
+        pb = io.load_graph(str(f))
+        assert pb.indptr.tolist() == [0, 3, 4, 6]
+        assert pb.dst.tolist() == [0, 1, 2, 1, 0, 2]
+        assert pb.K.tolist() == [0.0, 2.0, 3.0, 0.0, 4.0, 0.0]
+        # the last 'p' line is the default of every edge without a P
+        assert pb.p.tolist() == [0.5, 0.5, 0.25, 0.75, 0.5, 0.5]
+        assert pb.delta == 2.0
+
+    def test_stated_self_loop_kept(self, tmp_path):
+        f = tmp_path / "ok.txt"
+        f.write_text("nodes 2\nedge 1 1 2.0 nan\nedge 0 1 1.0\n")
+        pb = io.load_graph(str(f), default_p=0.5)
+        assert pb.K[pb.edge(1, 1)] == 2.0
+        assert math.isnan(pb.p[pb.edge(1, 1)])  # given, so no default
+        assert graph.validate(pb) == ["A2 nonzero self-cost at node 1",
+                                      "p out of (0,1) on edge (1,1)"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("nodes 2\nedge 1 1 0.0\nedge 1 1 0.0\n", "bad.txt:3: duplicate edge (1,1)"),
+        ("edge 0 1 1\nedge 0 1 2\n", "bad.txt:2: duplicate edge (0,1)"),
+        ("nodes 2\nedge 0 1 1\nedge 0 %d 1\n" % 2 ** 64,
+         "edge (0,%d) out of range" % 2 ** 64),
+        ("nodes 2\nq 3 1.0\nedge 0 5 1\n", "q index 3 out of range"),
+        ("nodes 2\nedge 0 5 1\nedge 0 1 1\n", "edge (0,5) out of range"),
+        ("nodes 3\nedge 2 0 1\nedge 0 2 1\n", "edge (0,0) has no p"),
+    ], ids=["self-loop", "before-nodes", "past-int64", "q-first",
+            "edge-range", "first-without-p"])
+    def test_load_errors(self, tmp_path, text, message):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        with pytest.raises(io.FormatError) as err:
+            io.load_graph(str(f))
+        assert message in str(err.value)
 
     def test_implicit_self_loops(self, tmp_path):
         f = tmp_path / "ok.txt"
         f.write_text("nodes 2\nedge 0 1 1.0 0.5\n")
         pb = io.load_graph(str(f), default_p=0.5)
-        assert pb.K[(0, 0)] == 0.0 and pb.K[(1, 1)] == 0.0
+        assert pb.K[pb.edge(0, 0)] == 0.0 and pb.K[pb.edge(1, 1)] == 0.0
         assert graph.validate(pb) == []
 
 

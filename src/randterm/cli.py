@@ -204,6 +204,7 @@ def random_graph_problem(seed, nodes=50, degree=4, delta=0.1, p_range=(0.2, 0.9)
 
 
 def cmd_random_graph(args):
+    io.check_nodes(args.nodes, "random-graph")
     problem = random_graph_problem(args.seed, nodes=args.nodes)
     lines = ["nodes %d" % problem.node_count]
     lines += ["q %d %r" % iv for iv in enumerate(problem.q.tolist())]

@@ -22,6 +22,14 @@ from .grid import _as_field, _march
 INF = math.inf
 
 
+def check_call_probabilities(probabilities):
+    """ValueError unless the call probabilities are >= 0 and sum to 1."""
+    total = float(np.sum(probabilities))
+    if abs(total - 1.0) > 1e-12 or not np.all(np.asarray(probabilities) >= 0):
+        raise ValueError("call probabilities must be >= 0 and sum to 1 "
+                         "(sum %g)" % total)
+
+
 @dataclass
 class CallSpec:
     """Call locations (snapped to the nearest gridpoint) and probabilities."""
@@ -30,10 +38,7 @@ class CallSpec:
     probabilities: list
 
     def __post_init__(self):
-        total = float(np.sum(self.probabilities))
-        if abs(total - 1.0) > 1e-12 or not all(p >= 0 for p in self.probabilities):
-            raise ValueError("call probabilities must be >= 0 and sum to 1 "
-                             "(sum %g)" % total)
+        check_call_probabilities(self.probabilities)
         if len(self.locations) != len(self.probabilities):
             raise ValueError("locations and probabilities length mismatch")
 

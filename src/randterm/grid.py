@@ -24,6 +24,10 @@ import numpy as np
 
 INF = math.inf
 
+# The most points a grid, or nodes a graph or idle file, may have: every array
+# of a problem is sized by it, so it is checked before any is allocated.
+MAX_NODES = 10_000_000
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -37,6 +41,9 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need at least 2 gridpoints per axis")
+        if self.nx * self.ny > MAX_NODES:
+            raise ValueError("grid of %d x %d points exceeds %d points"
+                             % (self.nx, self.ny, MAX_NODES))
         if self.h <= 0:
             raise ValueError("spacing must be positive")
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .graph import GraphProblem, sort_edges, tightest_delta
+from .eikonal import check_call_probabilities
+from .graph import GraphProblem, tightest_delta
 
 # placeholder only: self-loops are free and motionless nodes pay q directly,
 # so no solver ever reads the self-loop probability
@@ -29,23 +29,31 @@ SELF_LOOP_P = 0.5
 
 @dataclass
 class IdleScenario:
+    """Travel times and call distribution of an idle-time scenario: edges
+    (src, dst) with traversal times tau, sorted by (i, j), each pair once and
+    with a self-loop at every node (whose tau is never read); calls at
+    call_nodes with probabilities call_probs, in call order."""
+
     node_count: int
-    adjacency: list  # out-neighbors per node, non-self edges
-    tau: dict  # (i, j) -> traversal time > 0
+    src: np.ndarray
+    dst: np.ndarray
+    tau: np.ndarray
     lam: float
-    call_nodes: list
-    call_probs: list
+    call_nodes: np.ndarray
+    call_probs: np.ndarray
 
     def __post_init__(self):
+        self.src, self.dst, self.call_nodes = (
+            np.asarray(a, np.intp) for a in (self.src, self.dst, self.call_nodes))
+        self.tau, self.call_probs = (np.asarray(a, float)
+                                     for a in (self.tau, self.call_probs))
         if self.lam <= 0:
             raise ValueError("call rate must be positive")
-        total = float(np.sum(self.call_probs))
-        if abs(total - 1.0) > 1e-12 or not all(p >= 0 for p in self.call_probs):
-            raise ValueError("call probabilities must be >= 0 and sum to 1 "
-                             "(sum %g)" % total)
-        for (i, j), t in self.tau.items():
-            if i != j and not t > 0:
-                raise ValueError("tau must be positive on edge (%d,%d)" % (i, j))
+        check_call_probabilities(self.call_probs)
+        for e in np.flatnonzero((self.src != self.dst)
+                                & ~(self.tau > 0))[:1].tolist():
+            raise ValueError("tau must be positive on edge (%d,%d)"
+                             % (self.src[e], self.dst[e]))
 
 
 def edge_wait_cost(tau, lam):
@@ -63,9 +71,9 @@ def all_pairs_times(scenario):
     M = scenario.node_count
     d = np.full((M, M), np.inf)
     np.fill_diagonal(d, 0.0)
-    for (i, j), t in scenario.tau.items():
-        if i != j and t < d[i, j]:
-            d[i, j] = t
+    moves = scenario.src != scenario.dst
+    np.minimum.at(d, (scenario.src[moves], scenario.dst[moves]),
+                  scenario.tau[moves])
     for k in range(M):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
     return d
@@ -83,14 +91,14 @@ def expected_response_times(scenario):
     from scipy.sparse.csgraph import dijkstra
 
     M = scenario.node_count
-    calls = [(n, pr) for n, pr in zip(scenario.call_nodes, scenario.call_probs)
-             if pr != 0]
-    edges = [(i, j, t) for (i, j), t in scenario.tau.items() if i != j]
-    src, dst, tau = zip(*edges) if edges else ((), (), ())
-    reversed_tau = csr_matrix((tau, (dst, src)), shape=(M, M))
-    dist = dijkstra(reversed_tau, indices=[n for n, _ in calls])
+    moves = scenario.src != scenario.dst
+    reversed_tau = csr_matrix((scenario.tau[moves], (scenario.dst[moves],
+                                                     scenario.src[moves])),
+                              shape=(M, M))
+    called = scenario.call_probs != 0
+    dist = dijkstra(reversed_tau, indices=scenario.call_nodes[called])
     q = np.zeros(M)
-    for (_, prob), d in zip(calls, dist):
+    for prob, d in zip(scenario.call_probs[called].tolist(), dist):
         q += prob * d
     return q
 
@@ -98,22 +106,14 @@ def expected_response_times(scenario):
 def build_problem(scenario):
     """Assemble the graph problem whose value function is the minimal expected
     wait time for the first call."""
-    M = scenario.node_count
     q = expected_response_times(scenario)
     if not np.all(np.isfinite(q)):
         raise ValueError("some node cannot reach a call location")
-    loops = np.arange(M)
-    src = np.append(np.repeat(loops, [len(n) for n in scenario.adjacency]),
-                    loops)
-    dst = np.append(np.fromiter(chain.from_iterable(scenario.adjacency),
-                                np.intp), loops)
-    rows = np.delete(*sort_edges(src, dst))  # each (i, j) once
-    src, dst = src[rows], dst[rows]
+    src, dst = scenario.src, scenario.dst
     K, p = np.zeros(len(src)), np.full(len(src), SELF_LOOP_P)
     moves = np.flatnonzero(src != dst)
-    tau = [scenario.tau[e] for e in zip(src[moves].tolist(),
-                                        dst[moves].tolist())]
+    tau = scenario.tau[moves].tolist()
     K[moves] = [edge_wait_cost(t, scenario.lam) for t in tau]
     p[moves] = [1.0 - math.exp(-scenario.lam * t) for t in tau]
-    return GraphProblem.from_edges(M, src, dst, K, p, q,
+    return GraphProblem.from_edges(scenario.node_count, src, dst, K, p, q,
                                    delta=tightest_delta(src, dst, K))

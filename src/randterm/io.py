@@ -15,8 +15,8 @@ same skeleton with a tau column instead of K/p:
     edge I J TAU
     call I PROB
 
-In both, M must lie in [1, MAX_NODES] (ten million); a larger count is
-rejected before anything is allocated.
+In both, M must lie in [1, MAX_NODES] (ten million), and so must the point
+count of a grid; a larger count is rejected before anything is allocated.
 
 Grid scenarios are JSON descriptors: a grid block, a termination rate, and
 per-field specs (constant value, radial piecewise, rectangles over a default,
@@ -41,7 +41,7 @@ import numpy as np
 
 from .eikonal import CallSpec, response_cost
 from .graph import GraphProblem, sort_edges, tightest_delta
-from .grid import Grid2D, GridProblem
+from .grid import MAX_NODES, Grid2D, GridProblem
 from .idle import IdleScenario
 
 
@@ -49,140 +49,125 @@ class FormatError(ValueError):
     """Malformed scenario file; message names the offending line."""
 
 
-# The largest node count a graph or idle file may declare; every array of
-# the problem is sized by it, so it is checked before anything is allocated.
-MAX_NODES = 10_000_000
+def check_nodes(M, where):
+    """FormatError, prefixed by where, unless 1 <= M <= MAX_NODES."""
+    if not 1 <= M <= MAX_NODES:
+        raise FormatError("%s: nodes %d outside [1, %d]" % (where, M, MAX_NODES))
 
 
-def _parse_lines(path):
+def _out_of_range(path, lineno, key, i, j):
+    what = "edge (%d,%d)" % (i, j) if key == "edge" else "%s index %d" % (key, i)
+    return FormatError("%s:%d: %s out of range" % (path, lineno, what))
+
+
+def _read_lines(path, scalar, point, edge_sizes):
+    """Tokenize a graph or idle file once: lines `nodes M`, `<scalar> V`,
+    `<point> I V` and `edge I J X [Y]` (len(tok) in edge_sizes).  Returns
+    M, the last scalar (or None), the points' (indices, values), the edges'
+    (src, dst, X, Y, no Y given) in file order and then a self-loop (X = 0,
+    no Y) at every node, and rows: their stable (i, j) order, each pair once.
+    FormatError names the line of a malformed line, a node count outside
+    [1, MAX_NODES], a repeated edge or an index outside [0, M)."""
+    M = value = None
+    lines, src, dst = array("q"), array("q"), array("q")
+    x, y, size = array("d"), array("d"), array("B")
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
-
-
-def _check_nodes(path, lineno, M):
-    if not 1 <= M <= MAX_NODES:
-        raise FormatError("%s:%d: nodes %d outside [1, %d]"
-                          % (path, lineno, M, MAX_NODES))
+            tok = raw.split("#", 1)[0].split()
+            if not tok:
+                continue
+            key, n = tok[0], len(tok)
+            try:
+                if key == "edge" and n in edge_sizes:
+                    i, j, a = int(tok[1]), int(tok[2]), float(tok[3])
+                    b = float(tok[4]) if n == 5 else math.nan
+                elif key == point and n == 3:
+                    i = j = int(tok[1])
+                    a, b = float(tok[2]), math.nan
+                elif key == "nodes" and n == 2:
+                    M = int(tok[1])
+                elif key == scalar and n == 2:
+                    value = float(tok[1])
+                else:
+                    raise ValueError
+            except ValueError:
+                raise FormatError("%s:%d: cannot parse %r"
+                                  % (path, lineno, " ".join(tok)))
+            if key == "nodes":
+                check_nodes(M, "%s:%d" % (path, lineno))
+            elif key != scalar:
+                try:
+                    src.append(i)
+                    dst.append(j)
+                except OverflowError:  # past int64, so past any node count
+                    raise _out_of_range(path, lineno, key, i, j)
+                x.append(a)
+                y.append(b)
+                size.append(n)
+                lines.append(lineno)
+    lines, src, dst, x, y, size = map(np.asarray, (lines, src, dst, x, y, size))
+    edge, loops = size != 3, np.arange(M or 0)
+    es, ed = np.append(src[edge], loops), np.append(dst[edge], loops)
+    order, again = sort_edges(es, ed)  # file order within an (i, j)
+    repeated = order[again]
+    for e in np.sort(repeated[repeated < np.count_nonzero(edge)])[:1].tolist():
+        raise FormatError("%s:%d: duplicate edge (%d,%d)"
+                          % (path, lines[edge][e], es[e], ed[e]))
+    if M is None:
+        raise FormatError("%s: missing 'nodes' line" % path)
+    outside = (src < 0) | (src >= M) | (dst < 0) | (dst >= M)
+    for e in np.flatnonzero(outside)[:1].tolist():
+        raise _out_of_range(path, lines[e], "edge" if edge[e] else point,
+                            src[e], dst[e])
+    zeros = np.zeros(M)
+    edges = (es, ed, np.append(x[edge], zeros), np.append(y[edge], zeros),
+             np.append(size[edge] < 5, np.ones(M, bool)))
+    # again holds only implicit loops now
+    return M, value, (src[~edge], x[~edge]), edges, np.delete(order, again)
 
 
 def load_graph(path, default_p=None):
     """Parse a graph scenario file into a GraphProblem: the edges in file
-    order, then the implicit self-loops, sorted stably by (i, j)."""
-    M = None
-    q = {}
-    src, dst, lines, no_p = (array("q") for _ in range(4))
-    K, p = array("d"), array("d")
-    for lineno, tok in _parse_lines(path):
-        try:
-            if tok[0] == "nodes" and len(tok) == 2:
-                M = int(tok[1])
-            elif tok[0] == "p" and len(tok) == 2:
-                default_p = float(tok[1])
-            elif tok[0] == "q" and len(tok) == 3:
-                q[int(tok[1])] = float(tok[2])
-            elif tok[0] == "edge" and len(tok) in (4, 5):
-                i, j, kij = int(tok[1]), int(tok[2]), float(tok[3])
-                p.append(float(tok[4]) if len(tok) == 5 else math.nan)
-                src.append(i)
-                dst.append(j)
-            else:
-                raise ValueError
-        except ValueError:
-            raise FormatError("%s:%d: cannot parse %r" % (path, lineno, " ".join(tok)))
-        except OverflowError:  # an index past int64, so past any node count
-            raise FormatError("%s: edge (%d,%d) out of range" % (path, i, j))
-        if tok[0] == "nodes":
-            _check_nodes(path, lineno, M)
-        elif tok[0] == "edge":
-            if len(tok) == 4:
-                no_p.append(len(K))
-            K.append(kij)
-            lines.append(lineno)
-    n_file, loops = len(K), np.arange(M or 0)  # implicit free self-loops
-    zeros = np.zeros(len(loops))
-    file_src, file_dst = np.asarray(src, np.intp), np.asarray(dst, np.intp)
-    src, dst = np.append(file_src, loops), np.append(file_dst, loops)
-    order, again = sort_edges(src, dst)  # file order within an (i, j)
-    repeated = order[again]
-    for e in np.sort(repeated[repeated < n_file])[:1].tolist():
-        raise FormatError("%s:%d: duplicate edge (%d,%d)"
-                          % (path, lines[e], src[e], dst[e]))
-    if M is None:
-        raise FormatError("%s: missing 'nodes' line" % path)
-    qarr = np.zeros(M)
-    for i, v in q.items():
-        if not 0 <= i < M:
-            raise FormatError("%s: q index %d out of range" % (path, i))
-        qarr[i] = v
-    outside = (file_src < 0) | (file_src >= M) | (file_dst < 0) | (file_dst >= M)
-    for e in np.flatnonzero(outside)[:1].tolist():
-        raise FormatError("%s: edge (%d,%d) out of range"
-                          % (path, file_src[e], file_dst[e]))
-    rows = np.delete(order, again)  # again holds only implicit loops now
-    unset = np.zeros(len(src), bool)
-    unset[np.asarray(no_p, np.intp)] = unset[n_file:] = True
-    src, dst, unset = src[rows], dst[rows], np.flatnonzero(unset[rows])
+    order, then the implicit self-loops, sorted stably by (i, j).  A 'p'
+    line replaces default_p."""
+    M, p_line, (qi, qv), (src, dst, K, p, no_p), rows = _read_lines(
+        path, "p", "q", (4, 5))
+    default_p = default_p if p_line is None else p_line
+    delta = max(tightest_delta(src, dst, K), 0.0)
+    src, dst, K, p = (a[rows] for a in (src, dst, K, p))
+    unset = np.flatnonzero(no_p[rows])
     if unset.size and default_p is None:
         raise FormatError("%s: edge (%d,%d) has no p and no default"
                           % (path, src[unset[0]], dst[unset[0]]))
-    p = np.append(p, zeros)[rows]
     p[unset] = default_p
-    return GraphProblem.from_edges(
-        M, src, dst, np.append(K, zeros)[rows], p, qarr,
-        delta=max(tightest_delta(file_src, file_dst, K), 0.0))
+    q = np.zeros(M)
+    q[qi] = qv  # the last q line of a node counts
+    return GraphProblem.from_edges(M, src, dst, K, p, q, delta=delta)
 
 
 def load_idle(path):
     """Parse an idle-time scenario file into an IdleScenario."""
-    M = None
-    lam = None
-    tau = {}
-    adjacency = {}
-    calls = []
-    indices = []  # (line number, node indices named on that line)
-    for lineno, tok in _parse_lines(path):
-        try:
-            if tok[0] == "nodes" and len(tok) == 2:
-                M = int(tok[1])
-            elif tok[0] == "lambda" and len(tok) == 2:
-                lam = float(tok[1])
-            elif tok[0] == "edge" and len(tok) == 4:
-                edge = int(tok[1]), int(tok[2])
-                t = float(tok[3])
-            elif tok[0] == "call" and len(tok) == 3:
-                calls.append((int(tok[1]), float(tok[2])))
-                indices.append((lineno, (calls[-1][0],)))
-            else:
-                raise ValueError
-        except ValueError:
-            raise FormatError("%s:%d: cannot parse %r" % (path, lineno, " ".join(tok)))
-        if tok[0] == "nodes":
-            _check_nodes(path, lineno, M)
-        elif tok[0] == "edge":
-            if edge in tau:
-                raise FormatError("%s:%d: duplicate edge (%d,%d)"
-                                  % ((path, lineno) + edge))
-            tau[edge] = t
-            adjacency.setdefault(edge[0], []).append(edge[1])
-            indices.append((lineno, edge))
-    if M is None or lam is None or not calls:
-        raise FormatError("%s: needs 'nodes', 'lambda' and 'call' lines" % path)
-    for lineno, nodes in indices:
-        if not all(0 <= n < M for n in nodes):
-            raise FormatError("%s:%d: node index out of range [0, %d)"
-                              % (path, lineno, M))
-    adj = [sorted(adjacency.get(i, [])) for i in range(M)]
-    return IdleScenario(node_count=M, adjacency=adj, tau=tau, lam=lam,
-                        call_nodes=[c[0] for c in calls],
-                        call_probs=[c[1] for c in calls])
+    M, lam, (calls, probs), (src, dst, tau, _, _), rows = _read_lines(
+        path, "lambda", "call", (4,))
+    if lam is None or not calls.size:
+        raise FormatError("%s: needs 'lambda' and 'call' lines" % path)
+    return IdleScenario(node_count=M, src=src[rows], dst=dst[rows],
+                        tau=tau[rows], lam=lam, call_nodes=calls,
+                        call_probs=probs)
 
 
 def is_idle_scenario(path):
-    """True when the file carries travel times (a 'lambda' line)."""
-    return any(tok[0] == "lambda" for _, tok in _parse_lines(path))
+    """True when the file has a 'lambda' line; only the lines that contain
+    the word are tokenized."""
+    with open(path) as fh:
+        text = fh.read()
+    at = text.find("lambda")
+    while at >= 0:
+        line = text[text.rfind("\n", 0, at) + 1:at + 7]  # up to one past it
+        if line.split("#", 1)[0].split()[:1] == ["lambda"]:
+            return True
+        at = text.find("lambda", at + 6)
+    return False
 
 
 def _write_csv(path, rows):

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from randterm import graph, io
 from randterm.cli import main, random_graph_problem
@@ -182,6 +184,8 @@ class TestRunGrid:
         ({"grid": {"extent": [0, 1, 0, 1]}, "lambda": 0.5, "q": 1.0}, "'n'"),
         ({"grid": {"n": 1, "extent": [0, 1, 0, 1]}, "lambda": 0.5,
           "q": 1.0}, "at least 2 points"),
+        ({"grid": {"nx": 3163, "ny": 3163, "extent": [0, 1, 0, 1]},
+          "lambda": 0.5, "q": 1.0}, "exceeds %d points" % io.MAX_NODES),
     ])
     def test_grid_schema_exit_2(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"
@@ -235,6 +239,17 @@ class TestRunGrid:
         assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
         assert "either 'q' or 'calls'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run-grid", scenario("radial_trivial.json"), "--grid", "3163x3163"],
+        ["run-convergence", "trivial", "--grids", "11,3163"],
+    ], ids=["grid-override", "convergence"])
+    def test_grid_size_bound_exit_2(self, tmp_path, capsys, argv):
+        # 3163^2 is the smallest square grid past io.MAX_NODES; it is refused
+        # when the grid is built, before any field of that size exists
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert ("grid of 3163 x 3163 points exceeds %d points" % io.MAX_NODES
+                in capsys.readouterr().err)
+
     def test_rectangular_grid_override_rejected(self, tmp_path):
         assert run("run-grid", scenario("radial_trivial.json"),
                    "--grid", "21x41", "--out", str(tmp_path)) == 2
@@ -267,6 +282,14 @@ class TestImport:
 
 
 class TestRandomGraph:
+    @pytest.mark.parametrize("nodes", [0, -3, io.MAX_NODES + 1])
+    def test_node_count_bound_exit_2(self, capsys, nodes):
+        assert run("random-graph", "--nodes", str(nodes)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("nodes %d outside [1, %d]" % (nodes, io.MAX_NODES)
+                in captured.err)
+
     def test_generator_is_valid_and_deterministic(self):
         a = random_graph_problem(7)
         b = random_graph_problem(7)
@@ -286,3 +309,68 @@ class TestRandomGraph:
         sol_file = graph.dijkstra_solve(pb)
         sol_ref = graph.dijkstra_solve(ref)
         assert np.allclose(sol_file.V, sol_ref.V, atol=1e-12)
+
+
+# tokens a mutation may write: small node counts only (every graph is sized by
+# its node count), values past int64 and float range, and stray keywords
+FUZZ_TOKENS = ["-1", "0", "1", "2", "5", "12", "0.5", "-0.5", "1e-9", "nan",
+               "inf", "-inf", "1e308", str(2 ** 64), "x", "#", "nodes", "p",
+               "q", "edge", "lambda", "call"]
+
+
+def _mutate(data, lines):
+    """One edit of a scenario's token lines: drop or copy a line, write a
+    token, or shift a number."""
+    op = data.draw(st.sampled_from(["drop", "copy", "token", "number"]))
+    k = data.draw(st.integers(0, len(lines) - 1))
+    if op == "drop":
+        del lines[k]
+    elif op == "copy":
+        lines.insert(data.draw(st.integers(0, len(lines))), list(lines[k]))
+    else:
+        m = data.draw(st.integers(0, len(lines[k]) - 1))
+        tok = lines[k][m]
+        if op == "token":
+            lines[k][m] = data.draw(st.sampled_from(FUZZ_TOKENS))
+        elif tok.lstrip("-").isdigit():
+            lines[k][m] = str(int(tok) + data.draw(st.integers(-3, 3)))
+        else:
+            try:
+                lines[k][m] = repr(float(tok) * data.draw(
+                    st.sampled_from([-1.0, 0.0, 1e-9, 1e9])))
+            except ValueError:
+                pass
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_graph_files_exit_cleanly(self, tmp_path, data):
+        name = data.draw(st.sampled_from(["idle_ring.txt", "three_node_chain.txt",
+                                          "two_node_cycle.txt",
+                                          "subtle_motionless.txt"]))
+        with open(scenario(name)) as fh:
+            lines = [raw.split() for raw in fh if raw.strip()]
+        for _ in range(data.draw(st.integers(1, 4))):
+            _mutate(data, lines)
+        bad = tmp_path / "fuzz.txt"
+        bad.write_text("".join(" ".join(tok) + "\n" for tok in lines))
+        argv = ["run-graph", str(bad), "--out", str(tmp_path / "out"),
+                "--solver", data.draw(st.sampled_from(["dijkstra", "dial", "vi"]))]
+        if data.draw(st.booleans()):
+            argv += ["--p", "0.3"]
+        # an exception escaping main() is a traceback at the command line
+        assert main(argv) in (0, 2, 3, 4)
+
+
+class TestBenchmarkHooks:
+    def test_perfbench_selftest(self):
+        # the benchmark wraps randterm functions by name; a renamed one
+        # fails its self-test
+        root = os.path.join(os.path.dirname(__file__), "..")
+        out = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "selftest.py")],
+            capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stdout + out.stderr

@@ -9,18 +9,25 @@ from conftest import scenario
 from randterm.io import load_idle
 
 
+def idle_scenario(n, tau, lam=1.0, calls=((0, 1.0),)):
+    """IdleScenario of travel times {(i, j): tau}: rows sorted by (i, j),
+    with a free self-loop at every node that tau does not give."""
+    tau = {**{(i, i): 0.0 for i in range(n)}, **tau}
+    keys = sorted(tau)
+    return idle.IdleScenario(node_count=n, src=[i for i, _ in keys],
+                             dst=[j for _, j in keys],
+                             tau=[tau[e] for e in keys], lam=lam,
+                             call_nodes=[c[0] for c in calls],
+                             call_probs=[c[1] for c in calls])
+
+
 def ring(n=6, tau=1.0, lam=1.0, calls=((0, 0.5), (3, 0.5))):
     tau_d = {}
-    adj = [[] for _ in range(n)]
     for i in range(n):
         j = (i + 1) % n
         tau_d[(i, j)] = tau
         tau_d[(j, i)] = tau
-        adj[i].append(j)
-        adj[j].append(i)
-    return idle.IdleScenario(node_count=n, adjacency=adj, tau=tau_d, lam=lam,
-                             call_nodes=[c[0] for c in calls],
-                             call_probs=[c[1] for c in calls])
+    return idle_scenario(n, tau_d, lam=lam, calls=calls)
 
 
 class TestScenario:
@@ -81,32 +88,25 @@ class TestTravelTimes:
         # few and for many call nodes
         n = 30
         tau = {}
-        adj = [[] for _ in range(n)]
         for i in range(n):
             for j in rng.integers(0, n, size=4):
                 j = int(j)
                 if j != i and (i, j) not in tau:
                     tau[(i, j)] = float(rng.uniform(0.1, 3.0))
-                    adj[i].append(j)
             j = (i + 1) % n
             if (i, j) not in tau:
                 tau[(i, j)] = 1.0
-                adj[i].append(j)
         for calls in (3, 20):
             nodes = rng.choice(n, size=calls, replace=False).tolist()
             w = rng.uniform(0.5, 1.5, size=calls)
-            sc = idle.IdleScenario(node_count=n, adjacency=adj, tau=tau,
-                                   lam=1.0, call_nodes=nodes,
-                                   call_probs=(w / w.sum()).tolist())
+            sc = idle_scenario(n, tau, calls=list(zip(nodes, w / w.sum())))
             d = idle.all_pairs_times(sc)
             ref = sum(pr * d[:, c] for c, pr in zip(nodes, sc.call_probs))
             q = idle.expected_response_times(sc)
             assert np.allclose(q, ref, rtol=1e-12, atol=0.0)
 
     def test_unreachable_is_inf(self):
-        sc = idle.IdleScenario(node_count=2, adjacency=[[1], []],
-                               tau={(0, 1): 1.0}, lam=1.0,
-                               call_nodes=[1], call_probs=[1.0])
+        sc = idle_scenario(2, {(0, 1): 1.0}, calls=((1, 1.0),))
         d = idle.all_pairs_times(sc)
         assert d[1, 0] == math.inf
 
@@ -139,10 +139,28 @@ class TestBuildProblem:
         assert graph.path_cost(pb, path) == pytest.approx(sol.V[2], abs=1e-12)
         assert sol.V[2] < pb.q[2]  # repositioning helps
 
+    def test_matches_per_edge_reference(self, rng):
+        # the rows, K and p of build_problem against per-edge dict lookups
+        n, lam = 12, 0.7
+        tau = {(i, (i + 1) % n): 1.0 for i in range(n)}
+        for i, j in rng.integers(0, n, size=(30, 2)).tolist():
+            if i != j:
+                tau[(i, j)] = float(rng.uniform(1e-5, 3.0))
+        pb = idle.build_problem(idle_scenario(n, tau, lam=lam))
+        adjacency = [sorted({i} | {j for a, j in tau if a == i})
+                     for i in range(n)]
+        K = {(i, i): 0.0 for i in range(n)}
+        p = {(i, i): idle.SELF_LOOP_P for i in range(n)}
+        for e, t in tau.items():
+            K[e] = idle.edge_wait_cost(t, lam)
+            p[e] = 1.0 - math.exp(-lam * t)
+        ref = graph.GraphProblem.from_dicts(adjacency, K, pb.q, p)
+        for name in ("indptr", "dst", "K", "p"):
+            assert np.array_equal(getattr(pb, name), getattr(ref, name)), name
+        assert pb.delta == min(K[e] for e in tau)
+
     def test_unreachable_call_rejected(self):
-        sc = idle.IdleScenario(node_count=2, adjacency=[[1], []],
-                               tau={(0, 1): 1.0}, lam=1.0,
-                               call_nodes=[0], call_probs=[1.0])
+        sc = idle_scenario(2, {(0, 1): 1.0})
         with pytest.raises(ValueError):
             idle.build_problem(sc)
 

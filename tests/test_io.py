@@ -47,9 +47,10 @@ class TestLoadGraph:
 
     def test_comments_and_blank_lines(self, tmp_path):
         f = tmp_path / "ok.txt"
-        f.write_text("# header\nnodes 2\n\nq 0 3.0  # trailing\nedge 0 1 1.0 0.5\n")
+        f.write_text("# header\nnodes 2\nq 0 7.0\n\nq 0 3.0  # trailing\n"
+                     "edge 0 1 1.0 0.5\n")
         pb = io.load_graph(str(f), default_p=0.5)
-        assert pb.q[0] == 3.0
+        assert pb.q[0] == 3.0  # the last q line of a node counts
         assert pb.K[pb.edge(0, 1)] == 1.0
 
     def test_rows_sorted_from_file_order(self, tmp_path):
@@ -77,9 +78,10 @@ class TestLoadGraph:
         ("nodes 2\nedge 1 1 0.0\nedge 1 1 0.0\n", "bad.txt:3: duplicate edge (1,1)"),
         ("edge 0 1 1\nedge 0 1 2\n", "bad.txt:2: duplicate edge (0,1)"),
         ("nodes 2\nedge 0 1 1\nedge 0 %d 1\n" % 2 ** 64,
-         "edge (0,%d) out of range" % 2 ** 64),
-        ("nodes 2\nq 3 1.0\nedge 0 5 1\n", "q index 3 out of range"),
-        ("nodes 2\nedge 0 5 1\nedge 0 1 1\n", "edge (0,5) out of range"),
+         "bad.txt:3: edge (0,%d) out of range" % 2 ** 64),
+        ("nodes 2\nq 3 1.0\nedge 0 5 1\n", "bad.txt:2: q index 3 out of range"),
+        ("nodes 2\nedge 0 5 1\nedge 0 1 1\n",
+         "bad.txt:2: edge (0,5) out of range"),
         ("nodes 3\nedge 2 0 1\nedge 0 2 1\n", "edge (0,0) has no p"),
     ], ids=["self-loop", "before-nodes", "past-int64", "q-first",
             "edge-range", "first-without-p"])
@@ -108,8 +110,56 @@ class TestIdleDetection:
     def test_load_idle_requires_lambda(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("nodes 2\nedge 0 1 1.0\ncall 0 1.0\n")
-        with pytest.raises(io.FormatError):
+        with pytest.raises(io.FormatError, match="needs 'lambda' and 'call'"):
             io.load_idle(str(f))
+
+    @pytest.mark.parametrize("text, idle", [
+        ("nodes 2\n# lambda 1.0\n", False),
+        ("nodes 2\nq 0 1 # lambda 1.0\n", False),
+        ("nodes 2\n  \tlambda 1.0\n", True),
+        ("nodes 2\nlambda#x\n", True),
+        ("nodes 2\nlambdax 1.0\n", False),
+        ("nodes 2\r\nlambda 1.0\r\n", True),
+        ("nodes 2\rlambda 1.0\r", True),
+        ("nodes 2\nedge 0 1 lambda\nlambdax\nlambda", True),
+    ], ids=["comment", "trailing-comment", "leading-space", "hash-after",
+            "longer-word", "crlf", "cr", "last-line"])
+    def test_lambda_line_detection(self, tmp_path, text, idle):
+        f = tmp_path / "sc.txt"
+        f.write_bytes(text.encode())
+        assert io.is_idle_scenario(str(f)) is idle
+
+    def test_rows_with_self_loops(self, tmp_path):
+        f = tmp_path / "sc.txt"
+        f.write_text("nodes 3\nlambda 0.5\nedge 2 0 4.0\nedge 1 1 9.0\n"
+                     "edge 0 2 3.0\nedge 0 1 2.0\ncall 2 0.25\ncall 0 0.75\n")
+        sc = io.load_idle(str(f))
+        assert sc.src.tolist() == [0, 0, 0, 1, 2, 2]
+        assert sc.dst.tolist() == [0, 1, 2, 1, 0, 2]
+        assert sc.tau.tolist() == [0.0, 2.0, 3.0, 9.0, 4.0, 0.0]
+        assert sc.call_nodes.tolist() == [2, 0]
+        assert sc.call_probs.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("text, message", [
+        ("nodes 2\nlambda 1\nedge 0 1 1\nedge 0 1 2\ncall 0 1\n",
+         "bad.txt:4: duplicate edge (0,1)"),
+        ("nodes 2\nlambda 1\nedge 0 -1 1\ncall 0 1\n",
+         "bad.txt:3: edge (0,-1) out of range"),
+        ("nodes 2\nlambda 1\nedge 0 1 1\ncall 2 1\n",
+         "bad.txt:4: call index 2 out of range"),
+        ("nodes 2\nlambda 1\ncall %d 1\n" % 2 ** 63,
+         "bad.txt:3: call index %d out of range" % 2 ** 63),
+        ("nodes 2\nlambda 1\nedge 0 1 1 0.5\ncall 0 1\n",
+         "bad.txt:3: cannot parse 'edge 0 1 1 0.5'"),
+        ("lambda 1\nedge 0 1 1\ncall 0 1\n", "missing 'nodes' line"),
+    ], ids=["duplicate", "edge-range", "call-range", "past-int64", "p-column",
+            "no-nodes"])
+    def test_load_idle_errors(self, tmp_path, text, message):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        with pytest.raises(io.FormatError) as err:
+            io.load_idle(str(f))
+        assert message in str(err.value)
 
 
 class TestGridScenario:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import Grid2D, GridProblem
+
 DOMAIN = (-2.0, 2.0)
 
 CASES = ("trivial", "circular")
@@ -35,6 +37,19 @@ class RadialCase:
             raise ValueError("unknown case %r" % (self.case,))
         if self.lam <= 0:
             raise ValueError("lam must be positive")
+
+    def problem(self, grid):
+        """The case on grid: unit speed, q = |x| and K = 0 (trivial) or |x|
+        (circular)."""
+        R = np.hypot(*grid.meshgrid())
+        K = 0.0 if self.case == "trivial" else R
+        return GridProblem(grid=grid, f=1.0, K=K, q=R, lam=self.lam)
+
+
+def radial_grid(n):
+    """The n x n grid over DOMAIN x DOMAIN."""
+    lo, hi = DOMAIN
+    return Grid2D.spanning((lo, hi, lo, hi), n, n)
 
 
 def _moving_cost(r, lam):

@@ -19,10 +19,6 @@ import numpy as np
 from . import analytic, graph, grid, idle, io, trajectory
 
 
-class Nonconvergence(RuntimeError):
-    pass
-
-
 def _config_hash(scenario_path, flags):
     h = hashlib.sha256()
     with open(scenario_path, "rb") as fh:
@@ -149,28 +145,19 @@ def cmd_run_grid(args):
     return 0
 
 
-def _radial_problem(case, n):
-    lo, hi = analytic.DOMAIN
-    g = grid.Grid2D(nx=n, ny=n, h=(hi - lo) / (n - 1), origin=(lo, lo))
-    X, Y = g.meshgrid()
-    R = np.hypot(X, Y)
-    K = 0.0 if case.case == "trivial" else R
-    return grid.GridProblem(grid=g, f=1.0, K=K, q=R, lam=case.lam)
-
-
 def cmd_run_convergence(args):
     os.makedirs(args.out, exist_ok=True)
     case = analytic.RadialCase(case=args.case, lam=args.lam)
-    grids = [int(t) for t in args.grids.split(",")]
+    # every size is refused or accepted before the first solve
+    grids = [analytic.radial_grid(int(t)) for t in args.grids.split(",")]
     rows = []
     prev_linf = None
-    for n in grids:
-        problem = _radial_problem(case, n)
-        sol = grid.fmm_solve(problem)
-        exact = analytic.exact_field(case, problem.grid)
-        line_linf, l2, linf = analytic.error_norms(sol.V, exact, problem.grid)
+    for g in grids:
+        sol = grid.fmm_solve(case.problem(g))
+        exact = analytic.exact_field(case, g)
+        line_linf, l2, linf = analytic.error_norms(sol.V, exact, g)
         order = None if prev_linf is None else math.log2(prev_linf / linf)
-        rows.append((n, line_linf, l2, linf, order))
+        rows.append((g.nx, line_linf, l2, linf, order))
         prev_linf = linf
     io.write_convergence_csv(os.path.join(args.out, "convergence.csv"), rows)
     for row in rows:
@@ -180,8 +167,9 @@ def cmd_run_convergence(args):
     return 0
 
 
-def random_graph_problem(seed, nodes=50, degree=4, delta=0.1, p_range=(0.2, 0.9)):
+def random_graph_problem(seed, nodes=50, degree=4, p_range=(0.2, 0.9)):
     """Random strongly-A1-A3 instance; shared by tests and the CLI generator."""
+    delta = 0.1
     rng = np.random.default_rng(seed)
     M = nodes
     # row i: a self-loop, a ring edge (strong connectivity) and random ones
@@ -271,10 +259,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except io.FormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # io.FormatError too
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

@@ -77,12 +77,12 @@ def eikonal_solve(grid, f, source, mask=None):
     return np.array(u).reshape(ny, nx)
 
 
-def response_cost(grid, f, calls, mask=None):
+def response_cost(grid, f, calls):
     """Probability-weighted sum of per-call travel-time fields on one grid."""
     q = np.zeros((grid.ny, grid.nx))
     for loc, prob in zip(calls.locations, calls.probabilities):
         if prob == 0.0:
             continue
         src = grid.nearest_index(loc)
-        q += prob * eikonal_solve(grid, f, src, mask=mask)
+        q += prob * eikonal_solve(grid, f, src)
     return q

@@ -254,7 +254,7 @@ def _solution(problem, V, const, surv, **stats):
     return GraphSolution(V, policy, motionless, **stats)
 
 
-def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000):
+def value_iteration(problem, tol=1e-13, max_iters=100000):
     """Fixed-point iteration for the optimality equation (the general oracle).
 
     Does not require A1-A3, but every edge needs a p.  Each Jacobi sweep is
@@ -266,7 +266,7 @@ def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000):
                          % (problem.src[e], problem.dst[e]))
     indptr, dst = problem.indptr, problem.dst
     const, surv = _terms(problem)
-    V = np.array(problem.q if initial is None else initial, dtype=float)
+    V = problem.q.copy()
     status, it = "not_converged", 0
     for it in range(1, max_iters + 1):
         with np.errstate(invalid="ignore", over="ignore"):
@@ -282,7 +282,9 @@ def value_iteration(problem, initial=None, tol=1e-13, max_iters=100000):
 def _label_setting(problem, const, surv, seeds, key):
     """Accept nodes in increasing (key(V_j), j) order from a heap, relaxing
     the in-edges i -> j, i != j, of each accepted j in node order i; V starts
-    at q.  An entry is stale once its node's key has changed.  Returns V, the
+    at q.  Every drop of V_i pushes a new entry and key is nondecreasing, so
+    the first popped entry of a node carries its current key; the node is
+    accepted there and its later entries are skipped.  Returns V, the
     acceptance order and the number of improving updates."""
     src, dst = problem.src, problem.dst
     moves = np.flatnonzero(src != dst)
@@ -301,8 +303,8 @@ def _label_setting(problem, const, surv, seeds, key):
         heapq.heappush(heap, (key(V[i]), i))
     order, updates = [], 0
     while heap:
-        k, j = heapq.heappop(heap)
-        if state[j] == ACCEPTED or key(V[j]) != k:
+        j = heapq.heappop(heap)[1]
+        if state[j] == ACCEPTED:
             continue
         state[j] = ACCEPTED
         order.append(j)

@@ -29,6 +29,15 @@ INF = math.inf
 MAX_NODES = 10_000_000
 
 
+def _check_counts(nx, ny):
+    """ValueError unless 2 <= nx, ny and nx * ny <= MAX_NODES."""
+    if nx < 2 or ny < 2:
+        raise ValueError("the grid needs at least 2 points per axis")
+    if nx * ny > MAX_NODES:
+        raise ValueError("grid of %d x %d points exceeds %d points"
+                         % (nx, ny, MAX_NODES))
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform grid with equal spacing in both axes: x_i = x0 + i h, y_j = y0 + j h."""
@@ -39,13 +48,28 @@ class Grid2D:
     origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("need at least 2 gridpoints per axis")
-        if self.nx * self.ny > MAX_NODES:
-            raise ValueError("grid of %d x %d points exceeds %d points"
-                             % (self.nx, self.ny, MAX_NODES))
-        if self.h <= 0:
-            raise ValueError("spacing must be positive")
+        _check_counts(self.nx, self.ny)
+        if not 0 < self.h < INF:
+            raise ValueError("spacing must be positive and finite")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError("grid origin must be finite")
+
+    @classmethod
+    def spanning(cls, extent, nx, ny):
+        """The nx x ny grid over extent (x0, x1, y0, y1); ValueError for counts
+        out of range (checked first), a non-finite extent or unequal steps."""
+        _check_counts(nx, ny)
+        try:
+            x0, x1, y0, y1 = extent = [float(v) for v in extent]
+        except OverflowError:  # an integer past float range
+            extent = [INF]
+        if not all(map(math.isfinite, extent)):
+            raise ValueError("grid extent must be finite")
+        hx = (x1 - x0) / (nx - 1)
+        hy = (y1 - y0) / (ny - 1)
+        if abs(hx - hy) > 1e-12 * max(abs(hx), abs(hy)):
+            raise ValueError("grid spacing must match in both axes")
+        return cls(nx, ny, hx, (x0, y0))
 
     def xs(self):
         return self.origin[0] + self.h * np.arange(self.nx)
@@ -59,8 +83,9 @@ class Grid2D:
 
     def nearest_index(self, point):
         """(j, i) index of the gridpoint closest to an (x, y) point."""
-        i = int(round((point[0] - self.origin[0]) / self.h))
-        j = int(round((point[1] - self.origin[1]) / self.h))
+        i, j = (round(v) if math.isfinite(v) else -1 for v in (
+            (point[0] - self.origin[0]) / self.h,
+            (point[1] - self.origin[1]) / self.h))
         if not (0 <= i < self.nx and 0 <= j < self.ny):
             raise ValueError("point %r outside the grid" % (point,))
         return j, i
@@ -84,20 +109,17 @@ class GridProblem:
     lam: np.ndarray
 
     def __post_init__(self):
-        g = self.grid
-        self.f = _as_field(self.f, g)
-        self.K = _as_field(self.K, g)
-        self.q = _as_field(self.q, g)
-        self.lam = _as_field(self.lam, g)
-        mask = self.mask()
-        if not np.all(self.f[~mask] > 0):
-            raise ValueError("speed must be positive")
-        if not np.all(self.K[~mask] >= 0):
-            raise ValueError("running cost must be nonnegative")
-        if not np.all(self.lam[~mask] > 0):
-            raise ValueError("termination rate must be positive")
-        if not np.all(np.isfinite(self.q[~mask])):
-            raise ValueError("terminal cost must be finite off the mask")
+        self.f, self.K, self.q, self.lam = (_as_field(a, self.grid) for a in (
+            self.f, self.K, self.q, self.lam))
+        live = ~self.mask()
+        for what, field, ok in (
+                ("speed must be positive and", self.f, self.f > 0),
+                ("running cost must be nonnegative and", self.K, self.K >= 0),
+                ("termination rate must be positive and", self.lam,
+                 self.lam > 0),
+                ("terminal cost must be", self.q, True)):
+            if not np.all((ok & np.isfinite(field))[live]):
+                raise ValueError(what + " finite off the mask")
 
     def mask(self):
         """True on out-of-domain points (q = +inf); never accepted by solvers."""
@@ -187,20 +209,26 @@ def node_update(neighbors, K, q, f, lam, h):
     return best
 
 
+def neighbours(a, fill):
+    """The 4-neighbours of every point of a 2-D field, as the views (west,
+    east, south, north) = a[j, i-1], a[j, i+1], a[j-1, i], a[j+1, i], with
+    fill beyond the edges."""
+    p = np.pad(a, 1, constant_values=fill)
+    return p[1:-1, :-2], p[1:-1, 2:], p[:-2, 1:-1], p[2:, 1:-1]
+
+
 def discretization_residual(problem, V):
     """Pointwise residual of the upwind obstacle equation, vectorized; zero on
     masked points."""
     h = problem.grid.h
-    Vp = np.pad(V, 1, constant_values=INF)
-    dxm = (V - Vp[1:-1, :-2]) / h
-    dxp = (V - Vp[1:-1, 2:]) / h
-    dym = (V - Vp[:-2, 1:-1]) / h
-    dyp = (V - Vp[2:, 1:-1]) / h
-    gx = np.maximum(np.maximum(dxm, dxp), 0.0)
-    gy = np.maximum(np.maximum(dym, dyp), 0.0)
-    grad = np.sqrt(gx * gx + gy * gy)
-    rhs = problem.q + np.minimum(problem.K - problem.f * grad, 0.0) / problem.lam
-    res = V - rhs
+    with np.errstate(invalid="ignore"):  # inf - inf on masked points
+        dxm, dxp, dym, dyp = ((V - n) / h for n in neighbours(V, INF))
+        gx = np.maximum(np.maximum(dxm, dxp), 0.0)
+        gy = np.maximum(np.maximum(dym, dyp), 0.0)
+        grad = np.sqrt(gx * gx + gy * gy)
+        rhs = problem.q + np.minimum(problem.K - problem.f * grad,
+                                     0.0) / problem.lam
+        res = V - rhs
     res[problem.mask()] = 0.0
     return res
 
@@ -208,10 +236,9 @@ def discretization_residual(problem, V):
 def local_minima_mask(q):
     """Non-strict local minima under 4-neighbor comparison; plateaus are all
     seeded.  Masked (+inf) points are excluded."""
-    qp = np.pad(q, 1, constant_values=INF)
     m = np.isfinite(q)
-    for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        m &= q <= qp[1 + dj : qp.shape[0] - 1 + dj, 1 + di : qp.shape[1] - 1 + di]
+    for n in neighbours(q, INF):
+        m &= q <= n
     return m
 
 
@@ -276,11 +303,8 @@ def fmm_solve(problem):
     g = problem.grid
     h = g.h
     # flat python lists are noticeably faster than ndarray scalar access here
-    V = problem.q.ravel().tolist()
-    fv = problem.f.ravel().tolist()
-    Kv = problem.K.ravel().tolist()
-    qv = problem.q.ravel().tolist()
-    lamv = problem.lam.ravel().tolist()
+    V, fv, Kv, qv, lamv = (a.ravel().tolist() for a in (
+        problem.q, problem.f, problem.K, problem.q, problem.lam))
 
     def update(va, vo, n):
         return quadrant_update(va, vo, Kv[n], qv[n], fv[n], lamv[n], h)
@@ -317,11 +341,8 @@ def motionless_set(solution, problem, eps=None):
     boundary: motionless points with at least one moving 4-neighbor."""
     live = ~problem.mask()
     mask = _motionless_mask(problem, solution.V, eps)
-    inner = np.pad(mask | ~live, 1, constant_values=True)
-    has_moving_nbr = ~(
-        inner[1:-1, :-2] & inner[1:-1, 2:] & inner[:-2, 1:-1] & inner[2:, 1:-1]
-    )
-    boundary = mask & has_moving_nbr
+    w, e, s, n = neighbours(mask | ~live, True)
+    boundary = mask & ~(w & e & s & n)  # a moving 4-neighbour
     X, Y = problem.grid.meshgrid()
     pts = np.column_stack([X[boundary], Y[boundary]])
     return MotionlessSet(mask=mask, boundary_mask=boundary, boundary_points=pts)
@@ -333,12 +354,9 @@ def sweep_oracle(problem, tol=1e-12, max_sweeps=2000):
     g = problem.grid
     nx, ny = g.nx, g.ny
     h = g.h
-    orders = [
-        (range(ny), range(nx)),
-        (range(ny), range(nx - 1, -1, -1)),
-        (range(ny - 1, -1, -1), range(nx)),
-        (range(ny - 1, -1, -1), range(nx - 1, -1, -1)),
-    ]
+    rows, cols = range(ny), range(nx)
+    orders = [(rows, cols), (rows, cols[::-1]), (rows[::-1], cols),
+              (rows[::-1], cols[::-1])]
     Vl = problem.q.tolist()
     fl, Kl, ql = problem.f.tolist(), problem.K.tolist(), problem.q.tolist()
     laml, livel = problem.lam.tolist(), (~problem.mask()).tolist()
@@ -372,7 +390,7 @@ def sweep_oracle(problem, tol=1e-12, max_sweeps=2000):
                         sweeps=sweep)
 
 
-def semi_lagrangian_update(v1, v2, K, q, f, lam, h, xatol=1e-12):
+def semi_lagrangian_update(v1, v2, K, q, f, lam, h):
     """Control-theoretic form of the quadrant solve: minimize over the convex
     weights xi of the two neighbors,
 
@@ -399,5 +417,5 @@ def semi_lagrangian_update(v1, v2, K, q, f, lam, h, xatol=1e-12):
     from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(cost, bounds=(0.0, 1.0), method="bounded",
-                          options={"xatol": xatol})
+                          options={"xatol": 1e-12})
     return min(res.fun, cost(0.0), cost(1.0))

@@ -15,14 +15,16 @@ same skeleton with a tau column instead of K/p:
     edge I J TAU
     call I PROB
 
-In both, M must lie in [1, MAX_NODES] (ten million), and so must the point
-count of a grid; a larger count is rejected before anything is allocated.
+In both, M must lie in [1, MAX_NODES] (ten million); a larger count is
+rejected before anything is allocated.
 
-Grid scenarios are JSON descriptors: a grid block, a termination rate, and
-per-field specs (constant value, radial piecewise, rectangles over a default,
-or a CSV of cell values).  The terminal cost may instead be derived from call
-locations via the travel-time mix.  Any key other than comment, grid, lambda,
-f, K, q and calls, or grid.extent, n, nx and ny, is rejected.
+Grid scenarios are JSON descriptors: a grid block (an extent of four finite
+numbers and integer point counts, made a grid by Grid2D.spanning, which
+bounds the counts first), a number lambda, and per-field specs (constant
+value, radial piecewise, rectangles over a default, or a CSV of cell
+values).  The terminal cost may instead be derived from call locations via
+the travel-time mix.  Any key other than comment, grid, lambda, f, K, q and
+calls, or grid.extent, n, nx and ny, is rejected.
 
 All CSV output uses shortest round-trip decimals (repr) so identical runs are
 byte-identical.
@@ -263,30 +265,23 @@ def load_grid_scenario(path, lam=None, n=None):
             and all(isinstance(v, (int, float)) for v in extent)):
         raise FormatError("%s: 'grid.extent' must be four numbers "
                           "[x0, x1, y0, y1]" % path)
-    x0, x1, y0, y1 = extent
-    try:
-        if "n" in gspec:
-            nx = ny = int(gspec["n"])
-        else:
-            nx, ny = int(gspec["nx"]), int(gspec["ny"])
-    except (KeyError, TypeError, ValueError):
+    nx, ny = (gspec.get(k) for k in (("n", "n") if "n" in gspec
+                                     else ("nx", "ny")))
+    if not (type(nx) is int and type(ny) is int):  # bool aside
         raise FormatError("%s: 'grid' needs an integer 'n', or 'nx' and 'ny'"
                           % path)
     if n is not None:
         if nx != ny:
             raise FormatError("--grid override needs a square scenario grid")
-        nx = ny = int(n)
-    if min(nx, ny) < 2:
-        raise FormatError("%s: the grid needs at least 2 points per axis" % path)
-    hx = (x1 - x0) / (nx - 1)
-    hy = (y1 - y0) / (ny - 1)
-    if abs(hx - hy) > 1e-12 * max(abs(hx), abs(hy)):
-        raise FormatError("grid spacing must match in both axes")
-    grid = Grid2D(nx=nx, ny=ny, h=hx, origin=(x0, y0))
-    if lam is None:
-        lam = doc.get("lambda")
-    if lam is None:
-        raise FormatError("%s: no termination rate (lambda)" % path)
+        nx = ny = n
+    try:
+        grid = Grid2D.spanning(extent, nx, ny)
+    except ValueError as exc:
+        raise FormatError("%s: %s" % (path, exc)) from None
+    try:
+        lam = float(doc.get("lambda") if lam is None else lam)
+    except (OverflowError, TypeError, ValueError):
+        raise FormatError("%s: needs a number 'lambda'" % path) from None
     if "q" in doc and "calls" in doc:
         raise FormatError("%s: give either 'q' or 'calls', not both" % path)
     if "q" not in doc and "calls" not in doc:
@@ -295,19 +290,15 @@ def load_grid_scenario(path, lam=None, n=None):
     def field(key, default=None):
         try:
             return _build_field(doc.get(key, default), grid, base_dir)
-        except (AttributeError, IndexError, KeyError, TypeError,
+        except (ArithmeticError, AttributeError, LookupError, TypeError,
                 ValueError) as exc:
             raise FormatError("%s: ill-formed field '%s' (%s)"
                               % (path, key, _reason(exc))) from None
 
     f, K = field("f", 1.0), field("K", 0.0)
-    calls = None
-    if "calls" in doc:
-        calls = _call_spec(path, doc["calls"])
-        q = response_cost(grid, f, calls)
-    else:
-        q = field("q")
-    problem = GridProblem(grid=grid, f=f, K=K, q=q, lam=float(lam))
+    calls = _call_spec(path, doc["calls"]) if "calls" in doc else None
+    q = field("q") if calls is None else response_cost(grid, f, calls)
+    problem = GridProblem(grid=grid, f=f, K=K, q=q, lam=lam)
     return problem, calls
 
 
@@ -323,7 +314,7 @@ def _call_spec(path, calls):
             x, y = call["location"]
             locations.append((float(x), float(y)))
             probabilities.append(float(call["prob"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError("%s: 'calls' needs a list of {\"location\": [x, y], "
                           "\"prob\": p} (%s)" % (path, _reason(exc))) from None
     return CallSpec(locations=locations, probabilities=probabilities)
@@ -344,8 +335,8 @@ def write_mask_csv(path, mask):
     _write_csv(path, (row.tolist() for row in np.asarray(mask).astype(int)))
 
 
-def write_points_csv(path, points, header=("x", "y")):
-    _write_csv(path, chain([header], np.asarray(points, float).tolist()))
+def write_points_csv(path, points):
+    _write_csv(path, chain([("x", "y")], np.asarray(points, float).tolist()))
 
 
 def write_trajectory_csv(path, traj):

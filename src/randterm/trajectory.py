@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import motionless_set
+from .grid import motionless_set, neighbours
 
 SNAP_CELLS = 3.0  # straight-line snap distance, in grid cells
 
@@ -30,21 +30,11 @@ class TrajectoryPath:
 def gradient_field(V, mask, h):
     """Per-axis derivative fields; one-sided toward the interior where a
     neighbor is masked or outside the grid."""
-    ny, nx = V.shape
     usable = np.isfinite(V) & ~mask
-    Gx = np.zeros_like(V)
-    Gy = np.zeros_like(V)
-    for (G, axis) in ((Gx, 1), (Gy, 0)):
-        Vm = np.roll(V, 1, axis=axis)
-        Vp = np.roll(V, -1, axis=axis)
-        ok_m = np.roll(usable, 1, axis=axis)
-        ok_p = np.roll(usable, -1, axis=axis)
-        if axis == 1:
-            ok_m[:, 0] = False
-            ok_p[:, -1] = False
-        else:
-            ok_m[0, :] = False
-            ok_p[-1, :] = False
+    Vw, Ve, Vs, Vn = neighbours(V, np.nan)
+    uw, ue, us, un = neighbours(usable, False)
+    Gx, Gy = np.zeros_like(V), np.zeros_like(V)
+    for G, Vm, Vp, ok_m, ok_p in ((Gx, Vw, Ve, uw, ue), (Gy, Vs, Vn, us, un)):
         central = ok_m & ok_p
         G[central] = (Vp[central] - Vm[central]) / (2 * h)
         fwd = ~ok_m & ok_p
@@ -70,7 +60,7 @@ def _bilinear(field, grid, x, y):
             + ty * ((1 - tx) * f10 + tx * f11))
 
 
-def trace(solution, problem, start, step=None, eps=None):
+def trace(solution, problem, start, step=None):
     """Gradient-descent polyline from start to its motionless endpoint.
 
     Stops on entering the motionless set, or snaps straight to the nearest
@@ -79,24 +69,22 @@ def trace(solution, problem, start, step=None, eps=None):
     """
     grid = problem.grid
     h = grid.h
-    if step is None or step > h / 2:
-        step = h / 2
-    mset = motionless_set(solution, problem, eps=eps)
+    step = h / 2 if step is None else min(step, h / 2)
+    mset = motionless_set(solution, problem)
     boundary = mset.boundary_points
     boundary_vals = solution.V[mset.boundary_mask]
     mask = problem.mask()
     Vsafe = np.where(mask, 0.0, solution.V)
-    Gx, Gy = gradient_field(np.where(mask, np.nan, solution.V), mask, h)
-    Gx = np.nan_to_num(Gx)
-    Gy = np.nan_to_num(Gy)
+    Gx, Gy = map(np.nan_to_num,
+                 gradient_field(np.where(mask, np.nan, solution.V), mask, h))
     snap_dist = SNAP_CELLS * h
 
     x, y = float(start[0]), float(start[1])
     pts = [(x, y)]
     j0, i0 = grid.nearest_index((x, y))
     if mset.mask[j0, i0]:
-        pts_arr = np.array(pts)
-        return TrajectoryPath(pts_arr, np.array([_bilinear(Vsafe, grid, x, y)]))
+        return TrajectoryPath(np.array(pts),
+                              np.array([_bilinear(Vsafe, grid, x, y)]))
 
     max_steps = 10 * (grid.nx + grid.ny)
     status = "max_steps"

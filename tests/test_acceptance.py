@@ -21,14 +21,6 @@ from randterm.cli import random_graph_problem
 from conftest import fig1b, fig2, scenario
 
 
-def radial_problem(case, lam, n):
-    g = grid.Grid2D(nx=n, ny=n, h=4.0 / (n - 1), origin=(-2.0, -2.0))
-    X, Y = g.meshgrid()
-    R = np.hypot(X, Y)
-    K = R if case == "circular" else 0.0
-    return grid.GridProblem(grid=g, f=1.0, K=K, q=R, lam=lam)
-
-
 def _report(num, ok, detail):
     print("ACCEPTANCE %d: %s  (%s)" % (num, "PASS" if ok else "FAIL", detail))
     return ok
@@ -38,7 +30,7 @@ def _linf_errors(case_name, lam, grids=(101, 201, 401)):
     case = analytic.RadialCase(case_name, lam)
     errs = []
     for n in grids:
-        pb = radial_problem(case_name, lam, n)
+        pb = case.problem(analytic.radial_grid(n))
         sol = grid.fmm_solve(pb)
         exact = analytic.exact_field(case, pb.grid)
         errs.append(analytic.error_norms(sol.V, exact, pb.grid)[2])
@@ -84,11 +76,11 @@ def test_criterion_2_second_table():
 
 
 def test_criterion_3_free_boundary_radius():
-    n = 401
-    h = 4.0 / (n - 1)
+    g = analytic.radial_grid(401)
+    h = g.h
     means = []
     for lam in (0.5, 5.0, 25.0):
-        pb = radial_problem("circular", lam, n)
+        pb = analytic.RadialCase("circular", lam).problem(g)
         sol = grid.fmm_solve(pb)
         mset = grid.motionless_set(sol, pb)
         radii = np.hypot(mset.boundary_points[:, 0], mset.boundary_points[:, 1])
@@ -194,20 +186,29 @@ def test_criterion_7_property_suites():
                 graph_ok &= bool(np.all(prev.motionless <= s.motionless))
             prev = s
     oks["graph bounds/sandwich/p-monotone/nesting"] = graph_ok
-    # grid obstacle bound and lambda-monotonicity / nesting
-    grid_ok = True
-    prev = None
+    # grid obstacle bound and lambda-monotonicity / nesting, without and with
+    # a wall (q = +inf) across the free boundary
+    g = analytic.radial_grid(101)
+    X, Y = g.meshgrid()
+    wall = (np.abs(X - 1.0) <= 0.05) & (np.abs(Y) <= 1.0)
     eps = 1e-6 * 2 * math.sqrt(2.0)
-    for lam in (0.25, 0.5, 1.0, 5.0, 25.0):
-        pb = radial_problem("circular", lam, 101)
-        sol = grid.fmm_solve(pb)
-        grid_ok &= bool(np.all(sol.V <= pb.q + 1e-12))
-        mask = grid.motionless_set(sol, pb, eps=eps).mask
-        if prev is not None:
-            grid_ok &= bool(np.all(sol.V >= prev[0] - 1e-10))
-            grid_ok &= bool(np.all(prev[1] <= mask))
-        prev = (sol.V, mask)
-    oks["grid bounds/lambda-monotone/nesting"] = grid_ok
+    for name, masked in (("grid", False), ("masked grid", True)):
+        grid_ok, prev = True, None
+        for lam in (0.25, 0.5, 1.0, 5.0, 25.0):
+            pb = analytic.RadialCase("circular", lam).problem(g)
+            if masked:
+                pb = grid.GridProblem(grid=g, f=1.0, K=pb.K, lam=lam,
+                                      q=np.where(wall, math.inf, pb.q))
+            live = ~pb.mask()
+            sol = grid.fmm_solve(pb)
+            grid_ok &= bool(np.all(np.isinf(sol.V[~live])))
+            grid_ok &= bool(np.all(sol.V[live] <= pb.q[live] + 1e-12))
+            mask = grid.motionless_set(sol, pb, eps=eps).mask
+            if prev is not None:
+                grid_ok &= bool(np.all(sol.V[live] >= prev[0][live] - 1e-10))
+                grid_ok &= bool(np.all(prev[1] <= mask))
+            prev = (sol.V, mask)
+        oks["%s bounds/lambda-monotone/nesting" % name] = grid_ok
     # node_update monotone in each neighbor
     mono_ok = True
     for _ in range(300):

@@ -120,11 +120,8 @@ class TestSolverConvergence:
         case = analytic.RadialCase("trivial", 0.5)
         errs = []
         for n in (51, 101, 201):
-            g = grid.Grid2D(nx=n, ny=n, h=4.0 / (n - 1), origin=(-2.0, -2.0))
-            X, Y = g.meshgrid()
-            pb = grid.GridProblem(grid=g, f=1.0, K=0.0, q=np.hypot(X, Y),
-                                  lam=0.5)
-            sol = grid.fmm_solve(pb)
+            g = analytic.radial_grid(n)
+            sol = grid.fmm_solve(case.problem(g))
             errs.append(analytic.error_norms(sol.V, analytic.exact_field(case, g),
                                              g)[2])
         rate = math.log2(errs[0] / errs[1])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from randterm import graph, io
+from randterm import graph, grid, io
 from randterm.cli import main, random_graph_problem
 
 from conftest import scenario
@@ -175,6 +175,14 @@ class TestRunGrid:
                    "--grid", "21x21", "--emit", "bogus",
                    "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("start", ["1e400,0.5", "nan,0"])
+    def test_non_finite_trajectory_start_exit_2(self, tmp_path, capsys,
+                                                start):
+        assert run("run-grid", scenario("radial_trivial.json"),
+                   "--grid", "21x21", "--emit", "trajectory:" + start,
+                   "--out", str(tmp_path)) == 2
+        assert "outside the grid" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, key", [
         ({"lambda": 0.5, "q": 1.0}, "'grid'"),
         ({"grid": [0, 1], "lambda": 0.5, "q": 1.0}, "'grid'"),
@@ -186,6 +194,20 @@ class TestRunGrid:
           "q": 1.0}, "at least 2 points"),
         ({"grid": {"nx": 3163, "ny": 3163, "extent": [0, 1, 0, 1]},
           "lambda": 0.5, "q": 1.0}, "exceeds %d points" % io.MAX_NODES),
+        # counts first: no float arithmetic on a count past float range
+        ({"grid": {"n": 10 ** 400, "extent": [0.0, 1.0, 0, 1]},
+          "lambda": 0.5, "q": 1.0}, "exceeds %d points" % io.MAX_NODES),
+        ({"grid": {"n": 11.0, "extent": [0, 1, 0, 1]}, "lambda": 0.5,
+          "q": 1.0}, "integer 'n'"),
+        ({"grid": {"n": 11, "extent": [0, math.nan, 0, 1]}, "lambda": 0.5,
+          "q": 1.0}, "extent must be finite"),
+        ({"grid": {"n": 11, "extent": [0, math.inf, 0, math.inf]},
+          "lambda": 0.5, "q": 1.0}, "extent must be finite"),
+        ({"grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": [1],
+          "q": 1.0}, "'lambda'"),
+        ({"grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": 0.5,
+          "calls": [{"location": [math.inf, 0.5], "prob": 1.0}]},
+         "outside the grid"),
     ])
     def test_grid_schema_exit_2(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"
@@ -256,6 +278,17 @@ class TestRunGrid:
 
 
 class TestRunConvergence:
+    def test_grid_sizes_checked_before_solving(self, tmp_path, capsys,
+                                               monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("solve before every grid size was checked")
+
+        monkeypatch.setattr(grid, "fmm_solve", unexpected)
+        assert run("run-convergence", "circular", "--grids", "401,3163",
+                   "--out", str(tmp_path)) == 2
+        assert "3163 x 3163" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_table_and_csv(self, tmp_path, capsys):
         assert run("run-convergence", "trivial", "--lambda", "0.5",
                    "--grids", "51,101", "--out", str(tmp_path)) == 0
@@ -361,6 +394,59 @@ class TestFuzz:
                 "--solver", data.draw(st.sampled_from(["dijkstra", "dial", "vi"]))]
         if data.draw(st.booleans()):
             argv += ["--p", "0.3"]
+        # an exception escaping main() is a traceback at the command line
+        assert main(argv) in (0, 2, 3, 4)
+
+
+# JSON values a grid mutation may write: numbers at and past the edges of
+# float range, strings, null and lists
+GRID_FUZZ_VALUES = ["0", "1", "-1", "1" + "0" * 400, "NaN", "Infinity",
+                    "-Infinity", '"x"', '"r"', "null", "[]", "[1]", "[0, 1]",
+                    "[0, 1, 0, 1]"]
+
+
+def _json_paths(node, path=()):
+    """The path to every key of every object, and every item of every list,
+    of a JSON document."""
+    for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _json_paths(v, path + (k,))
+
+
+class TestGridFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_grid_files_exit_cleanly(self, tmp_path, data):
+        name = data.draw(st.sampled_from(["maze.json", "radial_circular.json",
+                                          "radial_trivial.json",
+                                          "slow_disk.json"]))
+        with open(scenario(name)) as fh:
+            doc = json.load(fh)
+        doc["grid"]["n"] = data.draw(st.sampled_from([2, 5, 11, 21]))
+        center = "5,5" if doc["grid"]["extent"][0] == 0 else "0.8,0"
+        for _ in range(data.draw(st.integers(1, 4))):
+            paths = list(_json_paths(doc))
+            if not paths:
+                break
+            *parents, key = data.draw(st.sampled_from(paths))
+            node = doc
+            for k in parents:
+                node = node[k]
+            if data.draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = json.loads(
+                    data.draw(st.sampled_from(GRID_FUZZ_VALUES)))
+        bad = tmp_path / "fuzz.json"
+        bad.write_text(json.dumps(doc))
+        start = data.draw(st.sampled_from([center, "1e400,0", "nan,nan"]))
+        argv = ["run-grid", str(bad), "--out", str(tmp_path / "out"),
+                "--solver", data.draw(st.sampled_from(["fmm", "sweep"])),
+                "--emit", "value", "--emit", "mask", "--emit", "boundary",
+                "--emit", "trajectory:" + start]
         # an exception escaping main() is a traceback at the command line
         assert main(argv) in (0, 2, 3, 4)
 

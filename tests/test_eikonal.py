@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from randterm import eikonal
-from randterm.grid import Grid2D
+from randterm.grid import Grid2D, neighbours
 
 
 def unit_grid(n=51, extent=2.0):
-    return Grid2D(nx=n, ny=n, h=2 * extent / (n - 1), origin=(-extent, -extent))
+    return Grid2D.spanning((-extent, extent, -extent, extent), n, n)
 
 
 class TestCallSpec:
@@ -77,9 +77,8 @@ class TestEikonalSolve:
         f = rng.uniform(0.5, 2.0, (39, 47))
         u = eikonal.eikonal_solve(g, f, (3, 4), mask=mask)
         assert np.all(np.isinf(u[mask]))
-        up = np.pad(u, 1, constant_values=math.inf)
-        a = np.minimum(up[1:-1, :-2], up[1:-1, 2:])
-        b = np.minimum(up[:-2, 1:-1], up[2:, 1:-1])
+        west, east, south, north = neighbours(u, math.inf)
+        a, b = np.minimum(west, east), np.minimum(south, north)
         with np.errstate(invalid="ignore"):  # inf - inf on masked points
             grad = np.hypot(np.maximum(u - a, 0.0), np.maximum(u - b, 0.0))
         check = np.isfinite(u)

@@ -4,21 +4,48 @@ import numpy as np
 import pytest
 
 from randterm import analytic, grid
+from randterm.analytic import RadialCase, radial_grid
 
 
-def radial_problem(case, lam, n=101):
-    g = grid.Grid2D(nx=n, ny=n, h=4.0 / (n - 1), origin=(-2.0, -2.0))
-    X, Y = g.meshgrid()
-    R = np.hypot(X, Y)
-    K = R if case == "circular" else 0.0
-    return grid.GridProblem(grid=g, f=1.0, K=K, q=R, lam=lam)
+class TestGeometry:
+    def test_spanning_grid(self):
+        assert (grid.Grid2D.spanning((-2, 2, -2.0, 2.0), 5, 5)
+                == grid.Grid2D(5, 5, 1.0, (-2.0, -2.0)))
+        assert radial_grid(401).h == 4.0 / 400
+
+    @pytest.mark.parametrize("extent, n, message", [
+        ((0.0, 1.0, 0.0, 1.0), 10 ** 400, "exceeds"),
+        ((0.0, 1.0, 0.0, 1.0), 1, "at least 2 points"),
+        ((0, 10 ** 400, 0, 1), 11, "extent must be finite"),
+        ((0, 1, math.nan, 1), 11, "extent must be finite"),
+        ((0, 2, 0, 1), 11, "spacing must match"),
+        ((-1e308, 1e308, -1e308, 1e308), 11, "positive and finite"),
+        ((1, 0, 1, 0), 11, "positive and finite"),
+    ])
+    def test_spanning_rejects(self, extent, n, message):
+        with pytest.raises(ValueError, match=message):
+            grid.Grid2D.spanning(extent, n, n)
+
+    @pytest.mark.parametrize("point", [(math.inf, 0.5), (0.5, math.nan),
+                                       (1.2, 0.5), (-0.06, 0.5)])
+    def test_nearest_index_outside(self, point):
+        with pytest.raises(ValueError, match="outside the grid"):
+            grid.Grid2D.spanning((0, 1, 0, 1), 11, 11).nearest_index(point)
+
+    def test_neighbours(self):
+        a = np.arange(12.0).reshape(3, 4)
+        west, east, south, north = grid.neighbours(a, -1.0)
+        assert (west[1, 1], east[1, 1], south[1, 1], north[1, 1]) == (
+            a[1, 0], a[1, 2], a[0, 1], a[2, 1])
+        assert (west[:, 0] == -1).all() and (east[:, -1] == -1).all()
+        assert (south[0] == -1).all() and (north[-1] == -1).all()
 
 
 class TestFmmAgainstSweep:
     @pytest.mark.parametrize("case,lam", [("trivial", 0.5), ("circular", 0.5),
                                           ("circular", 5.0)])
     def test_agreement(self, case, lam):
-        pb = radial_problem(case, lam, n=61)
+        pb = RadialCase(case, lam).problem(radial_grid(61))
         fmm = grid.fmm_solve(pb)
         sw = grid.sweep_oracle(pb)
         assert sw.status == "ok"
@@ -47,19 +74,19 @@ class TestFmmAgainstSweep:
 
 class TestSolutionProperties:
     def test_residual_small(self):
-        pb = radial_problem("circular", 1.0, n=81)
+        pb = RadialCase("circular", 1.0).problem(radial_grid(81))
         sol = grid.fmm_solve(pb)
         res = grid.discretization_residual(pb, sol.V)
         assert np.max(np.abs(res)) <= 1e-10
 
     def test_obstacle_bounds(self):
-        pb = radial_problem("circular", 1.0, n=81)
+        pb = RadialCase("circular", 1.0).problem(radial_grid(81))
         sol = grid.fmm_solve(pb)
         assert np.all(sol.V <= pb.q + 1e-12)
         assert np.all(sol.V >= pb.q.min() - 1e-12)
 
     def test_acceptance_order_monotone(self):
-        pb = radial_problem("trivial", 0.5, n=61)
+        pb = RadialCase("trivial", 0.5).problem(radial_grid(61))
         sol = grid.fmm_solve(pb)
         flatV = sol.V.ravel()
         flat_order = sol.order.ravel()
@@ -72,7 +99,8 @@ class TestSolutionProperties:
         # larger termination rate -> less time to benefit from moving -> V grows
         prev = None
         for lam in (0.25, 0.5, 1.0, 5.0, 25.0):
-            sol = grid.fmm_solve(radial_problem("circular", lam, n=61))
+            pb = RadialCase("circular", lam).problem(radial_grid(61))
+            sol = grid.fmm_solve(pb)
             if prev is not None:
                 assert np.all(sol.V >= prev - 1e-10)
             prev = sol.V
@@ -83,7 +111,7 @@ class TestSolutionProperties:
         sols = {}
         pbs = {}
         for lam in (0.5, 2.0, 10.0):
-            pbs[lam] = radial_problem("circular", lam, n=61)
+            pbs[lam] = RadialCase("circular", lam).problem(radial_grid(61))
             sols[lam] = grid.fmm_solve(pbs[lam])
         eps = 1e-6 * 2.0 * math.sqrt(2.0)
         m_small = grid.motionless_set(sols[0.5], pbs[0.5], eps=eps).mask
@@ -93,7 +121,7 @@ class TestSolutionProperties:
         assert np.all(m_mid <= m_big)
 
     def test_large_lambda_approaches_q(self):
-        pb_template = radial_problem("trivial", 1.0, n=41)
+        pb_template = RadialCase("trivial", 1.0).problem(radial_grid(41))
         prev_gap = None
         for lam in (1.0, 10.0, 100.0, 1000.0):
             pb = grid.GridProblem(grid=pb_template.grid, f=1.0, K=0.0,
@@ -146,6 +174,13 @@ class TestMask:
         free = analytic.exact_value(analytic.RadialCase("trivial", 0.5), d)
         assert far > free + 1e-3
 
+    def test_residual_zero_on_mask(self):
+        # inf - inf on masked points raises no warning (an error here)
+        pb = self.build()
+        res = grid.discretization_residual(pb, grid.fmm_solve(pb).V)
+        assert np.all(res[pb.mask()] == 0.0)
+        assert np.max(np.abs(res)) <= 1e-10
+
     def test_sweep_handles_mask(self):
         pb = self.build()
         fmm = grid.fmm_solve(pb)
@@ -164,7 +199,7 @@ class TestMask:
 
 class TestSweepStatus:
     def test_nonconvergence_reported(self):
-        pb = radial_problem("circular", 0.5, n=61)
+        pb = RadialCase("circular", 0.5).problem(radial_grid(61))
         sol = grid.sweep_oracle(pb, max_sweeps=1)
         assert sol.status == "not_converged"
         assert sol.sweeps == 1
@@ -173,7 +208,7 @@ class TestSweepStatus:
 class TestMotionlessSet:
     def test_boundary_points_on_circle(self):
         lam = 1.0
-        pb = radial_problem("circular", lam, n=101)
+        pb = RadialCase("circular", lam).problem(radial_grid(101))
         sol = grid.fmm_solve(pb)
         mset = grid.motionless_set(sol, pb)
         radii = np.hypot(mset.boundary_points[:, 0], mset.boundary_points[:, 1])
@@ -184,7 +219,7 @@ class TestMotionlessSet:
         assert np.max(np.abs(radii - r_exact)) <= 2 * pb.grid.h
 
     def test_trivial_case_origin_only(self):
-        pb = radial_problem("trivial", 0.5, n=101)
+        pb = RadialCase("trivial", 0.5).problem(radial_grid(101))
         sol = grid.fmm_solve(pb)
         mset = grid.motionless_set(sol, pb)
         jj, ii = np.nonzero(mset.mask)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from randterm import analytic, grid, trajectory
-
-
-def radial_problem(case, lam, n=101):
-    g = grid.Grid2D(nx=n, ny=n, h=4.0 / (n - 1), origin=(-2.0, -2.0))
-    X, Y = g.meshgrid()
-    K = np.hypot(X, Y) if case == "circular" else 0.0
-    return grid.GridProblem(grid=g, f=1.0, K=K, q=np.hypot(X, Y), lam=lam)
+from randterm.analytic import RadialCase, radial_grid
 
 
 class TestGradientField:
@@ -37,7 +31,7 @@ class TestGradientField:
 
 class TestTrivialCase:
     def test_straight_descent_to_origin(self):
-        pb = radial_problem("trivial", 0.5, n=101)
+        pb = RadialCase("trivial", 0.5).problem(radial_grid(101))
         sol = grid.fmm_solve(pb)
         path = trajectory.trace(sol, pb, (1.5, 0.0))
         assert path.status == "ok"
@@ -48,7 +42,7 @@ class TestTrivialCase:
         assert np.all(np.diff(path.values) <= 1e-10)
 
     def test_diagonal_start(self):
-        pb = radial_problem("trivial", 0.5, n=101)
+        pb = RadialCase("trivial", 0.5).problem(radial_grid(101))
         sol = grid.fmm_solve(pb)
         path = trajectory.trace(sol, pb, (1.0, 1.0))
         assert path.status == "ok"
@@ -61,7 +55,7 @@ class TestTrivialCase:
 class TestCircularCase:
     def test_outside_start_is_motionless(self):
         lam = 1.0
-        pb = radial_problem("circular", lam, n=101)
+        pb = RadialCase("circular", lam).problem(radial_grid(101))
         sol = grid.fmm_solve(pb)
         r_star = analytic.free_boundary_radius(lam)
         path = trajectory.trace(sol, pb, (r_star + 0.3, 0.0))
@@ -69,7 +63,7 @@ class TestCircularCase:
 
     def test_inside_start_reaches_origin(self):
         lam = 1.0
-        pb = radial_problem("circular", lam, n=101)
+        pb = RadialCase("circular", lam).problem(radial_grid(101))
         sol = grid.fmm_solve(pb)
         path = trajectory.trace(sol, pb, (0.8, 0.0))
         assert path.status == "ok"
@@ -78,7 +72,7 @@ class TestCircularCase:
 
 class TestStepControl:
     def test_step_capped_at_half_cell(self):
-        pb = radial_problem("trivial", 0.5, n=51)
+        pb = RadialCase("trivial", 0.5).problem(radial_grid(51))
         sol = grid.fmm_solve(pb)
         path = trajectory.trace(sol, pb, (1.5, 0.0), step=10.0)
         seg = np.linalg.norm(np.diff(path.points[:-1], axis=0), axis=1)
@@ -87,7 +81,7 @@ class TestStepControl:
     def test_max_steps_status(self):
         # a flat-but-not-motionless field cannot happen with these solvers, so
         # force the budget instead: tiny steps on a long path
-        pb = radial_problem("trivial", 0.5, n=21)
+        pb = RadialCase("trivial", 0.5).problem(radial_grid(21))
         sol = grid.fmm_solve(pb)
         path = trajectory.trace(sol, pb, (1.9, 1.9), step=1e-5)
         assert path.status in ("ok", "max_steps")

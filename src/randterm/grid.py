@@ -11,13 +11,17 @@ maximum in each axis.  Each gridpoint value is the minimum of q and four
 quadrant solutions, each a root of a quadratic; this is causal in the smaller
 neighbors, so a Fast-Marching sweep (heap ordered acceptance) solves the whole
 system non-iteratively; the same marching skeleton serves the eikonal travel
-times.  A Gauss-Seidel sweeping solver is kept as an independent oracle.
+times.  It runs as compiled C (march.c) where a C compiler is available, with
+results equal bit for bit to the Python march.  A Gauss-Seidel sweeping
+solver is kept as an independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,28 +296,135 @@ def _march(nx, ny, V, seeds, blocked, update):
     return order
 
 
+# -O2 without -ffast-math, and the two flags march.c explains, keep every
+# IEEE operation of the compiled march equal to the Python one.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-fPIC", "-shared")
+
+
+def _build(source, lib):
+    """Compile source into the shared library lib; None, or why it failed."""
+    import shutil
+    import subprocess
+    import tempfile
+
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        return "no C compiler (cc or gcc) found"
+    try:
+        os.makedirs(os.path.dirname(lib), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(lib))
+        os.close(fd)
+    except OSError as exc:
+        return "cache directory is not writable (%s)" % exc
+    try:
+        try:
+            run = subprocess.run([cc, *_CFLAGS, "-o", tmp, source, "-lm"],
+                                 capture_output=True, text=True)
+        except OSError as exc:
+            return "cannot run %s (%s)" % (cc, exc)
+        if run.returncode != 0:
+            return "compile error: %s" % run.stderr.strip()
+        # a finished file renamed into place: a concurrent process never
+        # loads a half-written library
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return None
+
+
+@functools.cache
+def _kernel():
+    """march.c as a ctypes library, compiled on first use with the system C
+    compiler into $XDG_CACHE_HOME (default ~/.cache)/randterm/<sha256 of the
+    source and flags>/; None, with one warning on the "randterm" logger,
+    when there is no compiler, the build fails or the cache is unwritable."""
+    import ctypes
+    import hashlib
+    import logging  # here, not at import: it adds 5 ms to every start-up
+
+    source = os.path.join(os.path.dirname(__file__), "march.c")
+    with open(source, "rb") as fh:
+        key = hashlib.sha256(fh.read() + " ".join(_CFLAGS).encode())
+    cache = (os.environ.get("XDG_CACHE_HOME")
+             or os.path.join(os.path.expanduser("~"), ".cache"))
+    lib = os.path.join(cache, "randterm", key.hexdigest(), "march.so")
+    why = None if os.path.exists(lib) else _build(source, lib)
+    if why is None:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError as exc:
+            why = "cannot load %s (%s)" % (lib, exc)
+    if why is not None:
+        logging.getLogger("randterm").warning(
+            "compiled march unavailable, using the Python one: %s", why)
+        return None
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    arr = functools.partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
+    head = [i64, i64, arr(np.float64), arr(np.int64), i64, arr(np.uint8),
+            arr(np.int64), f64]
+    dll.fmm_march.argtypes = head + [arr(np.float64)] * 4
+    dll.eikonal_march.argtypes = head + [arr(np.float64)]
+    dll.fmm_march.restype = dll.eikonal_march.restype = ctypes.c_int
+    return dll
+
+
+def _compiled_march(entry, grid, V, seeds, blocked, *fields):
+    """Run march.c's `entry` on a grid as _march would, with the update of
+    fmm_solve (fmm_march; fields f, K, q, lam) or eikonal_solve
+    (eikonal_march; field f).  V (flat float64) is lowered in place; blocked
+    is a flat boolean array.  Returns the acceptance index per point, or
+    None when the kernel is unavailable."""
+    lib = _kernel()
+    if lib is None:
+        return None
+    npts = grid.nx * grid.ny
+    seeds = np.asarray(seeds, dtype=np.int64)
+    fields = [np.ascontiguousarray(a, dtype=np.float64).ravel()
+              for a in fields]
+    if (V.dtype != np.float64 or blocked.dtype != bool
+            or any(a.size != npts for a in (V, blocked, *fields))
+            or not np.all((seeds >= 0) & (seeds < npts))):
+        raise ValueError("march arrays must have nx * ny = %d points and "
+                         "seeds lie in range" % npts)
+    order = np.empty(npts, dtype=np.int64)
+    if getattr(lib, entry)(grid.nx, grid.ny, V, seeds, seeds.size,
+                           np.ascontiguousarray(blocked).view(np.uint8),
+                           order, grid.h, *fields):
+        raise MemoryError("out of memory for the march heap")
+    return order
+
+
 def fmm_solve(problem):
     """Non-iterative solve: initialize V = q, seed the local minima of q, and
     march (see _march), updating each neighbor through the single quadrant
     spanned by the newly accepted point and its best accepted orthogonal
-    neighbor (quadrant_update).  Masked points are never accepted.
+    neighbor (quadrant_update).  Masked points are never accepted.  Runs the
+    compiled march when it can be built (see _kernel), which gives the same
+    V and order bit for bit.
 
     Heap ties break on row-major index.  O(M log M) for M gridpoints.
     """
     g = problem.grid
-    h = g.h
-    # flat python lists are noticeably faster than ndarray scalar access here
-    V, fv, Kv, qv, lamv = (a.ravel().tolist() for a in (
-        problem.q, problem.f, problem.K, problem.q, problem.lam))
+    V = problem.q.ravel().copy()
+    seeds = np.flatnonzero(local_minima_mask(problem.q))
+    blocked = problem.mask().ravel()
+    order = _compiled_march("fmm_march", g, V, seeds, blocked, problem.f,
+                            problem.K, problem.q, problem.lam)
+    if order is None:
+        # flat python lists are noticeably faster than ndarray scalar access
+        Vl, fv, Kv, qv, lamv = (a.ravel().tolist() for a in (
+            V, problem.f, problem.K, problem.q, problem.lam))
 
-    def update(va, vo, n):
-        return quadrant_update(va, vo, Kv[n], qv[n], fv[n], lamv[n], h)
+        def update(va, vo, n):
+            return quadrant_update(va, vo, Kv[n], qv[n], fv[n], lamv[n], g.h)
 
-    seeds = np.flatnonzero(local_minima_mask(problem.q).ravel()).tolist()
-    order = _march(g.nx, g.ny, V, seeds, problem.mask().ravel().tolist(), update)
-    Varr = np.array(V).reshape(g.ny, g.nx)
-    return GridSolution(Varr, np.array(order).reshape(g.ny, g.nx),
-                        _motionless_mask(problem, Varr))
+        order = np.array(_march(g.nx, g.ny, Vl, seeds.tolist(),
+                                blocked.tolist(), update))
+        V = np.array(Vl)
+    V = V.reshape(g.ny, g.nx)
+    return GridSolution(V, order.reshape(g.ny, g.nx),
+                        _motionless_mask(problem, V))
 
 
 def default_motionless_eps(problem):

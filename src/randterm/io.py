@@ -297,7 +297,13 @@ def load_grid_scenario(path, lam=None, n=None):
 
     f, K = field("f", 1.0), field("K", 0.0)
     calls = _call_spec(path, doc["calls"]) if "calls" in doc else None
-    q = field("q") if calls is None else response_cost(grid, f, calls)
+    if calls is None:
+        q = field("q")
+    else:
+        # travel times are finite everywhere, so no point is masked: check
+        # f, K and lambda on the whole grid before any eikonal solve
+        GridProblem(grid=grid, f=f, K=K, q=0.0, lam=lam)
+        q = response_cost(grid, f, calls)
     problem = GridProblem(grid=grid, f=f, K=K, q=q, lam=lam)
     return problem, calls
 

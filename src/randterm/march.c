@@ -1,0 +1,150 @@
+/* Compiled form of randterm.grid._march with the two local updates of
+ * grid.quadrant_update (fmm_march) and eikonal_solve (eikonal_march).
+ *
+ * Every floating-point operation is the one the Python code performs, in the
+ * same order, so the results are bit-identical to it.  That holds only when
+ * built with -ffp-contract=off (no fused multiply-add) and -fno-builtin-pow
+ * (Python's x ** 2 calls libm pow; gcc would fold pow(x, 2.0) into x * x),
+ * and without -ffast-math.
+ *
+ * Both entry points return 0, or -1 when the heap cannot be allocated.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+typedef struct { double v; int64_t i; } entry;
+typedef struct { entry *a; int64_t n, cap; } heap;
+
+/* (value, index) order, as Python compares the tuples heapq holds */
+static int less(entry x, entry y) { return x.v < y.v || (x.v == y.v && x.i < y.i); }
+
+static int push(heap *h, double v, int64_t i)
+{
+    if (h->n == h->cap) {
+        entry *a = realloc(h->a, 2 * h->cap * sizeof(entry));
+        if (!a) return -1;
+        h->a = a;
+        h->cap *= 2;
+    }
+    entry e = {v, i};
+    int64_t k;
+    for (k = h->n++; k > 0 && less(e, h->a[(k - 1) / 2]); k = (k - 1) / 2)
+        h->a[k] = h->a[(k - 1) / 2];
+    h->a[k] = e;
+    return 0;
+}
+
+static entry pop(heap *h)
+{
+    entry top = h->a[0], last = h->a[--h->n];
+    int64_t k = 0, c;
+    for (; (c = 2 * k + 1) < h->n; k = c) {
+        if (c + 1 < h->n && less(h->a[c + 1], h->a[c])) c++;
+        if (!less(h->a[c], last)) break;
+        h->a[k] = h->a[c];
+    }
+    h->a[k] = last;
+    return top;
+}
+
+static double one_sided(double v1, double K, double q, double f, double lam, double h)
+{
+    return (h * K + lam * h * q + f * v1) / (lam * h + f);
+}
+
+/* quadrant_update and _real_roots; a NaN root fails every test, as in Python */
+static double quadrant(double v1, double v2, double K, double q, double f, double lam, double h)
+{
+    double lo = v2 < v1 ? v2 : v1, hi = v2 > v1 ? v2 : v1;
+    if (!isfinite(hi))
+        return isfinite(lo) ? one_sided(lo, K, q, f, lam, h) : INFINITY;
+    double g = f / h, s = K + lam * q;
+    double a = 2.0 * g * g - lam * lam;
+    double b = -2.0 * g * g * (v1 + v2) + 2.0 * lam * s;
+    double c = g * g * (v1 * v1 + v2 * v2) - s * s;
+    double r[2] = {NAN, NAN}, disc;
+    if (a == 0.0) {
+        if (b != 0.0) r[0] = -c / b;
+    } else if ((disc = b * b - 4.0 * a * c) >= 0.0) {
+        double sq = sqrt(disc);
+        double t = b >= 0.0 ? -0.5 * (b + sq) : -0.5 * (b - sq);
+        r[0] = t == 0.0 ? 0.0 : t / a;
+        r[1] = t == 0.0 ? NAN : c / t;
+    }
+    double tol = 1e-12 * (fabs(hi) > 1.0 ? fabs(hi) : 1.0);
+    double stol = -1e-12 * (fabs(s) > 1.0 ? fabs(s) : 1.0);
+    double best = NAN;
+    for (int k = 0; k < 2; k++)
+        if (r[k] >= hi - tol && s - lam * r[k] >= stol && (isnan(best) || r[k] < best))
+            best = r[k];
+    if (isnan(best)) return one_sided(lo, K, q, f, lam, h);
+    return hi > best ? hi : best;
+}
+
+static double travel(double a, double b, double s)
+{
+    if (a > b) { double t = a; a = b; b = t; }
+    if (b - a >= s) return a + s;
+    return 0.5 * (a + b + sqrt(2.0 * s * s - pow(b - a, 2.0)));
+}
+
+static int march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseeds,
+                 const uint8_t *blocked, int64_t *order, int eikonal, double h,
+                 const double *f, const double *K, const double *q, const double *lam)
+{
+    int64_t accepted = 0;
+    uint8_t *state = calloc(nx * ny, 1); /* 0 far, 1 considered, 2 accepted */
+    heap hp = {malloc(64 * sizeof(entry)), 0, 64};
+    int rc = -1;
+    if (!state || !hp.a) goto done;
+    for (int64_t k = 0; k < nx * ny; k++) order[k] = -1;
+    for (int64_t k = 0; k < nseeds; k++) {
+        state[seeds[k]] = 1;
+        if (push(&hp, V[seeds[k]], seeds[k])) goto done;
+    }
+    while (hp.n) {
+        entry e = pop(&hp);
+        int64_t idx = e.i, j = idx / nx, i = idx % nx;
+        if (state[idx] == 2) continue; /* stale: a lower entry was accepted first */
+        state[idx] = 2;
+        order[idx] = accepted++;
+        /* neighbor, inside?, step to its other-axis neighbors, do they exist? */
+        struct { int64_t n; int inside; int64_t s; int lo, hi; } nb[4] = {
+            {idx + 1, i < nx - 1, nx, j > 0, j < ny - 1},
+            {idx - 1, i > 0, nx, j > 0, j < ny - 1},
+            {idx + nx, j < ny - 1, 1, i > 0, i < nx - 1},
+            {idx - nx, j > 0, 1, i > 0, i < nx - 1}};
+        for (int k = 0; k < 4; k++) {
+            int64_t n = nb[k].n, s = nb[k].s;
+            if (!nb[k].inside || state[n] == 2 || blocked[n]) continue;
+            double vo = INFINITY;
+            if (nb[k].lo && state[n - s] == 2) vo = V[n - s];
+            if (nb[k].hi && state[n + s] == 2 && V[n + s] < vo) vo = V[n + s];
+            double cand = eikonal ? travel(e.v, vo, h / f[n])
+                                  : quadrant(e.v, vo, K[n], q[n], f[n], lam[n], h);
+            if (cand < V[n]) V[n] = cand;
+            else if (state[n]) continue;
+            state[n] = 1;
+            if (push(&hp, V[n], n)) goto done;
+        }
+    }
+    rc = 0;
+done:
+    free(state);
+    free(hp.a);
+    return rc;
+}
+
+int fmm_march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseeds,
+              const uint8_t *blocked, int64_t *order, double h, const double *f,
+              const double *K, const double *q, const double *lam)
+{
+    return march(nx, ny, V, seeds, nseeds, blocked, order, 0, h, f, K, q, lam);
+}
+
+int eikonal_march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseeds,
+                  const uint8_t *blocked, int64_t *order, double h, const double *f)
+{
+    return march(nx, ny, V, seeds, nseeds, blocked, order, 1, h, f, 0, 0, 0);
+}

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from randterm import grid
 from randterm.cli import random_graph_problem
 from randterm.graph import GraphProblem
 
@@ -51,3 +52,25 @@ def rng():
 @pytest.fixture(params=range(5))
 def random_problem(request):
     return random_graph_problem(request.param, nodes=60, degree=5)
+
+
+@pytest.fixture(scope="session")
+def compiled_march():
+    """Skip the test where the compiled march (grid._kernel) cannot be built."""
+    if grid._kernel() is None:
+        pytest.skip("the compiled march cannot be built here (no working C "
+                    "compiler or writable cache); the Python march runs")
+
+
+def both_marches(solve):
+    """(solve() with the compiled march, solve() with the Python march)."""
+    compiled = solve()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(grid, "_kernel", lambda: None)
+        return compiled, solve()
+
+
+def bit_equal(a, b):
+    """Same float64 bits (so -0.0 != 0.0 and inf == inf)."""
+    return np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64))

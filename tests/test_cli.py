@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from randterm import graph, grid, io
+from randterm import eikonal, graph, grid, io
 from randterm.cli import main, random_graph_problem
 
 from conftest import scenario
@@ -261,6 +261,29 @@ class TestRunGrid:
         assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
         assert "either 'q' or 'calls'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("f", {"disk": {"center": [5.0, 5.0], "radius": 2.5,
+                        "value": math.inf, "default": 1.0}},
+         "speed must be positive and finite off the mask"),
+        ("K", -1.0, "running cost must be nonnegative and finite"),
+        ("lambda", 0.0, "termination rate must be positive and finite"),
+    ], ids=["infinite-speed", "negative-cost", "zero-rate"])
+    def test_fields_checked_before_eikonal_solves(self, tmp_path, capsys,
+                                                  monkeypatch, key, value,
+                                                  message):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("eikonal solve before the field check")
+
+        monkeypatch.setattr(eikonal, "eikonal_solve", unexpected)
+        with open(scenario("slow_disk.json")) as fh:
+            doc = json.load(fh)
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("run-grid", str(bad), "--grid", "301",
+                   "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["run-grid", scenario("radial_trivial.json"), "--grid", "3163x3163"],
         ["run-convergence", "trivial", "--grids", "11,3163"],
@@ -301,17 +324,31 @@ class TestRunConvergence:
 
 
 class TestImport:
+    @staticmethod
+    def after_import(expr, **env):
+        """expr printed by a fresh interpreter that imported the package."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-c", "import sys, randterm, randterm.cli; "
+             "print(%s)" % expr],
+            env=env, capture_output=True, text=True, check=True).stdout.strip()
+
     def test_import_loads_no_scipy(self):
         # scipy is imported inside the functions that need it, which keeps
         # the start-up of every command short
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, randterm, randterm.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "[]"
+        assert self.after_import("sorted(m for m in sys.modules "
+                                 "if m.split('.')[0] == 'scipy')") == "[]"
+
+    def test_import_leaves_the_compiled_march_alone(self, tmp_path):
+        # the march kernel is looked for, built and loaded by the first
+        # solve, never at import, for the same reason
+        assert self.after_import(
+            "randterm.grid._kernel.cache_info().misses, "
+            "'subprocess' in sys.modules", XDG_CACHE_HOME=str(tmp_path)
+        ) == "0 False"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRandomGraph:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randterm import eikonal
 from randterm.grid import Grid2D, neighbours
+
+from conftest import bit_equal, both_marches
 
 
 def unit_grid(n=51, extent=2.0):
@@ -103,6 +107,40 @@ class TestEikonalSolve:
         mask[5, 5] = True
         with pytest.raises(ValueError):
             eikonal.eikonal_solve(g, 1.0, (5, 5), mask=mask)
+
+
+@pytest.mark.usefixtures("compiled_march")
+class TestCompiledMarch:
+    """eikonal_solve through march.c gives the Python march's u, bit for
+    bit."""
+
+    def test_walls_rectangular(self):
+        rng = np.random.default_rng(7)
+        g = Grid2D(nx=47, ny=39, h=0.05)
+        mask = rng.random((39, 47)) < 0.1
+        mask[5:30, 20] = True
+        mask[3, 4] = False
+        f = rng.uniform(0.5, 2.0, (39, 47))
+        for m in (None, mask):
+            compiled, python = both_marches(
+                lambda: eikonal.eikonal_solve(g, f, (3, 4), mask=m))
+            assert bit_equal(compiled, python)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(2, 16),
+           st.booleans())
+    def test_random_fields(self, seed, nx, ny, masked):
+        rng = np.random.default_rng(seed)
+        g = Grid2D(nx=nx, ny=ny, h=rng.uniform(0.05, 1.0))
+        f = rng.uniform(0.2, 3.0, (ny, nx))
+        src = (int(rng.integers(ny)), int(rng.integers(nx)))
+        mask = None
+        if masked:
+            mask = rng.random((ny, nx)) < 0.3
+            mask[src] = False
+        compiled, python = both_marches(
+            lambda: eikonal.eikonal_solve(g, f, src, mask=mask))
+        assert bit_equal(compiled, python)
 
 
 class TestResponseCost:

@@ -1,10 +1,19 @@
+import logging
 import math
+import shutil
+import subprocess
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randterm import analytic, grid
 from randterm.analytic import RadialCase, radial_grid
+from randterm.eikonal import eikonal_solve
+
+from conftest import bit_equal, both_marches
 
 
 class TestGeometry:
@@ -225,3 +234,112 @@ class TestMotionlessSet:
         jj, ii = np.nonzero(mset.mask)
         assert len(jj) == 1
         assert (jj[0], ii[0]) == pb.grid.nearest_index((0.0, 0.0))
+
+
+def random_problem(rng, nx, ny):
+    """Random fields on an nx x ny grid: plateaus of q (rounded values),
+    masked points, zero running costs and a scalar or pointwise lambda."""
+    shape = (ny, nx)
+    q = np.round(rng.uniform(0.0, 3.0, shape), int(rng.integers(0, 3)))
+    q[rng.random(shape) < rng.uniform(0.0, 0.3)] = math.inf
+    K = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) < 0.7)
+    lam = rng.uniform(0.05, 5.0, shape if rng.random() < 0.5 else None)
+    g = grid.Grid2D(nx=nx, ny=ny, h=rng.uniform(0.05, 1.0))
+    return grid.GridProblem(grid=g, f=rng.uniform(0.2, 3.0, shape), K=K, q=q,
+                            lam=lam)
+
+
+@pytest.mark.usefixtures("compiled_march")
+class TestCompiledMarch:
+    """fmm_solve through march.c gives the Python march's V, bit for bit,
+    and its acceptance order."""
+
+    @staticmethod
+    def check(pb):
+        compiled, python = both_marches(lambda: grid.fmm_solve(pb))
+        assert bit_equal(compiled.V, python.V)
+        assert np.array_equal(compiled.order, python.order)
+
+    @pytest.mark.parametrize("case, lam, n", [("circular", 0.5, 201),
+                                              ("trivial", 5.0, 101)])
+    def test_radial(self, case, lam, n):
+        self.check(RadialCase(case, lam).problem(radial_grid(n)))
+
+    def test_masked_plateaus_rectangular(self):
+        rng = np.random.default_rng(3)
+        pb = grid.GridProblem(
+            grid=grid.Grid2D(nx=57, ny=43, h=0.1),
+            f=rng.uniform(0.2, 3.0, (43, 57)), K=0.0,
+            q=np.round(rng.uniform(0.0, 3.0, (43, 57))),
+            lam=rng.uniform(0.1, 4.0, (43, 57)))
+        pb.q[10:35, 20] = math.inf
+        assert pb.mask().any() and grid.local_minima_mask(pb.q).sum() > 50
+        self.check(pb)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(2, 16))
+    def test_random_fields(self, seed, nx, ny):
+        self.check(random_problem(np.random.default_rng(seed), nx, ny))
+
+
+class TestKernelLoading:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        clear = grid._kernel.cache_clear  # tests may patch grid._kernel
+        clear()
+        yield
+        clear()
+
+    def fallback_warnings(self, caplog):
+        """Solve twice; the messages logged on the "randterm" channel."""
+        pb = RadialCase("circular", 0.5).problem(radial_grid(11))
+        with caplog.at_level(logging.WARNING, logger="randterm"):
+            grid.fmm_solve(pb)
+            grid.fmm_solve(pb)
+        return [r.getMessage() for r in caplog.records]
+
+    def test_no_compiler(self, caplog, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        assert self.fallback_warnings(caplog) == [
+            "compiled march unavailable, using the Python one: "
+            "no C compiler (cc or gcc) found"]
+
+    @pytest.mark.usefixtures("compiled_march")
+    def test_compile_error(self, caplog, monkeypatch):
+        monkeypatch.setattr(grid, "_CFLAGS",
+                            grid._CFLAGS + ("-std=no-such-standard",))
+        [message] = self.fallback_warnings(caplog)
+        assert "using the Python one: compile error: " in message
+
+    @pytest.mark.usefixtures("compiled_march")
+    def test_unwritable_cache(self, caplog, monkeypatch, tmp_path):
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        [message] = self.fallback_warnings(caplog)
+        assert "using the Python one: cache directory is not writable" in message
+
+    @pytest.mark.usefixtures("compiled_march")
+    def test_built_once_into_the_cache(self, monkeypatch, tmp_path):
+        assert grid._kernel() is not None
+        built = list((tmp_path / "cache" / "randterm").glob("*/*"))
+        assert [p.name for p in built] == ["march.so"]
+        grid._kernel.cache_clear()
+        monkeypatch.setattr(subprocess, "run", None)  # no second build
+        assert grid._kernel() is not None
+
+    @pytest.mark.usefixtures("compiled_march")
+    def test_bad_arrays_raise(self):
+        g, blocked = grid.Grid2D(nx=4, ny=4, h=1.0), np.zeros(16, dtype=bool)
+        for V, seeds, f in ((np.zeros(12), [0], np.ones(16)),
+                            (np.zeros(16), [0], np.ones(15)),
+                            (np.zeros(16), [16], np.ones(16)),
+                            (np.zeros(16), [-1], np.ones(16))):
+            with pytest.raises(ValueError, match="nx \\* ny = 16 points"):
+                grid._compiled_march("eikonal_march", g, V, seeds, blocked, f)
+
+    def test_allocation_failure_is_memory_error(self, monkeypatch):
+        monkeypatch.setattr(grid, "_kernel", lambda: types.SimpleNamespace(
+            eikonal_march=lambda *args: -1))
+        with pytest.raises(MemoryError):
+            eikonal_solve(grid.Grid2D(nx=3, ny=3, h=1.0), 1.0, (1, 1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _as_field, _compiled_march, _march
+from .grid import march
 
 INF = math.inf
 
@@ -48,36 +48,22 @@ def eikonal_solve(grid, f, source, mask=None):
 
     source is a (j, i) index pair; masked points stay at +inf (state
     constraint: motion along boundary rows/columns is allowed, leaving the
-    domain is not).  Marches (grid._march, compiled when it can be built)
-    from u = 0 at the source with the standard two-axis upwind update.
+    domain is not).  Marches (grid.march, compiled when it can be built)
+    from u = 0 at the source with the standard two-axis upwind update
+    (grid.travel_update).
     """
     nx, ny = grid.nx, grid.ny
-    farr = _as_field(f, grid)
+    f = np.full((ny, nx), f, float).ravel()
     blocked = (np.zeros(nx * ny, dtype=bool) if mask is None
                else np.asarray(mask, dtype=bool).ravel())
-    if not np.all(farr.ravel()[~blocked] > 0):
+    if not np.all(f[~blocked] > 0):
         raise ValueError("speed must be positive off the mask")
     sidx = int(np.ravel_multi_index(source, (ny, nx)))
     if blocked[sidx]:
         raise ValueError("source lies on a masked point")
     u = np.full(nx * ny, INF)
     u[sidx] = 0.0
-    if _compiled_march("eikonal_march", grid, u, [sidx], blocked,
-                       farr) is None:
-        hfl = np.divide(grid.h, farr.ravel(), out=np.full(nx * ny, INF),
-                        where=~blocked).tolist()
-
-        def update(a, b, n):
-            s = hfl[n]
-            if a > b:
-                a, b = b, a
-            if b - a >= s:
-                return a + s
-            return 0.5 * (a + b + math.sqrt(2.0 * s * s - (b - a) ** 2))
-
-        ul = u.tolist()
-        _march(nx, ny, ul, [sidx], blocked.tolist(), update)
-        u = np.array(ul)
+    march(grid, u, [sidx], blocked, f)
     return u.reshape(ny, nx)
 
 

@@ -138,8 +138,11 @@ def validate(problem):
 
 
 def _require_valid(problem):
-    """ValueError unless the problem satisfies A1-A3."""
+    """ValueError unless the problem satisfies A1-A3, naming the first five
+    violations and the count of the rest (validate lists them all)."""
     issues = validate(problem)
+    if len(issues) > 5:
+        issues[5:] = ["and %d more" % (len(issues) - 5)]
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
 
@@ -257,12 +260,13 @@ def _solution(problem, V, const, surv, **stats):
 def value_iteration(problem, tol=1e-13, max_iters=100000):
     """Fixed-point iteration for the optimality equation (the general oracle).
 
-    Does not require A1-A3, but every edge needs a p.  Each Jacobi sweep is
-    a row minimum over the edge arrays.  Non-convergence is reported through
-    the status field, carrying the last iterate.
+    Does not require A1-A3, but every edge needs a p in [0, 1].  Each Jacobi
+    sweep is a row minimum over the edge arrays.  Non-convergence is reported
+    through the status field, carrying the last iterate.
     """
-    for e in np.flatnonzero(np.isnan(problem.p))[:1].tolist():  # the first
-        raise ValueError("p missing or nan on edge (%d,%d)"
+    bad = ~((0.0 <= problem.p) & (problem.p <= 1.0))  # nan too
+    for e in np.flatnonzero(bad)[:1].tolist():  # the first
+        raise ValueError("p missing, nan or outside [0, 1] on edge (%d,%d)"
                          % (problem.src[e], problem.dst[e]))
     indptr, dst = problem.indptr, problem.dst
     const, surv = _terms(problem)

@@ -95,12 +95,6 @@ class Grid2D:
         return j, i
 
 
-def _as_field(value, grid):
-    arr = np.empty((grid.ny, grid.nx))
-    arr[:] = value
-    return arr
-
-
 @dataclass
 class GridProblem:
     """Speed f > 0, running cost K >= 0, terminal cost q (+inf on masked
@@ -113,7 +107,8 @@ class GridProblem:
     lam: np.ndarray
 
     def __post_init__(self):
-        self.f, self.K, self.q, self.lam = (_as_field(a, self.grid) for a in (
+        shape = (self.grid.ny, self.grid.nx)
+        self.f, self.K, self.q, self.lam = (np.full(shape, a, float) for a in (
             self.f, self.K, self.q, self.lam))
         live = ~self.mask()
         for what, field, ok in (
@@ -178,6 +173,17 @@ def quadrant_update(v1, v2, K, q, f, lam, h):
     if best is None:
         return one_sided_update(lo, K, q, f, lam, h)
     return max(best, hi)
+
+
+def travel_update(a, b, s):
+    """Two-axis upwind update of the eikonal |grad u| f = 1 with step time
+    s = h / f: the root u >= max(a, b) of (u-a)^2 + (u-b)^2 = s^2, or a + s
+    from the smaller neighbour alone when |a - b| >= s."""
+    if a > b:
+        a, b = b, a
+    if b - a >= s:
+        return a + s
+    return 0.5 * (a + b + math.sqrt(2.0 * s * s - (b - a) ** 2))
 
 
 def _real_roots(a, b, c):
@@ -246,19 +252,15 @@ def local_minima_mask(q):
     return m
 
 
-def _march(nx, ny, V, seeds, blocked, update):
-    """Fast-Marching skeleton (Sethian 1996) of fmm_solve and eikonal_solve.
-
-    V (flat, row-major) is lowered in place.  Points are accepted in
-    (value, index) order from the seeds; for each unaccepted, unblocked
-    4-neighbor n of a point accepted with value va, cand = update(va, vo, n)
-    with vo the best accepted neighbor of n on the other axis (+inf if none).
-    A point is pushed when first reached or when its value drops.  Returns
-    the acceptance index per point, -1 if never accepted.
-    """
+def _march(g, V, seeds, blocked, eikonal, f, K, q, lam):
+    """The Python march, the reference for march.c; see march."""
+    nx, ny, h = g.nx, g.ny, g.h
+    # flat python lists are noticeably faster than ndarray scalar access
+    Vl, seeds, blocked, f, K, q, lam = (a.tolist() for a in (
+        V, seeds, blocked, f, K, q, lam))
     state = [0] * (nx * ny)  # 0 far, 1 considered, 2 accepted
     order = [-1] * (nx * ny)
-    heap = [(V[idx], idx) for idx in seeds]
+    heap = [(Vl[idx], idx) for idx in seeds]
     heapq.heapify(heap)
     for idx in seeds:
         state[idx] = 1
@@ -283,17 +285,21 @@ def _march(nx, ny, V, seeds, blocked, update):
                 continue
             vo = INF
             if lo and state[n - s] == 2:
-                vo = V[n - s]
-            if hi and state[n + s] == 2 and V[n + s] < vo:
-                vo = V[n + s]
-            cand = update(va, vo, n)
-            if cand < V[n]:
-                V[n] = cand
+                vo = Vl[n - s]
+            if hi and state[n + s] == 2 and Vl[n + s] < vo:
+                vo = Vl[n + s]
+            if eikonal:
+                cand = travel_update(va, vo, h / f[n])
+            else:
+                cand = quadrant_update(va, vo, K[n], q[n], f[n], lam[n], h)
+            if cand < Vl[n]:
+                Vl[n] = cand
             elif state[n]:
                 continue
             state[n] = 1
-            push(heap, (V[n], n))
-    return order
+            push(heap, (Vl[n], n))
+    V[:] = Vl
+    return np.array(order)
 
 
 # -O2 without -ffast-math, and the two flags march.c explains, keep every
@@ -361,25 +367,30 @@ def _kernel():
         return None
     i64, f64 = ctypes.c_int64, ctypes.c_double
     arr = functools.partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
-    head = [i64, i64, arr(np.float64), arr(np.int64), i64, arr(np.uint8),
-            arr(np.int64), f64]
-    dll.fmm_march.argtypes = head + [arr(np.float64)] * 4
-    dll.eikonal_march.argtypes = head + [arr(np.float64)]
-    dll.fmm_march.restype = dll.eikonal_march.restype = ctypes.c_int
+    dll.march.argtypes = [i64, i64, arr(np.float64), arr(np.int64), i64,
+                          arr(np.uint8), arr(np.int64), ctypes.c_int, f64,
+                          *[arr(np.float64)] * 4]
+    dll.march.restype = ctypes.c_int
     return dll
 
 
-def _compiled_march(entry, grid, V, seeds, blocked, *fields):
-    """Run march.c's `entry` on a grid as _march would, with the update of
-    fmm_solve (fmm_march; fields f, K, q, lam) or eikonal_solve
-    (eikonal_march; field f).  V (flat float64) is lowered in place; blocked
-    is a flat boolean array.  Returns the acceptance index per point, or
-    None when the kernel is unavailable."""
-    lib = _kernel()
-    if lib is None:
-        return None
+def march(grid, V, seeds, blocked, *fields):
+    """Fast-Marching pass (Sethian 1996) of fmm_solve, with fields f, K, q,
+    lam and quadrant_update, or of eikonal_solve, with field f and
+    travel_update at step time h / f.
+
+    V (flat float64) is lowered in place; blocked is a flat boolean array of
+    points never accepted.  Points are accepted in (value, index) order from
+    the seeds; for each unaccepted, unblocked 4-neighbor n of a point
+    accepted with value va, the update gets va and vo, the best accepted
+    neighbor of n on the other axis (+inf if none).  A point is pushed when
+    first reached or when its value drops.  Runs march.c when it can be
+    built (see _kernel), else the Python march, with the same results bit
+    for bit.  Returns the acceptance index per point, -1 if never accepted.
+    """
     npts = grid.nx * grid.ny
     seeds = np.asarray(seeds, dtype=np.int64)
+    blocked = np.ascontiguousarray(blocked)
     fields = [np.ascontiguousarray(a, dtype=np.float64).ravel()
               for a in fields]
     if (V.dtype != np.float64 or blocked.dtype != bool
@@ -387,21 +398,23 @@ def _compiled_march(entry, grid, V, seeds, blocked, *fields):
             or not np.all((seeds >= 0) & (seeds < npts))):
         raise ValueError("march arrays must have nx * ny = %d points and "
                          "seeds lie in range" % npts)
+    eikonal = len(fields) == 1
+    f, K, q, lam = fields * 4 if eikonal else fields  # eikonal reads f only
+    lib = _kernel()
+    if lib is None:
+        return _march(grid, V, seeds, blocked, eikonal, f, K, q, lam)
     order = np.empty(npts, dtype=np.int64)
-    if getattr(lib, entry)(grid.nx, grid.ny, V, seeds, seeds.size,
-                           np.ascontiguousarray(blocked).view(np.uint8),
-                           order, grid.h, *fields):
+    if lib.march(grid.nx, grid.ny, V, seeds, seeds.size,
+                 blocked.view(np.uint8), order, eikonal, grid.h, f, K, q, lam):
         raise MemoryError("out of memory for the march heap")
     return order
 
 
 def fmm_solve(problem):
     """Non-iterative solve: initialize V = q, seed the local minima of q, and
-    march (see _march), updating each neighbor through the single quadrant
-    spanned by the newly accepted point and its best accepted orthogonal
-    neighbor (quadrant_update).  Masked points are never accepted.  Runs the
-    compiled march when it can be built (see _kernel), which gives the same
-    V and order bit for bit.
+    march, updating each neighbor through the single quadrant spanned by the
+    newly accepted point and its best accepted orthogonal neighbor
+    (quadrant_update).  Masked points are never accepted.
 
     Heap ties break on row-major index.  O(M log M) for M gridpoints.
     """
@@ -409,19 +422,8 @@ def fmm_solve(problem):
     V = problem.q.ravel().copy()
     seeds = np.flatnonzero(local_minima_mask(problem.q))
     blocked = problem.mask().ravel()
-    order = _compiled_march("fmm_march", g, V, seeds, blocked, problem.f,
-                            problem.K, problem.q, problem.lam)
-    if order is None:
-        # flat python lists are noticeably faster than ndarray scalar access
-        Vl, fv, Kv, qv, lamv = (a.ravel().tolist() for a in (
-            V, problem.f, problem.K, problem.q, problem.lam))
-
-        def update(va, vo, n):
-            return quadrant_update(va, vo, Kv[n], qv[n], fv[n], lamv[n], g.h)
-
-        order = np.array(_march(g.nx, g.ny, Vl, seeds.tolist(),
-                                blocked.tolist(), update))
-        V = np.array(Vl)
+    order = march(g, V, seeds, blocked, problem.f, problem.K, problem.q,
+                  problem.lam)
     V = V.reshape(g.ny, g.nx)
     return GridSolution(V, order.reshape(g.ny, g.nx),
                         _motionless_mask(problem, V))

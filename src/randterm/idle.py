@@ -47,8 +47,8 @@ class IdleScenario:
             np.asarray(a, np.intp) for a in (self.src, self.dst, self.call_nodes))
         self.tau, self.call_probs = (np.asarray(a, float)
                                      for a in (self.tau, self.call_probs))
-        if self.lam <= 0:
-            raise ValueError("call rate must be positive")
+        if not 0 < self.lam < math.inf:  # nan too
+            raise ValueError("call rate must be positive and finite")
         check_call_probabilities(self.call_probs)
         for e in np.flatnonzero((self.src != self.dst)
                                 & ~(self.tau > 0))[:1].tolist():

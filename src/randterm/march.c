@@ -1,5 +1,7 @@
-/* Compiled form of randterm.grid._march with the two local updates of
- * grid.quadrant_update (fmm_march) and eikonal_solve (eikonal_march).
+/* The compiled march of randterm.grid.march, twin of the Python grid._march.
+ * It exports one function, march(), which runs the update of fmm_solve
+ * (grid.quadrant_update) or, when eikonal is set, that of eikonal_solve
+ * (grid.travel_update, which reads f only).
  *
  * Every floating-point operation is the one the Python code performs, in the
  * same order, so the results are bit-identical to it.  That holds only when
@@ -7,7 +9,7 @@
  * (Python's x ** 2 calls libm pow; gcc would fold pow(x, 2.0) into x * x),
  * and without -ffast-math.
  *
- * Both entry points return 0, or -1 when the heap cannot be allocated.
+ * march() returns 0, or -1 when the heap cannot be allocated.
  */
 #include <math.h>
 #include <stdint.h>
@@ -89,9 +91,9 @@ static double travel(double a, double b, double s)
     return 0.5 * (a + b + sqrt(2.0 * s * s - pow(b - a, 2.0)));
 }
 
-static int march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseeds,
-                 const uint8_t *blocked, int64_t *order, int eikonal, double h,
-                 const double *f, const double *K, const double *q, const double *lam)
+int march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseeds,
+          const uint8_t *blocked, int64_t *order, int eikonal, double h,
+          const double *f, const double *K, const double *q, const double *lam)
 {
     int64_t accepted = 0;
     uint8_t *state = calloc(nx * ny, 1); /* 0 far, 1 considered, 2 accepted */
@@ -134,17 +136,4 @@ done:
     free(state);
     free(hp.a);
     return rc;
-}
-
-int fmm_march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseeds,
-              const uint8_t *blocked, int64_t *order, double h, const double *f,
-              const double *K, const double *q, const double *lam)
-{
-    return march(nx, ny, V, seeds, nseeds, blocked, order, 0, h, f, K, q, lam);
-}
-
-int eikonal_march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseeds,
-                  const uint8_t *blocked, int64_t *order, double h, const double *f)
-{
-    return march(nx, ny, V, seeds, nseeds, blocked, order, 1, h, f, 0, 0, 0);
 }

@@ -44,6 +44,27 @@ class TestRunGraph:
         assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "0.5",
                    "--solver", "dial", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("p", ["1.5", "-0.5"])
+    def test_vi_probability_out_of_range_exit_2(self, tmp_path, capsys, p):
+        assert run("run-graph", scenario("two_node_cycle.txt"), "--p", p,
+                   "--solver", "vi", "--out", str(tmp_path)) == 2
+        assert "outside [0, 1] on edge (0,0)" in capsys.readouterr().err
+
+    def test_validation_message_is_bounded(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        assert run("random-graph", "--nodes", "2000", "--out",
+                   str(path)) == 0
+        assert run("run-graph", str(path), "--p", "1.5",
+                   "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        pb = io.load_graph(str(path))
+        pb.p[:] = 1.5
+        issues = graph.validate(pb)  # still the full list
+        assert len(issues) == pb.dst.size
+        assert len(err) < 500
+        assert err.count("; ") == 5
+        assert err.endswith("; and %d more\n" % (len(issues) - 5))
+
     def test_vi_accepts_zero_margin_cycle(self, tmp_path):
         assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "0.5",
                    "--solver", "vi", "--out", str(tmp_path)) == 0

@@ -336,10 +336,10 @@ class TestKernelLoading:
                             (np.zeros(16), [16], np.ones(16)),
                             (np.zeros(16), [-1], np.ones(16))):
             with pytest.raises(ValueError, match="nx \\* ny = 16 points"):
-                grid._compiled_march("eikonal_march", g, V, seeds, blocked, f)
+                grid.march(g, V, seeds, blocked, f)
 
     def test_allocation_failure_is_memory_error(self, monkeypatch):
         monkeypatch.setattr(grid, "_kernel", lambda: types.SimpleNamespace(
-            eikonal_march=lambda *args: -1))
+            march=lambda *args: -1))
         with pytest.raises(MemoryError):
             eikonal_solve(grid.Grid2D(nx=3, ny=3, h=1.0), 1.0, (1, 1))

@@ -83,6 +83,28 @@ class TestQuadrant:
                 assert out2 == pytest.approx(out, abs=1e-10)
 
 
+class TestTravel:
+    def test_one_sided(self, rng):
+        # a + s from the smaller neighbour when the other is s or more above
+        assert grid.travel_update(0.5, 0.75, 0.25) == 0.75  # |a - b| == s
+        for _ in range(200):
+            a, s = rng.uniform(0, 4), rng.uniform(0.01, 2)
+            for b in (a + s + rng.uniform(0, 4), math.inf):
+                assert b - a >= s
+                assert grid.travel_update(a, b, s) == a + s
+
+    def test_symmetric(self, rng):
+        for _ in range(200):
+            a, b = rng.uniform(0, 4, 2)
+            s = rng.uniform(0.01, 2)
+            assert grid.travel_update(a, b, s) == grid.travel_update(b, a, s)
+
+    def test_equal_neighbours(self):
+        for a, s in ((0.0, 1.0), (2.5, 0.3), (1e3, 1e-3)):
+            assert grid.travel_update(a, a, s) == \
+                pytest.approx(a + s / math.sqrt(2), rel=1e-15)
+
+
 class TestNodeUpdate:
     def test_all_infinite(self):
         got = grid.node_update((math.inf,) * 4, 1.0, 2.5, 1.0, 1.0, 0.1)

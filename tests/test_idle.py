@@ -46,8 +46,9 @@ class TestScenario:
             ring(tau=float("nan"))
 
     def test_lam_positive(self):
-        with pytest.raises(ValueError):
-            ring(lam=0.0)
+        for lam in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ring(lam=lam)
 
 
 class TestEdgeWaitCost:

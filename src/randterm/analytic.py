@@ -35,8 +35,8 @@ class RadialCase:
     def __post_init__(self):
         if self.case not in CASES:
             raise ValueError("unknown case %r" % (self.case,))
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
 
     def problem(self, grid):
         """The case on grid: unit speed, q = |x| and K = 0 (trivial) or |x|

@@ -27,54 +27,53 @@ def _config_hash(scenario_path, flags):
     return h.hexdigest()[:16]
 
 
-def _write_summary(out_dir, summary):
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+def _run(args, flags, solve, write, **keys):
+    """Time solve(), then write(solution) the outputs and summary.json: the
+    keys every solver shares, keys, and the keys write returns.  Exit code 3
+    and no output when the solution's status is not "ok" (the solver has
+    logged why)."""
+    os.makedirs(args.out, exist_ok=True)
+    t0 = time.perf_counter()
+    sol = solve()
+    wall = time.perf_counter() - t0
+    if sol.status != "ok":
+        return 3
+    keys.update(write(sol), scenario=os.path.basename(args.scenario),
+                solver=args.solver, status=sol.status,
+                iterations=sol.iterations, wall_time_s=wall,
+                motionless_count=int(np.count_nonzero(sol.motionless)),
+                config_hash=_config_hash(args.scenario,
+                                         dict(flags, solver=args.solver)))
+    with open(os.path.join(args.out, "summary.json"), "w") as fh:
+        json.dump(keys, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return 0
 
 
 def cmd_run_graph(args):
-    os.makedirs(args.out, exist_ok=True)
     if io.is_idle_scenario(args.scenario):
-        scenario = io.load_idle(args.scenario)
-        problem = idle.build_problem(scenario)
+        problem = idle.build_problem(io.load_idle(args.scenario))
     else:
         problem = io.load_graph(args.scenario, default_p=args.p)
     if args.p is not None:
         problem.p[:] = args.p
     # the label-setting solvers check A1-A3 themselves (ValueError, exit 2);
     # value iteration does not need them
-    t0 = time.perf_counter()
-    heap_ops = 0
-    if args.solver == "dijkstra":
-        sol = graph.dijkstra_solve(problem)
-        heap_ops = len(sol.acceptance_order) + sol.updates
-    elif args.solver == "dial":
-        sol = graph.dial_solve(problem)
-        heap_ops = len(sol.acceptance_order)
-    else:
-        sol = graph.value_iteration(problem, tol=args.tol)
-        if sol.status != "ok":
-            print("value iteration did not converge after %d sweeps"
-                  % sol.iterations, file=sys.stderr)
-            return 3
-    wall = time.perf_counter() - t0
-    io.write_graph_solution(os.path.join(args.out, "solution.csv"), problem, sol)
-    _write_summary(args.out, {
-        "scenario": os.path.basename(args.scenario),
-        "solver": args.solver,
-        "nodes": problem.node_count,
-        "wall_time_s": wall,
-        "heap_operations": heap_ops,
-        "iterations": sol.iterations,
-        "motionless_count": int(np.count_nonzero(sol.motionless)),
-        "config_hash": _config_hash(args.scenario,
-                                    {"solver": args.solver, "p": args.p}),
-    })
-    return 0
+    solvers = {"dijkstra": graph.dijkstra_solve, "dial": graph.dial_solve,
+               "vi": lambda pb: graph.value_iteration(pb, tol=args.tol)}
+
+    def write(sol):
+        io.write_graph_solution(os.path.join(args.out, "solution.csv"),
+                                problem, sol)
+        return {"heap_operations": sol.heap_operations}
+
+    return _run(args, {"p": args.p}, lambda: solvers[args.solver](problem),
+                write, nodes=problem.node_count)
 
 
 def _parse_emit(values):
+    """(kind, start point or None) of each --emit value; FormatError for an
+    unknown kind or a malformed trajectory start."""
     out = []
     for item in values:
         item = item.strip()
@@ -84,65 +83,49 @@ def _parse_emit(values):
                 raise io.FormatError(
                     "trajectory emit needs a start point: trajectory:X,Y")
             out.append(("trajectory", (float(coords[0]), float(coords[1]))))
-        elif item:
+        elif item in ("value", "mask", "boundary"):
             out.append((item, None))
+        elif item:
+            raise io.FormatError("unknown emit kind %r" % item)
     return out
 
 
 def cmd_run_grid(args):
-    os.makedirs(args.out, exist_ok=True)
+    emits = args.emit or ["value"]
+    kinds = _parse_emit(emits)  # before the load, so a typo costs no solve
     n = None
     if args.grid:
         nx, _, ny = args.grid.partition("x")
         if ny and ny != nx:
             raise io.FormatError("--grid override must be square (NxN)")
         n = int(nx)
-    problem, _calls = io.load_grid_scenario(args.scenario, lam=args.lam, n=n)
-    t0 = time.perf_counter()
-    if args.solver == "fmm":
-        sol = grid.fmm_solve(problem)
-    else:
-        sol = grid.sweep_oracle(problem, tol=args.tol)
-        if sol.status != "ok":
-            res = grid.discretization_residual(problem, sol.V)
-            print("sweeping did not converge after %d sweeps; "
-                  "max residual %.3e" % (sol.sweeps, np.abs(res).max()),
-                  file=sys.stderr)
-            return 3
-    wall = time.perf_counter() - t0
-    emits = args.emit or ["value"]
-    summary_extra = {}
-    for kind, payload in _parse_emit(emits):
-        if kind == "value":
-            io.write_field_csv(os.path.join(args.out, "value.csv"), sol.V)
-        elif kind == "mask":
-            io.write_mask_csv(os.path.join(args.out, "mask.csv"),
-                              sol.motionless_mask)
-        elif kind == "boundary":
-            mset = grid.motionless_set(sol, problem)
-            io.write_points_csv(os.path.join(args.out, "boundary.csv"),
-                                mset.boundary_points)
-        elif kind == "trajectory":
-            traj = trajectory.trace(sol, problem, payload)
-            io.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
-                                    traj)
-            summary_extra["trajectory_status"] = traj.status
-        else:
-            raise io.FormatError("unknown emit kind %r" % kind)
-    summary = {
-        "scenario": os.path.basename(args.scenario),
-        "solver": args.solver,
-        "grid": [problem.grid.nx, problem.grid.ny],
-        "wall_time_s": wall,
-        "sweeps": sol.sweeps,
-        "motionless_count": int(np.count_nonzero(sol.motionless_mask)),
-        "config_hash": _config_hash(args.scenario, {
-            "solver": args.solver, "lambda": args.lam, "grid": args.grid,
-            "emit": sorted(emits)}),
-    }
-    summary.update(summary_extra)
-    _write_summary(args.out, summary)
-    return 0
+    problem = io.load_grid_scenario(args.scenario, lam=args.lam, n=n)
+    for kind, start in kinds:
+        if kind == "trajectory":
+            problem.grid.nearest_index(start)  # ValueError outside the grid
+    solvers = {"fmm": grid.fmm_solve,
+               "sweep": lambda pb: grid.sweep_oracle(pb, tol=args.tol)}
+
+    def write(sol):
+        keys = {}
+        for kind, start in kinds:
+            path = os.path.join(args.out, kind + ".csv")
+            if kind == "value":
+                io.write_field_csv(path, sol.V)
+            elif kind == "mask":
+                io.write_mask_csv(path, sol.motionless)
+            elif kind == "boundary":
+                io.write_points_csv(
+                    path, grid.motionless_set(sol, problem).boundary_points)
+            else:
+                traj = trajectory.trace(sol, problem, start)
+                io.write_trajectory_csv(path, traj)
+                keys["trajectory_status"] = traj.status
+        return keys
+
+    flags = {"lambda": args.lam, "grid": args.grid, "emit": sorted(emits)}
+    return _run(args, flags, lambda: solvers[args.solver](problem), write,
+                grid=[problem.grid.nx, problem.grid.ny])
 
 
 def cmd_run_convergence(args):

@@ -110,7 +110,7 @@ class GraphSolution:
     acceptance_order: np.ndarray = None
     status: str = "ok"
     iterations: int = 0
-    updates: int = 0  # improving updates made by label setting
+    heap_operations: int = 0  # label-setting heap pushes + pops; 0 for VI
 
 
 def validate(problem):
@@ -262,8 +262,11 @@ def value_iteration(problem, tol=1e-13, max_iters=100000):
 
     Does not require A1-A3, but every edge needs a p in [0, 1].  Each Jacobi
     sweep is a row minimum over the edge arrays.  Non-convergence is reported
-    through the status field, carrying the last iterate.
+    through the status field, carrying the last iterate, and one warning on
+    the "randterm" logger.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be nan")
     bad = ~((0.0 <= problem.p) & (problem.p <= 1.0))  # nan too
     for e in np.flatnonzero(bad)[:1].tolist():  # the first
         raise ValueError("p missing, nan or outside [0, 1] on edge (%d,%d)"
@@ -271,7 +274,7 @@ def value_iteration(problem, tol=1e-13, max_iters=100000):
     indptr, dst = problem.indptr, problem.dst
     const, surv = _terms(problem)
     V = problem.q.copy()
-    status, it = "not_converged", 0
+    status, it, change = "not_converged", 0, math.inf
     for it in range(1, max_iters + 1):
         with np.errstate(invalid="ignore", over="ignore"):
             best = _row_min(indptr, const + surv * V[dst])
@@ -280,6 +283,11 @@ def value_iteration(problem, tol=1e-13, max_iters=100000):
         if change <= tol:
             status = "ok"
             break
+    if status != "ok":
+        import logging  # here, not at import: it adds 5 ms to every start-up
+        logging.getLogger("randterm").warning(
+            "value iteration did not converge after %d iterations; last "
+            "change %.3e", it, change)
     return _solution(problem, V, const, surv, status=status, iterations=it)
 
 
@@ -289,7 +297,7 @@ def _label_setting(problem, const, surv, seeds, key):
     at q.  Every drop of V_i pushes a new entry and key is nondecreasing, so
     the first popped entry of a node carries its current key; the node is
     accepted there and its later entries are skipped.  Returns V, the
-    acceptance order and the number of improving updates."""
+    acceptance order and the heap pushes + pops (every push is popped)."""
     src, dst = problem.src, problem.dst
     moves = np.flatnonzero(src != dst)
     rev = moves[np.argsort(dst[moves], kind="stable")]
@@ -305,7 +313,7 @@ def _label_setting(problem, const, surv, seeds, key):
     for i in seeds:
         state[i] = CONSIDERED
         heapq.heappush(heap, (key(V[i]), i))
-    order, updates = [], 0
+    order, pushes = [], len(heap)
     while heap:
         j = heapq.heappop(heap)[1]
         if state[j] == ACCEPTED:
@@ -320,20 +328,19 @@ def _label_setting(problem, const, surv, seeds, key):
             cand = cij + sij * vj
             if cand < V[i]:
                 V[i] = cand
-                updates += 1
-                state[i] = CONSIDERED
-                heapq.heappush(heap, (key(cand), i))
-            elif state[i] == FAR:
-                state[i] = CONSIDERED
-                heapq.heappush(heap, (key(V[i]), i))
-    return np.array(V), order, updates
+            elif state[i] != FAR:
+                continue
+            state[i] = CONSIDERED
+            heapq.heappush(heap, (key(V[i]), i))
+            pushes += 1
+    return np.array(V), order, 2 * pushes
 
 
 def _label_solve(problem, seeds, key):
     """_label_setting from V = q over the edge arrays, then the policy."""
     const, surv = _terms(problem)
-    V, order, updates = _label_setting(problem, const, surv, seeds, key)
-    return _solution(problem, V, const, surv, updates=updates,
+    V, order, ops = _label_setting(problem, const, surv, seeds, key)
+    return _solution(problem, V, const, surv, heap_operations=ops,
                      acceptance_order=np.array(order, dtype=int))
 
 

@@ -242,7 +242,7 @@ def _build_field(spec, grid, base_dir):
 
 
 def load_grid_scenario(path, lam=None, n=None):
-    """Parse a JSON grid scenario; returns (GridProblem, CallSpec-or-None).
+    """Parse a JSON grid scenario into a GridProblem.
 
     lam and n override the file's termination rate and per-axis point count
     (the latter only for square grids).
@@ -296,16 +296,15 @@ def load_grid_scenario(path, lam=None, n=None):
                               % (path, key, _reason(exc))) from None
 
     f, K = field("f", 1.0), field("K", 0.0)
-    calls = _call_spec(path, doc["calls"]) if "calls" in doc else None
-    if calls is None:
-        q = field("q")
-    else:
+    if "calls" in doc:
+        calls = _call_spec(path, doc["calls"])
         # travel times are finite everywhere, so no point is masked: check
         # f, K and lambda on the whole grid before any eikonal solve
         GridProblem(grid=grid, f=f, K=K, q=0.0, lam=lam)
         q = response_cost(grid, f, calls)
-    problem = GridProblem(grid=grid, f=f, K=K, q=q, lam=lam)
-    return problem, calls
+    else:
+        q = field("q")
+    return GridProblem(grid=grid, f=f, K=K, q=q, lam=lam)
 
 
 def _reason(exc):

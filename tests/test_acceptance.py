@@ -231,7 +231,7 @@ def test_criterion_8_fmm_vs_sweep():
     for name, lam in (("radial_trivial.json", None),
                       ("radial_circular.json", None),
                       ("maze.json", None)):
-        pb, _ = io.load_grid_scenario(scenario(name), lam=lam, n=101)
+        pb = io.load_grid_scenario(scenario(name), lam=lam, n=101)
         fmm = grid.fmm_solve(pb)
         sw = grid.sweep_oracle(pb)
         live = ~pb.mask()
@@ -249,7 +249,7 @@ def test_criterion_9_maze_qualitative():
     def in_wall(x, y):
         return any(xa <= x <= xb and ya <= y <= yb for xa, xb, ya, yb in walls)
 
-    pb, _ = io.load_grid_scenario(scenario("maze.json"), lam=0.01)
+    pb = io.load_grid_scenario(scenario("maze.json"), lam=0.01)
     h = pb.grid.h
     sol = grid.fmm_solve(pb)
     path = trajectory.trace(sol, pb, (5.0, 5.0))
@@ -259,7 +259,7 @@ def test_criterion_9_maze_qualitative():
     violations = sum(in_wall(x, y) for x, y in path.points)
     ok_walls = violations == 0
 
-    pb2, _ = io.load_grid_scenario(scenario("maze.json"), lam=1.5)
+    pb2 = io.load_grid_scenario(scenario("maze.json"), lam=1.5)
     sol2 = grid.fmm_solve(pb2)
     mset = grid.motionless_set(sol2, pb2)
     jmin, imin = np.unravel_index(np.argmin(pb2.q), pb2.q.shape)

@@ -12,8 +12,9 @@ class TestRadialCase:
             analytic.RadialCase("bogus", 1.0)
 
     def test_nonpositive_rate_rejected(self):
-        with pytest.raises(ValueError):
-            analytic.RadialCase("trivial", 0.0)
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                analytic.RadialCase("trivial", lam)
 
 
 class TestExactValue:

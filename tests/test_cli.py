@@ -19,6 +19,11 @@ def run(*argv):
     return main(list(argv))
 
 
+# summary.json keys of every run-graph and run-grid solve
+SHARED_KEYS = {"scenario", "solver", "status", "iterations", "wall_time_s",
+               "motionless_count", "config_hash"}
+
+
 class TestRunGraph:
     def test_success_writes_solution_and_summary(self, tmp_path):
         out = tmp_path / "out"
@@ -30,6 +35,23 @@ class TestRunGraph:
         assert len(summary["config_hash"]) == 16
         lines = (out / "solution.csv").read_text().strip().splitlines()
         assert float(lines[1].split(",")[1]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("solver", ["dijkstra", "dial", "vi"])
+    def test_summary_keys(self, tmp_path, solver):
+        assert run("run-graph", scenario("subtle_motionless.txt"), "--p",
+                   "0.5", "--solver", solver, "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary) == SHARED_KEYS | {"nodes", "heap_operations"}
+        assert summary["status"] == "ok"
+        pb = io.load_graph(scenario("subtle_motionless.txt"), default_p=0.5)
+        sol = graph.dijkstra_solve(pb)
+        assert summary["motionless_count"] == sol.motionless.sum()
+        if solver == "vi":
+            assert summary["heap_operations"] == 0
+            assert summary["iterations"] > 0
+        else:
+            assert summary["heap_operations"] >= 2 * pb.node_count
+            assert summary["iterations"] == 0
 
     def test_dial_matches_dijkstra(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -75,6 +97,14 @@ class TestRunGraph:
         assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "1e-9",
                    "--solver", "vi", "--tol", "1e-15",
                    "--out", str(tmp_path)) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_tol_exit_2(self, tmp_path, capsys):
+        # refused before the first iteration, not after the last
+        assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "0.25",
+                   "--solver", "vi", "--tol", "nan",
+                   "--out", str(tmp_path)) == 2
+        assert "tol must not be nan" in capsys.readouterr().err
 
     def test_malformed_scenario_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -152,6 +182,19 @@ class TestRunGrid:
         assert V.shape == (51, 51)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["grid"] == [51, 51]
+        assert set(summary) == SHARED_KEYS | {"grid"}
+
+    @pytest.mark.parametrize("solver", ["fmm", "sweep"])
+    def test_summary_keys(self, tmp_path, solver):
+        assert run("run-grid", scenario("radial_circular.json"),
+                   "--grid", "21x21", "--solver", solver, "--emit", "mask",
+                   "--emit", "trajectory:0.8,0.0", "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary) == SHARED_KEYS | {"grid", "trajectory_status"}
+        assert summary["status"] == "ok"
+        mask = np.loadtxt(tmp_path / "mask.csv", delimiter=",")
+        assert summary["motionless_count"] == mask.sum() > 0
+        assert (summary["iterations"] > 0) == (solver == "sweep")
 
     def test_emits(self, tmp_path):
         out = tmp_path / "out"
@@ -190,19 +233,39 @@ class TestRunGrid:
         assert run("run-grid", scenario("radial_trivial.json"),
                    "--grid", "21x21", "--solver", "sweep", "--tol", "-1",
                    "--out", str(tmp_path)) == 3
+        assert list(tmp_path.iterdir()) == []
 
-    def test_bad_emit_exit_2(self, tmp_path):
+    def test_nan_tol_exit_2(self, tmp_path, capsys):
         assert run("run-grid", scenario("radial_trivial.json"),
-                   "--grid", "21x21", "--emit", "bogus",
+                   "--grid", "21x21", "--solver", "sweep", "--tol", "nan",
                    "--out", str(tmp_path)) == 2
+        assert "tol must not be nan" in capsys.readouterr().err
+
+    def test_bad_emit_exit_2(self, tmp_path, monkeypatch):
+        # every --emit is checked before the scenario is loaded: no solve
+        # and no file
+        def unexpected(*args, **kwargs):
+            raise AssertionError("scenario loaded before the emit check")
+
+        monkeypatch.setattr(io, "load_grid_scenario", unexpected)
+        for emit in ("bogus", "trajectory", "trajectory:1", "trajectory:a,b"):
+            assert run("run-grid", scenario("radial_trivial.json"),
+                       "--grid", "21x21", "--emit", "value", "--emit", emit,
+                       "--out", str(tmp_path)) == 2
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("start", ["1e400,0.5", "nan,0"])
     def test_non_finite_trajectory_start_exit_2(self, tmp_path, capsys,
-                                                start):
+                                                monkeypatch, start):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("solve before the start was checked")
+
+        monkeypatch.setattr(grid, "fmm_solve", unexpected)
         assert run("run-grid", scenario("radial_trivial.json"),
                    "--grid", "21x21", "--emit", "trajectory:" + start,
                    "--out", str(tmp_path)) == 2
         assert "outside the grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("doc, key", [
         ({"lambda": 0.5, "q": 1.0}, "'grid'"),

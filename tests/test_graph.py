@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -224,6 +225,16 @@ class TestValueIteration:
         assert sol.status == "not_converged"
         assert sol.iterations == 3
 
+    def test_nonconvergence_logged_once(self, caplog):
+        pb = fig1a()
+        pb.K[pb.edge(0, 0)] = 10.0
+        pb.K[pb.edge(1, 1)] = 10.0
+        with caplog.at_level(logging.WARNING, logger="randterm"):
+            graph.value_iteration(pb, max_iters=3)
+        [record] = caplog.records
+        assert record.name == "randterm"
+        assert "did not converge after 3 iterations" in record.getMessage()
+
 
 class TestLabelSetting:
     def test_two_node_example(self):
@@ -233,6 +244,22 @@ class TestLabelSetting:
         assert sol.V[0] == pytest.approx(3.0)
         dial = graph.dial_solve(pb)
         assert np.allclose(dial.V, sol.V)
+
+    def test_heap_operations(self):
+        # seed 2 (push 1); accepting 2 improves 0 to 4 and 1 to 1 (pushes 2,
+        # 3) and reaches Far node 3 at its q = 0.2 (push 4); 3 and then 1 are
+        # accepted, 1 improves 0 to 3.5 (push 5); 0 is accepted and its
+        # entry at 4 is popped stale: 5 pushes and 5 pops, in Dial's bucket
+        # order (width 0.5) too
+        pb = make_graph([10.0, 5.0, 0.0, 0.2],
+                        [(0, 1, 0.5), (1, 2, 1.0), (0, 2, 4.0), (3, 2, 1.0)],
+                        0.5)
+        for solve in (graph.dijkstra_solve, graph.dial_solve):
+            sol = solve(pb)
+            assert sol.V.tolist() == [3.5, 1.0, 0.0, 0.2]
+            assert sol.acceptance_order.tolist() == [2, 3, 1, 0]
+            assert sol.heap_operations == 10
+        assert graph.value_iteration(pb).heap_operations == 0
 
     def test_constant_q(self):
         pb = make_graph([3.0] * 4, [(i, (i + 1) % 4, 1.0) for i in range(4)], 0.3)

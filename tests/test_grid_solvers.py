@@ -78,7 +78,7 @@ class TestFmmAgainstSweep:
             live = ~pb.mask()
             assert np.max(np.abs(fmm.V[live] - sw.V[live])) <= 1e-9
             assert np.all(np.isinf(fmm.V[~live]))
-            assert np.array_equal(fmm.motionless_mask, sw.motionless_mask)
+            assert np.array_equal(fmm.motionless, sw.motionless)
 
 
 class TestSolutionProperties:
@@ -147,7 +147,7 @@ class TestSolutionProperties:
         pb = grid.GridProblem(grid=g, f=1.0, K=0.5, q=2.0, lam=1.0)
         sol = grid.fmm_solve(pb)
         assert np.allclose(sol.V, 2.0)
-        assert sol.motionless_mask.all()
+        assert sol.motionless.all()
 
     def test_constant_q_zero_K_all_motionless(self):
         g = grid.Grid2D(nx=21, ny=21, h=0.1)
@@ -209,9 +209,20 @@ class TestMask:
 class TestSweepStatus:
     def test_nonconvergence_reported(self):
         pb = RadialCase("circular", 0.5).problem(radial_grid(61))
-        sol = grid.sweep_oracle(pb, max_sweeps=1)
+        sol = grid.sweep_oracle(pb, max_iters=1)
         assert sol.status == "not_converged"
-        assert sol.sweeps == 1
+        assert sol.iterations == 1
+
+    def test_nonconvergence_logged_once(self, caplog):
+        pb = RadialCase("circular", 0.5).problem(radial_grid(61))
+        with caplog.at_level(logging.WARNING, logger="randterm"):
+            sol = grid.sweep_oracle(pb, max_iters=2)
+        [record] = caplog.records
+        assert record.name == "randterm"
+        res = np.abs(grid.discretization_residual(pb, sol.V)).max()
+        assert record.getMessage() == (
+            "sweeping did not converge after 2 iterations; max residual "
+            "%.3e" % res)
 
 
 class TestMotionlessSet:

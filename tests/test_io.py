@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from randterm import graph, io
+from randterm import eikonal, graph, io
 from randterm.grid import Grid2D, fmm_solve
 from randterm.trajectory import TrajectoryPath
 
@@ -164,33 +164,36 @@ class TestIdleDetection:
 
 class TestGridScenario:
     def test_radial_scenarios(self):
-        pb, calls = io.load_grid_scenario(scenario("radial_trivial.json"))
-        assert calls is None
+        pb = io.load_grid_scenario(scenario("radial_trivial.json"))
         assert pb.grid.nx == pb.grid.ny == 101
         assert pb.grid.origin == (-2.0, -2.0)
         X, Y = pb.grid.meshgrid()
         assert np.allclose(pb.q, np.hypot(X, Y))
         assert np.allclose(pb.K, 0.0)
-        pb2, _ = io.load_grid_scenario(scenario("radial_circular.json"))
+        pb2 = io.load_grid_scenario(scenario("radial_circular.json"))
         assert np.allclose(pb2.K, np.hypot(X, Y))
 
     def test_overrides(self):
-        pb, _ = io.load_grid_scenario(scenario("radial_trivial.json"),
-                                      lam=7.0, n=51)
+        pb = io.load_grid_scenario(scenario("radial_trivial.json"),
+                                   lam=7.0, n=51)
         assert pb.grid.nx == 51
         assert np.allclose(pb.lam, 7.0)
 
     def test_calls_build_q(self):
-        pb, calls = io.load_grid_scenario(scenario("slow_disk.json"))
-        assert calls is not None
-        assert len(calls.locations) == 4
+        pb = io.load_grid_scenario(scenario("slow_disk.json"))
+        with open(scenario("slow_disk.json")) as fh:
+            calls = json.load(fh)["calls"]
+        assert len(calls) == 4
+        assert np.array_equal(pb.q, eikonal.response_cost(
+            pb.grid, pb.f, eikonal.CallSpec(
+                [tuple(c["location"]) for c in calls],
+                [c["prob"] for c in calls])))
         assert np.all(np.isfinite(pb.q))
         # q vanishes only if a single call sits at that point; here it is a mix
         assert pb.q.min() > 0.0
 
     def test_maze_scenario(self):
-        pb, calls = io.load_grid_scenario(scenario("maze.json"))
-        assert calls is not None
+        pb = io.load_grid_scenario(scenario("maze.json"))
         # wall region is slow and expensive, not masked
         j, i = pb.grid.nearest_index((3.2, 3.0))
         assert pb.f[j, i] == pytest.approx(0.2)
@@ -225,7 +228,7 @@ class TestGridScenario:
         doc = {"grid": {"extent": [0, 3, 0, 2], "nx": 4, "ny": 3},
                "lambda": 1.0, "q": {"csv": "field.csv"}}
         (tmp_path / "sc.json").write_text(json.dumps(doc))
-        pb, _ = io.load_grid_scenario(str(tmp_path / "sc.json"))
+        pb = io.load_grid_scenario(str(tmp_path / "sc.json"))
         assert np.array_equal(pb.q, arr)
 
 

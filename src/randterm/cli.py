@@ -19,19 +19,18 @@ import numpy as np
 from . import analytic, graph, grid, idle, io, trajectory
 
 
-def _config_hash(scenario_path, flags):
-    h = hashlib.sha256()
-    with open(scenario_path, "rb") as fh:
-        h.update(fh.read())
+def _config_hash(scenario, flags):
+    """scenario: the sha256 of the scenario file's bytes."""
+    h = scenario.copy()
     h.update(json.dumps(flags, sort_keys=True).encode())
     return h.hexdigest()[:16]
 
 
-def _run(args, flags, solve, write, **keys):
+def _run(args, scenario, flags, solve, write, **keys):
     """Time solve(), then write(solution) the outputs and summary.json: the
     keys every solver shares, keys, and the keys write returns.  Exit code 3
     and no output when the solution's status is not "ok" (the solver has
-    logged why)."""
+    logged why).  scenario is the sha256 of the scenario file's bytes."""
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     sol = solve()
@@ -42,7 +41,7 @@ def _run(args, flags, solve, write, **keys):
                 solver=args.solver, status=sol.status,
                 iterations=sol.iterations, wall_time_s=wall,
                 motionless_count=int(np.count_nonzero(sol.motionless)),
-                config_hash=_config_hash(args.scenario,
+                config_hash=_config_hash(scenario,
                                          dict(flags, solver=args.solver)))
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(keys, fh, indent=2, sort_keys=True)
@@ -50,11 +49,20 @@ def _run(args, flags, solve, write, **keys):
     return 0
 
 
-def cmd_run_graph(args):
-    if io.is_idle_scenario(args.scenario):
-        problem = idle.build_problem(io.load_idle(args.scenario))
+def _graph_problem(args):
+    """The problem of a graph or idle scenario file, and the sha256 of its
+    bytes; the file is read once."""
+    with open(args.scenario, "rb") as fh:
+        data = fh.read()
+    if io.is_idle_scenario(args.scenario, data):
+        problem = idle.build_problem(io.load_idle(args.scenario, data))
     else:
-        problem = io.load_graph(args.scenario, default_p=args.p)
+        problem = io.load_graph(args.scenario, default_p=args.p, data=data)
+    return problem, hashlib.sha256(data)
+
+
+def cmd_run_graph(args):
+    problem, scenario = _graph_problem(args)
     if args.p is not None:
         problem.p[:] = args.p
     # the label-setting solvers check A1-A3 themselves (ValueError, exit 2);
@@ -67,8 +75,9 @@ def cmd_run_graph(args):
                                 problem, sol)
         return {"heap_operations": sol.heap_operations}
 
-    return _run(args, {"p": args.p}, lambda: solvers[args.solver](problem),
-                write, nodes=problem.node_count)
+    return _run(args, scenario, {"p": args.p},
+                lambda: solvers[args.solver](problem), write,
+                nodes=problem.node_count)
 
 
 def _parse_emit(values):
@@ -99,6 +108,8 @@ def cmd_run_grid(args):
         if ny and ny != nx:
             raise io.FormatError("--grid override must be square (NxN)")
         n = int(nx)
+    with open(args.scenario, "rb") as fh:
+        scenario = hashlib.sha256(fh.read())
     problem = io.load_grid_scenario(args.scenario, lam=args.lam, n=n)
     for kind, start in kinds:
         if kind == "trajectory":
@@ -124,8 +135,8 @@ def cmd_run_grid(args):
         return keys
 
     flags = {"lambda": args.lam, "grid": args.grid, "emit": sorted(emits)}
-    return _run(args, flags, lambda: solvers[args.solver](problem), write,
-                grid=[problem.grid.nx, problem.grid.ny])
+    return _run(args, scenario, flags, lambda: solvers[args.solver](problem),
+                write, grid=[problem.grid.nx, problem.grid.ny])
 
 
 def cmd_run_convergence(args):

@@ -96,7 +96,12 @@ class GraphProblem:
 def sort_edges(src, dst):
     """The stable order that sorts edges by (src, dst), and the positions in
     it of the edges equal to the one before."""
-    order = np.lexsort((dst, src))
+    lo = int(min(src.min(initial=0), dst.min(initial=0)))
+    span = int(max(src.max(initial=0), dst.max(initial=0))) - lo + 1
+    # one int64 key per edge when it cannot overflow: the same order, and a
+    # stable argsort of it takes a tenth of lexsort's time on file order
+    order = (np.argsort((src - lo) * span + (dst - lo), kind="stable")
+             if span < 2 ** 31 else np.lexsort((dst, src)))
     again = 1 + np.flatnonzero((np.diff(src[order]) == 0)
                                & (np.diff(dst[order]) == 0))
     return order, again

@@ -18,13 +18,13 @@ solver is kept as an independent oracle.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import native
 
 INF = math.inf
 
@@ -302,78 +302,6 @@ def _march(g, V, seeds, blocked, eikonal, f, K, q, lam):
     return np.array(order)
 
 
-# -O2 without -ffast-math, and the two flags march.c explains, keep every
-# IEEE operation of the compiled march equal to the Python one.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-fPIC", "-shared")
-
-
-def _build(source, lib):
-    """Compile source into the shared library lib; None, or why it failed."""
-    import shutil
-    import subprocess
-    import tempfile
-
-    cc = shutil.which("cc") or shutil.which("gcc")
-    if cc is None:
-        return "no C compiler (cc or gcc) found"
-    try:
-        os.makedirs(os.path.dirname(lib), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(lib))
-        os.close(fd)
-    except OSError as exc:
-        return "cache directory is not writable (%s)" % exc
-    try:
-        try:
-            run = subprocess.run([cc, *_CFLAGS, "-o", tmp, source, "-lm"],
-                                 capture_output=True, text=True)
-        except OSError as exc:
-            return "cannot run %s (%s)" % (cc, exc)
-        if run.returncode != 0:
-            return "compile error: %s" % run.stderr.strip()
-        # a finished file renamed into place: a concurrent process never
-        # loads a half-written library
-        os.replace(tmp, lib)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return None
-
-
-@functools.cache
-def _kernel():
-    """march.c as a ctypes library, compiled on first use with the system C
-    compiler into $XDG_CACHE_HOME (default ~/.cache)/randterm/<sha256 of the
-    source and flags>/; None, with one warning on the "randterm" logger,
-    when there is no compiler, the build fails or the cache is unwritable."""
-    import ctypes
-    import hashlib
-    import logging  # here, not at import: it adds 5 ms to every start-up
-
-    source = os.path.join(os.path.dirname(__file__), "march.c")
-    with open(source, "rb") as fh:
-        key = hashlib.sha256(fh.read() + " ".join(_CFLAGS).encode())
-    cache = (os.environ.get("XDG_CACHE_HOME")
-             or os.path.join(os.path.expanduser("~"), ".cache"))
-    lib = os.path.join(cache, "randterm", key.hexdigest(), "march.so")
-    why = None if os.path.exists(lib) else _build(source, lib)
-    if why is None:
-        try:
-            dll = ctypes.CDLL(lib)
-        except OSError as exc:
-            why = "cannot load %s (%s)" % (lib, exc)
-    if why is not None:
-        logging.getLogger("randterm").warning(
-            "compiled march unavailable, using the Python one: %s", why)
-        return None
-    i64, f64 = ctypes.c_int64, ctypes.c_double
-    arr = functools.partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
-    dll.march.argtypes = [i64, i64, arr(np.float64), arr(np.int64), i64,
-                          arr(np.uint8), arr(np.int64), ctypes.c_int, f64,
-                          *[arr(np.float64)] * 4]
-    dll.march.restype = ctypes.c_int
-    return dll
-
-
 def march(grid, V, seeds, blocked, *fields):
     """Fast-Marching pass (Sethian 1996) of fmm_solve, with fields f, K, q,
     lam and quadrant_update, or of eikonal_solve, with field f and
@@ -384,9 +312,10 @@ def march(grid, V, seeds, blocked, *fields):
     the seeds; for each unaccepted, unblocked 4-neighbor n of a point
     accepted with value va, the update gets va and vo, the best accepted
     neighbor of n on the other axis (+inf if none).  A point is pushed when
-    first reached or when its value drops.  Runs march.c when it can be
-    built (see _kernel), else the Python march, with the same results bit
-    for bit.  Returns the acceptance index per point, -1 if never accepted.
+    first reached or when its value drops.  Runs march.c when the native
+    library can be built (see native.library), else the Python march, with
+    the same results bit for bit.  Returns the acceptance index per point,
+    -1 if never accepted.
     """
     npts = grid.nx * grid.ny
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -400,7 +329,7 @@ def march(grid, V, seeds, blocked, *fields):
                          "seeds lie in range" % npts)
     eikonal = len(fields) == 1
     f, K, q, lam = fields * 4 if eikonal else fields  # eikonal reads f only
-    lib = _kernel()
+    lib = native.library()
     if lib is None:
         return _march(grid, V, seeds, blocked, eikonal, f, K, q, lam)
     order = np.empty(npts, dtype=np.int64)

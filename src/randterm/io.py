@@ -16,7 +16,9 @@ same skeleton with a tau column instead of K/p:
     call I PROB
 
 In both, M must lie in [1, MAX_NODES] (ten million); a larger count is
-rejected before anything is allocated.
+rejected before anything is allocated.  Both are read from the file's bytes
+by the compiled scanner scan.c (see native), which accepts a strict subset
+of this format, or else by a Python loop; the two read the same arrays.
 
 Grid scenarios are JSON descriptors: a grid block (an extent of four finite
 numbers and integer point counts, made a grid by Grid2D.spanning, which
@@ -37,10 +39,12 @@ import json
 import math
 import os
 from array import array
+from io import BytesIO, TextIOWrapper
 from itertools import chain
 
 import numpy as np
 
+from . import native
 from .eikonal import CallSpec, response_cost
 from .graph import GraphProblem, sort_edges, tightest_delta
 from .grid import MAX_NODES, Grid2D, GridProblem
@@ -62,52 +66,99 @@ def _out_of_range(path, lineno, key, i, j):
     return FormatError("%s:%d: %s out of range" % (path, lineno, what))
 
 
-def _read_lines(path, scalar, point, edge_sizes):
+def _read(path, data):
+    """data, or the bytes of the file at path when data is None."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return data
+
+
+def _text(data):
+    """data decoded as open(path) would decode the file: the locale's
+    encoding, universal newlines."""
+    return TextIOWrapper(BytesIO(data))
+
+
+def _parse(path, data, scalar, point, edge_sizes):
+    """The per-line loop of _read_lines in Python: M, the last scalar (or
+    None), and each row's line number, i, j, X, Y (NaN when not given) and
+    token count, in file order."""
+    M = value = None
+    lines, src, dst = array("q"), array("q"), array("q")
+    x, y, size = array("d"), array("d"), array("B")
+    for lineno, raw in enumerate(_text(data), 1):
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
+            continue
+        key, n = tok[0], len(tok)
+        try:
+            if key == "edge" and n in edge_sizes:
+                i, j, a = int(tok[1]), int(tok[2]), float(tok[3])
+                b = float(tok[4]) if n == 5 else math.nan
+            elif key == point and n == 3:
+                i = j = int(tok[1])
+                a, b = float(tok[2]), math.nan
+            elif key == "nodes" and n == 2:
+                M = int(tok[1])
+            elif key == scalar and n == 2:
+                value = float(tok[1])
+            else:
+                raise ValueError
+        except ValueError:
+            raise FormatError("%s:%d: cannot parse %r"
+                              % (path, lineno, " ".join(tok)))
+        if key == "nodes":
+            check_nodes(M, "%s:%d" % (path, lineno))
+        elif key != scalar:
+            try:
+                src.append(i)
+                dst.append(j)
+            except OverflowError:  # past int64, so past any node count
+                raise _out_of_range(path, lineno, key, i, j)
+            x.append(a)
+            y.append(b)
+            size.append(n)
+            lines.append(lineno)
+    return (M, value, *map(np.asarray, (lines, src, dst, x, y, size)))
+
+
+def _scan(data, scalar, point, edge_sizes):
+    """What _parse returns, from scan.c; None when the native library is
+    unavailable or the file lies outside the grammar scan.c accepts (then
+    _parse decides, with its own messages)."""
+    lib = native.library()
+    if lib is None:
+        return None
+    grammar = (scalar.encode(), point.encode(), max(edge_sizes))
+    rows = lib.scan_rows(data, len(data), *grammar)
+    if rows < 0:
+        return None
+    lines, src, dst = (np.empty(rows, np.int64) for _ in range(3))
+    x, y, size = np.empty(rows), np.empty(rows), np.empty(rows, np.uint8)
+    meta, value = np.empty(2, np.int64), np.empty(1)
+    if lib.scan(data, len(data), *grammar, MAX_NODES, rows, lines, src, dst,
+                x, y, size, meta, value) != rows:  # -1: refused
+        return None
+    return (int(meta[0]) if meta[0] > 0 else None,
+            float(value[0]) if meta[1] else None,
+            lines, src, dst, x, y, size)
+
+
+def _read_lines(path, data, scalar, point, edge_sizes):
     """Tokenize a graph or idle file once: lines `nodes M`, `<scalar> V`,
     `<point> I V` and `edge I J X [Y]` (len(tok) in edge_sizes).  Returns
     M, the last scalar (or None), the points' (indices, values), the edges'
     (src, dst, X, Y, no Y given) in file order and then a self-loop (X = 0,
     no Y) at every node, and rows: their stable (i, j) order, each pair once.
     FormatError names the line of a malformed line, a node count outside
-    [1, MAX_NODES], a repeated edge or an index outside [0, M)."""
-    M = value = None
-    lines, src, dst = array("q"), array("q"), array("q")
-    x, y, size = array("d"), array("d"), array("B")
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            tok = raw.split("#", 1)[0].split()
-            if not tok:
-                continue
-            key, n = tok[0], len(tok)
-            try:
-                if key == "edge" and n in edge_sizes:
-                    i, j, a = int(tok[1]), int(tok[2]), float(tok[3])
-                    b = float(tok[4]) if n == 5 else math.nan
-                elif key == point and n == 3:
-                    i = j = int(tok[1])
-                    a, b = float(tok[2]), math.nan
-                elif key == "nodes" and n == 2:
-                    M = int(tok[1])
-                elif key == scalar and n == 2:
-                    value = float(tok[1])
-                else:
-                    raise ValueError
-            except ValueError:
-                raise FormatError("%s:%d: cannot parse %r"
-                                  % (path, lineno, " ".join(tok)))
-            if key == "nodes":
-                check_nodes(M, "%s:%d" % (path, lineno))
-            elif key != scalar:
-                try:
-                    src.append(i)
-                    dst.append(j)
-                except OverflowError:  # past int64, so past any node count
-                    raise _out_of_range(path, lineno, key, i, j)
-                x.append(a)
-                y.append(b)
-                size.append(n)
-                lines.append(lineno)
-    lines, src, dst, x, y, size = map(np.asarray, (lines, src, dst, x, y, size))
+    [1, MAX_NODES], a repeated edge or an index outside [0, M).  data is
+    the file's bytes (read from path when None); scan.c reads them where it
+    can, else _parse."""
+    data = _read(path, data)
+    M, value, lines, src, dst, x, y, size = (
+        _scan(data, scalar, point, edge_sizes)
+        or _parse(path, data, scalar, point, edge_sizes))
     edge, loops = size != 3, np.arange(M or 0)
     es, ed = np.append(src[edge], loops), np.append(dst[edge], loops)
     order, again = sort_edges(es, ed)  # file order within an (i, j)
@@ -128,12 +179,13 @@ def _read_lines(path, scalar, point, edge_sizes):
     return M, value, (src[~edge], x[~edge]), edges, np.delete(order, again)
 
 
-def load_graph(path, default_p=None):
+def load_graph(path, default_p=None, data=None):
     """Parse a graph scenario file into a GraphProblem: the edges in file
     order, then the implicit self-loops, sorted stably by (i, j).  A 'p'
-    line replaces default_p."""
+    line replaces default_p.  data, when given, is the file's bytes, so
+    that the file is not read again."""
     M, p_line, (qi, qv), (src, dst, K, p, no_p), rows = _read_lines(
-        path, "p", "q", (4, 5))
+        path, data, "p", "q", (4, 5))
     default_p = default_p if p_line is None else p_line
     delta = max(tightest_delta(src, dst, K), 0.0)
     src, dst, K, p = (a[rows] for a in (src, dst, K, p))
@@ -147,10 +199,11 @@ def load_graph(path, default_p=None):
     return GraphProblem.from_edges(M, src, dst, K, p, q, delta=delta)
 
 
-def load_idle(path):
-    """Parse an idle-time scenario file into an IdleScenario."""
+def load_idle(path, data=None):
+    """Parse an idle-time scenario file into an IdleScenario; data as for
+    load_graph."""
     M, lam, (calls, probs), (src, dst, tau, _, _), rows = _read_lines(
-        path, "lambda", "call", (4,))
+        path, data, "lambda", "call", (4,))
     if lam is None or not calls.size:
         raise FormatError("%s: needs 'lambda' and 'call' lines" % path)
     return IdleScenario(node_count=M, src=src[rows], dst=dst[rows],
@@ -158,11 +211,10 @@ def load_idle(path):
                         call_probs=probs)
 
 
-def is_idle_scenario(path):
+def is_idle_scenario(path, data=None):
     """True when the file has a 'lambda' line; only the lines that contain
-    the word are tokenized."""
-    with open(path) as fh:
-        text = fh.read()
+    the word are tokenized.  data as for load_graph."""
+    text = _text(_read(path, data)).read()
     at = text.find("lambda")
     while at >= 0:
         line = text[text.rfind("\n", 0, at) + 1:at + 7]  # up to one past it

@@ -1,0 +1,101 @@
+"""The package's C code as one shared library, loaded through ctypes.
+
+Every C source of the package (march.c, the Fast-Marching loop of
+grid.march, and scan.c, the graph-file scanner of io) is compiled on first
+use with the system C compiler into one library, cached under
+$XDG_CACHE_HOME (default ~/.cache)/randterm/<sha256 of the sources and
+flags>/native.so.  Nothing is built or loaded at import.  Without a
+compiler, when the build fails or when the cache is not writable, library()
+returns None and logs one warning on the "randterm" logger; the callers
+then run their Python twins, which give the same results.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+
+import numpy as np
+
+# -O2 without -ffast-math, and the two flags march.c explains, keep every
+# IEEE operation of the compiled march equal to the Python one.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-fPIC", "-shared")
+_SOURCES = ("march.c", "scan.c")
+
+
+def _build(sources, lib):
+    """Compile sources into the shared library lib; None, or why it failed."""
+    import shutil
+    import subprocess
+    import tempfile
+
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        return "no C compiler (cc or gcc) found"
+    try:
+        os.makedirs(os.path.dirname(lib), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(lib))
+        os.close(fd)
+    except OSError as exc:
+        return "cache directory is not writable (%s)" % exc
+    try:
+        try:
+            run = subprocess.run([cc, *_CFLAGS, "-o", tmp, *sources, "-lm"],
+                                 capture_output=True, text=True)
+        except OSError as exc:
+            return "cannot run %s (%s)" % (cc, exc)
+        if run.returncode != 0:
+            return "compile error: %s" % run.stderr.strip()
+        # a finished file renamed into place: a concurrent process never
+        # loads a half-written library
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return None
+
+
+@functools.cache
+def library():
+    """The package's C sources as one ctypes library, built on first use
+    (see the module docstring); None, with one warning on the "randterm"
+    logger, when it cannot be built or loaded."""
+    import ctypes
+    import hashlib
+    import logging  # here, not at import: it adds 5 ms to every start-up
+
+    here = os.path.dirname(__file__)
+    sources = [os.path.join(here, name) for name in _SOURCES]
+    key = hashlib.sha256(" ".join(_CFLAGS).encode())
+    for source in sources:
+        with open(source, "rb") as fh:
+            key.update(fh.read())
+    cache = (os.environ.get("XDG_CACHE_HOME")
+             or os.path.join(os.path.expanduser("~"), ".cache"))
+    lib = os.path.join(cache, "randterm", key.hexdigest(), "native.so")
+    why = None if os.path.exists(lib) else _build(sources, lib)
+    if why is None:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError as exc:
+            why = "cannot load %s (%s)" % (lib, exc)
+    if why is not None:
+        logging.getLogger("randterm").warning(
+            "compiled code unavailable, using the Python twins: %s", why)
+        return None
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    arr = functools.partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
+    for name, restype, argtypes in (
+            ("march", ctypes.c_int,
+             [i64, i64, arr(np.float64), arr(np.int64), i64, arr(np.uint8),
+              arr(np.int64), ctypes.c_int, f64, *[arr(np.float64)] * 4]),
+            ("scan_rows", i64, [ctypes.c_char_p, i64, ctypes.c_char_p,
+                                ctypes.c_char_p, ctypes.c_int]),
+            ("scan", i64,
+             [ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_char_p,
+              ctypes.c_int, i64, i64, *[arr(np.int64)] * 3,
+              *[arr(np.float64)] * 2, arr(np.uint8), arr(np.int64),
+              arr(np.float64)])):
+        getattr(dll, name).restype = restype
+        getattr(dll, name).argtypes = argtypes
+    return dll

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from randterm import grid
+from randterm import io, native
 from randterm.cli import random_graph_problem
 from randterm.graph import GraphProblem
 
@@ -56,21 +56,38 @@ def random_problem(request):
 
 @pytest.fixture(scope="session")
 def compiled_march():
-    """Skip the test where the compiled march (grid._kernel) cannot be built."""
-    if grid._kernel() is None:
-        pytest.skip("the compiled march cannot be built here (no working C "
-                    "compiler or writable cache); the Python march runs")
+    """Skip the test where the native library (native.library), and so the
+    compiled march and scanner, cannot be built."""
+    if native.library() is None:
+        pytest.skip("the native library cannot be built here (no working C "
+                    "compiler or writable cache); the Python twins run")
 
 
-def both_marches(solve):
-    """(solve() with the compiled march, solve() with the Python march)."""
-    compiled = solve()
+def both_paths(run):
+    """(run() with the native library, run() with the Python twins)."""
+    compiled = run()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(grid, "_kernel", lambda: None)
-        return compiled, solve()
+        m.setattr(native, "library", lambda: None)
+        return compiled, run()
 
 
 def bit_equal(a, b):
     """Same float64 bits (so -0.0 != 0.0 and inf == inf)."""
     return np.array_equal(np.asarray(a).view(np.int64),
                           np.asarray(b).view(np.int64))
+
+
+def read_lines(path):
+    """What io._read_lines makes of a graph or idle file, comparable with
+    ==: the node count and scalar, and each array's dtype and bytes, or the
+    FormatError message."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    grammar = (("lambda", "call", (4,)) if io.is_idle_scenario(path, data)
+               else ("p", "q", (4, 5)))
+    try:
+        M, value, points, edges, rows = io._read_lines(path, data, *grammar)
+    except io.FormatError as exc:
+        return str(exc)
+    return repr((M, value)), [(a.dtype.str, a.tobytes())
+                              for a in (*points, *edges, rows)]

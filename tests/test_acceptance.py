@@ -1,12 +1,17 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
-Criterion 1's error-magnitude sub-check is expected to fail: this
-implementation solves the documented discretization to machine precision
-(residual ~1e-12, independent Gauss-Seidel oracle agrees to 0), and its errors
+Criterion 1's error-magnitude sub-check is expected to fail.  Its errors
 against the closed form are about 3.7x SMALLER than the published table, with
-clean first-order convergence.  The same code reproduces the other published
-error table and the 1-D line errors of this one to every printed digit.  See
-the decisions ledger for the full evidence chain.
+clean first-order convergence (orders 0.99 and 1.00, which its order
+sub-check asserts).  The evidence that the scheme itself is the documented
+one is in this repository's tests: the FMM solves the discretization to
+roundoff (max residual <= 1e-10, test_grid_solvers.TestSolutionProperties),
+the independent Gauss-Seidel oracle agrees with it (criterion 8), and the
+same code reproduces the paper's other error table (criterion 2).  An
+earlier claim that it also reproduces the 1-D line errors of this table to
+every printed digit cannot be checked without the paper: PAPER.md holds only
+its abstract, so the published table exists here only as the constants of
+test_criterion_1_first_table.
 """
 
 import math
@@ -55,10 +60,10 @@ def test_criterion_1_first_table():
     assert ok_order and ok_time
     # Documented honest failure: the published magnitudes are not reproduced
     # by the discretization this spec describes (ours are ~3.7x smaller with
-    # the same first-order rate; see module docstring and the ledger).
+    # the same first-order rate; see the module docstring).
     assert ok_mag, ("computed Linf errors %s are ~3.7x below the published "
-                    "(0.0449, 0.0259, 0.0147); same scheme reproduces the "
-                    "second table and the 1-D line errors exactly" % (errs,))
+                    "(0.0449, 0.0259, 0.0147); the same scheme reproduces "
+                    "the second table (criterion 2)" % (errs,))
 
 
 def test_criterion_2_second_table():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from randterm import eikonal, graph, grid, io
 from randterm.cli import main, random_graph_problem
 
-from conftest import scenario
+from conftest import both_paths, read_lines, scenario
 
 
 def run(*argv):
@@ -53,6 +53,34 @@ class TestRunGraph:
             assert summary["heap_operations"] >= 2 * pb.node_count
             assert summary["iterations"] == 0
 
+    @pytest.mark.parametrize("argv, config_hash", [
+        (["run-graph", "three_node_chain.txt", "--p", "0.1"],
+         "a1bd26acb413c1f0"),
+        (["run-graph", "idle_ring.txt", "--solver", "dial"],
+         "0cd3c0f34d0ab988"),
+        (["run-grid", "radial_trivial.json", "--grid", "21x21", "--emit",
+          "mask"], "582b16dedeb3fdc9"),
+    ])
+    def test_config_hash_pinned(self, tmp_path, argv, config_hash):
+        # the sha256 of the scenario file's bytes and of the flags
+        command, name, *flags = argv
+        assert run(command, scenario(name), *flags, "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config_hash"] == config_hash
+
+    @pytest.mark.parametrize("name", ["three_node_chain.txt", "idle_ring.txt"])
+    def test_scenario_read_once(self, tmp_path, monkeypatch, name):
+        opened, builtin_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        path = scenario(name)
+        assert run("run-graph", path, "--p", "0.1", "--out", str(tmp_path)) == 0
+        assert opened.count(path) == 1
+
     def test_dial_matches_dijkstra(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for solver, out in (("dijkstra", a), ("dial", b)):
@@ -91,9 +119,13 @@ class TestRunGraph:
         assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "0.5",
                    "--solver", "vi", "--out", str(tmp_path)) == 0
 
-    def test_nonconvergence_exit_3(self, tmp_path):
+    def test_nonconvergence_exit_3(self, tmp_path, monkeypatch):
         # vanishing kill probability makes the fixed point contraction factor
-        # approach 1; with a strict tolerance the sweep budget runs out
+        # approach 1; with a strict tolerance the sweep budget runs out.  A
+        # budget of 100 iterations, not 100,000, keeps the test short.
+        vi = graph.value_iteration
+        monkeypatch.setattr(graph, "value_iteration",
+                            lambda pb, tol: vi(pb, tol=tol, max_iters=100))
         assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "1e-9",
                    "--solver", "vi", "--tol", "1e-15",
                    "--out", str(tmp_path)) == 3
@@ -228,8 +260,12 @@ class TestRunGrid:
         Vb = np.loadtxt(b / "value.csv", delimiter=",")
         assert np.max(np.abs(Va - Vb)) <= 1e-9
 
-    def test_sweep_nonconvergence_exit_3(self, tmp_path):
-        # a negative tolerance is unattainable, so the sweep budget runs out
+    def test_sweep_nonconvergence_exit_3(self, tmp_path, monkeypatch):
+        # a negative tolerance is unattainable, so the sweep budget runs out;
+        # a budget of 20 sweeps, not 2,000, keeps the test short
+        sweep = grid.sweep_oracle
+        monkeypatch.setattr(grid, "sweep_oracle",
+                            lambda pb, tol: sweep(pb, tol=tol, max_iters=20))
         assert run("run-grid", scenario("radial_trivial.json"),
                    "--grid", "21x21", "--solver", "sweep", "--tol", "-1",
                    "--out", str(tmp_path)) == 3
@@ -426,10 +462,11 @@ class TestImport:
                                  "if m.split('.')[0] == 'scipy')") == "[]"
 
     def test_import_leaves_the_compiled_march_alone(self, tmp_path):
-        # the march kernel is looked for, built and loaded by the first
-        # solve, never at import, for the same reason
+        # the native library (the compiled march and scanner) is looked for,
+        # built and loaded by the first solve or graph load, never at
+        # import, for the same reason
         assert self.after_import(
-            "randterm.grid._kernel.cache_info().misses, "
+            "randterm.native.library.cache_info().misses, "
             "'subprocess' in sys.modules", XDG_CACHE_HOME=str(tmp_path)
         ) == "0 False"
         assert list(tmp_path.iterdir()) == []
@@ -511,6 +548,10 @@ class TestFuzz:
             _mutate(data, lines)
         bad = tmp_path / "fuzz.txt"
         bad.write_text("".join(" ".join(tok) + "\n" for tok in lines))
+        # the compiled scanner reads the file as the Python loop does, or
+        # refuses it and leaves it to that loop
+        compiled, python = both_paths(lambda: read_lines(str(bad)))
+        assert compiled == python
         argv = ["run-graph", str(bad), "--out", str(tmp_path / "out"),
                 "--solver", data.draw(st.sampled_from(["dijkstra", "dial", "vi"]))]
         if data.draw(st.booleans()):

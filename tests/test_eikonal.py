@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from randterm import eikonal
 from randterm.grid import Grid2D, neighbours
 
-from conftest import bit_equal, both_marches
+from conftest import bit_equal, both_paths
 
 
 def unit_grid(n=51, extent=2.0):
@@ -122,7 +122,7 @@ class TestCompiledMarch:
         mask[3, 4] = False
         f = rng.uniform(0.5, 2.0, (39, 47))
         for m in (None, mask):
-            compiled, python = both_marches(
+            compiled, python = both_paths(
                 lambda: eikonal.eikonal_solve(g, f, (3, 4), mask=m))
             assert bit_equal(compiled, python)
 
@@ -138,7 +138,7 @@ class TestCompiledMarch:
         if masked:
             mask = rng.random((ny, nx)) < 0.3
             mask[src] = False
-        compiled, python = both_marches(
+        compiled, python = both_paths(
             lambda: eikonal.eikonal_solve(g, f, src, mask=mask))
         assert bit_equal(compiled, python)
 

@@ -62,6 +62,21 @@ class TestGraphProblem:
         pb.p[pb.edge(0, 1)] = 0.5
         assert pb.uniform_p() is None
 
+    @pytest.mark.parametrize("lo, hi", [(0, 5), (-3, 40), (0, 2 ** 31 - 2),
+                                        (0, 2 ** 31), (0, 2 ** 36),
+                                        (-2 ** 63, 2 ** 63 - 1)])
+    def test_sort_edges_is_lexsort(self, rng, lo, hi):
+        # indices from files: any int64, duplicates and file order included
+        for size in (0, 1, 200):
+            src, dst = (np.sort(rng.integers(lo, hi, size, endpoint=True))
+                        for _ in range(2))
+            src[::3] = rng.permutation(src[::3])
+            order, again = graph.sort_edges(src, dst)
+            assert np.array_equal(order, np.lexsort((dst, src)))
+            pairs = list(zip(src[order].tolist(), dst[order].tolist()))
+            assert again.tolist() == [k for k in range(1, size)
+                                      if pairs[k] == pairs[k - 1]]
+
 
 class TestValidate:
     def test_valid_two_node(self):

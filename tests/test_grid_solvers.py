@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randterm import analytic, grid
+from randterm import analytic, grid, io, native
 from randterm.analytic import RadialCase, radial_grid
 from randterm.eikonal import eikonal_solve
 
-from conftest import bit_equal, both_marches
+from conftest import bit_equal, both_paths, scenario
 
 
 class TestGeometry:
@@ -267,7 +267,7 @@ class TestCompiledMarch:
 
     @staticmethod
     def check(pb):
-        compiled, python = both_marches(lambda: grid.fmm_solve(pb))
+        compiled, python = both_paths(lambda: grid.fmm_solve(pb))
         assert bit_equal(compiled.V, python.V)
         assert np.array_equal(compiled.order, python.order)
 
@@ -297,47 +297,50 @@ class TestKernelLoading:
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        clear = grid._kernel.cache_clear  # tests may patch grid._kernel
+        clear = native.library.cache_clear  # tests may patch native.library
         clear()
         yield
         clear()
 
     def fallback_warnings(self, caplog):
-        """Solve twice; the messages logged on the "randterm" channel."""
+        """Solve twice and load a graph file, which the library also serves;
+        the messages logged on the "randterm" channel."""
         pb = RadialCase("circular", 0.5).problem(radial_grid(11))
         with caplog.at_level(logging.WARNING, logger="randterm"):
             grid.fmm_solve(pb)
             grid.fmm_solve(pb)
+            io.load_graph(scenario("three_node_chain.txt"), default_p=0.5)
         return [r.getMessage() for r in caplog.records]
 
     def test_no_compiler(self, caplog, monkeypatch):
         monkeypatch.setattr(shutil, "which", lambda name: None)
         assert self.fallback_warnings(caplog) == [
-            "compiled march unavailable, using the Python one: "
+            "compiled code unavailable, using the Python twins: "
             "no C compiler (cc or gcc) found"]
 
     @pytest.mark.usefixtures("compiled_march")
     def test_compile_error(self, caplog, monkeypatch):
-        monkeypatch.setattr(grid, "_CFLAGS",
-                            grid._CFLAGS + ("-std=no-such-standard",))
+        monkeypatch.setattr(native, "_CFLAGS",
+                            native._CFLAGS + ("-std=no-such-standard",))
         [message] = self.fallback_warnings(caplog)
-        assert "using the Python one: compile error: " in message
+        assert "using the Python twins: compile error: " in message
 
     @pytest.mark.usefixtures("compiled_march")
     def test_unwritable_cache(self, caplog, monkeypatch, tmp_path):
         (tmp_path / "file").write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
         [message] = self.fallback_warnings(caplog)
-        assert "using the Python one: cache directory is not writable" in message
+        assert ("using the Python twins: cache directory is not writable"
+                in message)
 
     @pytest.mark.usefixtures("compiled_march")
     def test_built_once_into_the_cache(self, monkeypatch, tmp_path):
-        assert grid._kernel() is not None
+        assert native.library() is not None
         built = list((tmp_path / "cache" / "randterm").glob("*/*"))
-        assert [p.name for p in built] == ["march.so"]
-        grid._kernel.cache_clear()
+        assert [p.name for p in built] == ["native.so"]
+        native.library.cache_clear()
         monkeypatch.setattr(subprocess, "run", None)  # no second build
-        assert grid._kernel() is not None
+        assert native.library() is not None
 
     @pytest.mark.usefixtures("compiled_march")
     def test_bad_arrays_raise(self):
@@ -350,7 +353,7 @@ class TestKernelLoading:
                 grid.march(g, V, seeds, blocked, f)
 
     def test_allocation_failure_is_memory_error(self, monkeypatch):
-        monkeypatch.setattr(grid, "_kernel", lambda: types.SimpleNamespace(
+        monkeypatch.setattr(native, "library", lambda: types.SimpleNamespace(
             march=lambda *args: -1))
         with pytest.raises(MemoryError):
             eikonal_solve(grid.Grid2D(nx=3, ny=3, h=1.0), 1.0, (1, 1))

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randterm import eikonal, graph, io
+from randterm.cli import main
 from randterm.grid import Grid2D, fmm_solve
 from randterm.trajectory import TrajectoryPath
 
-from conftest import scenario
+from conftest import bit_equal, both_paths, read_lines, scenario
 
 
 class TestLoadGraph:
@@ -128,6 +131,7 @@ class TestIdleDetection:
         f = tmp_path / "sc.txt"
         f.write_bytes(text.encode())
         assert io.is_idle_scenario(str(f)) is idle
+        assert io.is_idle_scenario(str(f), f.read_bytes()) is idle
 
     def test_rows_with_self_loops(self, tmp_path):
         f = tmp_path / "sc.txt"
@@ -160,6 +164,124 @@ class TestIdleDetection:
         with pytest.raises(io.FormatError) as err:
             io.load_idle(str(f))
         assert message in str(err.value)
+
+
+GRAMMARS = {"graph": ("p", "q", (4, 5)), "idle": ("lambda", "call", (4,))}
+
+# decimal strings of the compiled scanner's float grammar,
+# [+-]digits[.digits][(e|E)[+-]digits]
+SIGN, DIGITS = st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1,
+                                                        max_size=30)
+DECIMALS = st.builds("{}{}{}{}".format, SIGN, DIGITS, st.just("") | DIGITS.map(
+    ".{}".format), st.just("") | st.builds("{}{}{}".format, st.sampled_from(
+        "eE"), SIGN, st.text("0123456789", min_size=1, max_size=4)))
+
+
+def scan(text, kind="graph"):
+    """io._scan of a file's text: what the compiled scanner reads, or None
+    when it refuses the file."""
+    return io._scan(text.encode(), *GRAMMARS[kind])
+
+
+@pytest.mark.usefixtures("compiled_march")
+class TestScanner:
+    """The compiled scanner (scan.c) reads what the Python loop reads, bit
+    for bit, or refuses the file and leaves it to that loop."""
+
+    @pytest.mark.parametrize("name", ["idle_ring.txt", "three_node_chain.txt",
+                                      "two_node_cycle.txt",
+                                      "subtle_motionless.txt", "random"])
+    def test_scenarios_take_the_compiled_path(self, tmp_path, name):
+        path = scenario(name)
+        if name == "random":
+            path = str(tmp_path / "random.txt")
+            assert main(["random-graph", "--seed", "4", "--nodes", "300",
+                         "--out", path]) == 0
+        with open(path) as fh:
+            assert scan(fh.read(), "idle" if "idle" in name else "graph")
+        compiled, python = both_paths(lambda: read_lines(path))
+        assert compiled == python
+
+    @pytest.mark.parametrize("text", [
+        "nodes 3\t# tab, then a comment\n\n  \tq 2 -1.5e+3#no space\n"
+        "p 0.25\nedge +0 -0 0 0.5\nedge 0 2 7E-2\nedge 2 0 1.0 1",
+        "nodes 2\nq 1 1e400\nq 0 -0.0\nq 0 5e-324\np 1\np 0.5\n",
+        "nodes 2\nedge 0 9 1 0.5\n",
+        "nodes 2\nedge 0 1 1 0.5\nedge 0 1 2 0.5\n",
+        "q 0 1.0\n",
+        "# nothing\n",
+    ], ids=["tabs-comments-signs-no-final-newline", "range-edges-last-wins",
+            "index-out-of-range", "duplicate", "no-nodes", "empty"])
+    def test_accepted(self, tmp_path, text):
+        f = tmp_path / "g.txt"
+        f.write_bytes(text.encode())
+        assert scan(text) is not None
+        compiled, python = both_paths(lambda: read_lines(str(f)))
+        assert compiled == python
+
+    @pytest.mark.parametrize("text, check", [
+        ("nodes 2\nq 0 nan\n", lambda pb: math.isnan(pb.q[0])),
+        ("nodes 2\nedge 0 1 inf 0.5\n",
+         lambda pb: pb.K[pb.edge(0, 1)] == math.inf),
+        ("nodes 1_0\n", lambda pb: pb.node_count == 10),
+        ("nodes 2\np .5\n", lambda pb: np.all(pb.p == 0.5)),
+        ("nodes 2  # caf\u00e9\n", lambda pb: pb.node_count == 2),
+        ("nodes 2\r\nq 0 1.5\r\n", lambda pb: pb.q[0] == 1.5),
+        ("nodes 2\x0c\nq\x0c0 1.5\n", lambda pb: pb.q[0] == 1.5),
+        ("nodes 2\nedge 0 %d 1\n" % 2 ** 63,
+         "g.txt:2: edge (0,%d) out of range" % 2 ** 63),
+    ], ids=["nan", "inf", "underscore", "no-leading-digit",
+            "non-ascii-comment", "crlf", "form-feed", "int64-overflow"])
+    def test_refused_and_left_to_python(self, tmp_path, text, check):
+        f = tmp_path / "g.txt"
+        f.write_bytes(text.encode())
+        assert scan(text) is None
+        if isinstance(check, str):
+            with pytest.raises(io.FormatError) as err:
+                io.load_graph(str(f), default_p=0.5)
+            assert str(err.value).endswith(check)
+        else:
+            assert check(io.load_graph(str(f), default_p=0.5))
+
+    @pytest.mark.parametrize("text", [
+        "nodes 2\nq 0\n", "nodes 2\nedge 0 1\n", "nodes 2\nedge 0 1 1 1 1\n",
+        "nodes 0\n", "nodes %d\n" % (io.MAX_NODES + 1), "nodes 2\nq 0.0 1\n",
+        "nodes 2\nq 0 1.\n", "nodes 2\nq 0 1e\n", "nodes 2\nq 0 0x10\n",
+        "nodes 2\nedges 0 1 1\n", "nodes 2\np\n", "nodes 2\nlambda 1\n",
+        "nodes 2\nq 0 1\x00\n", "nodes 2\nq 0 1\x7f\n",
+        "nodes 00000000000000000002\n",
+    ])
+    def test_refused_lines(self, text):
+        assert scan(text) is None
+
+    def test_idle_grammar(self):
+        text = "nodes 2\nlambda 0.5\nedge 0 1 2.0\ncall 1 1\n"
+        assert scan(text, "idle") is not None
+        assert scan(text) is None  # lambda and call are no graph keywords
+        assert scan("nodes 2\nlambda 1\nedge 0 1 1 0.5\n", "idle") is None
+
+    def test_arrays_sized_by_rows(self):
+        M, value, lines, *arrays = scan("# c\n" * 100000
+                                        + "nodes 2\nedge 0 1 1.0 0.5\n")
+        assert (M, value, lines.tolist()) == (2, None, [100002])
+        assert [a.size for a in arrays] == [1] * 5
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.one_of(DECIMALS, st.floats(
+        allow_nan=False, allow_infinity=False).map(repr)), min_size=1,
+        max_size=40))
+    @example(["4.9e-324",  # the least subnormal
+              "2.4703282292062327e-324",  # just under half of it: 0
+              "2.4703282292062328e-324",  # just over: the least subnormal
+              "2.2250738585072011e-308",  # a hard case by the least normal
+              "1.7976931348623158e308",  # rounds to the largest double
+              "1e400", "-1e400", "-0.0", "-1e-400",
+              "9007199254740993",  # 2^53 + 1: ties to even
+              "1e99999999999999999999", "0." + "0" * 400 + "1"])
+    def test_float_bits_equal_python(self, decimals):
+        x = scan("nodes 1\n" + "".join("q 0 %s\n" % s for s in decimals))[5]
+        assert bit_equal(x, [float(s) for s in decimals])
 
 
 class TestGridScenario:

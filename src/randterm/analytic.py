@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid2D, GridProblem
+from .idle import edge_wait_cost
 
 DOMAIN = (-2.0, 2.0)
 
@@ -52,18 +53,9 @@ def radial_grid(n):
     return Grid2D.spanning((lo, hi, lo, hi), n, n)
 
 
-def _moving_cost(r, lam):
-    """r - (1 - e^{-lam r})/lam over an array of radii, stable for small
-    lam*r; math.exp per point, as np.exp differs from libm in the last bits."""
-    x = lam * r
-    e = np.array([math.exp(-v) for v in x.ravel().tolist()]).reshape(x.shape)
-    return np.where(x < 1e-4, r * x / 2.0 * (1.0 - x / 3.0 + x * x / 12.0),
-                    r - (1.0 - e) / lam)
-
-
 def _exact(case, r):
     """Analytic value over an array of radii."""
-    m = _moving_cost(r, case.lam)
+    m = edge_wait_cost(r, case.lam)  # heading straight to the origin
     if case.case == "trivial":
         return m
     return np.minimum(r, (case.lam + 1.0) / case.lam * m)
@@ -87,7 +79,7 @@ def free_boundary_radius(lam):
     from scipy.optimize import brentq
 
     def fun(r):
-        return (lam + 1.0) / lam * float(_moving_cost(np.array(r), lam)) - r
+        return (lam + 1.0) / lam * float(edge_wait_cost(r, lam)) - r
 
     return brentq(fun, 0.5, 2.5, xtol=1e-13, rtol=8.9e-16)
 

@@ -162,8 +162,8 @@ def cmd_run_convergence(args):
 
 
 def random_graph_problem(seed, nodes=50, degree=4, p_range=(0.2, 0.9)):
-    """Random strongly-A1-A3 instance; shared by tests and the CLI generator."""
-    delta = 0.1
+    """Random strongly-A1-A3 instance, every non-self cost in [0.1, 5.1);
+    shared by tests and the CLI generator."""
     rng = np.random.default_rng(seed)
     M = nodes
     # row i: a self-loop, a ring edge (strong connectivity) and random ones
@@ -180,9 +180,8 @@ def random_graph_problem(seed, nodes=50, degree=4, p_range=(0.2, 0.9)):
     draws = rng.uniform(np.where(is_K, 0.0, p_range[0]),
                         np.where(is_K, 5.0, p_range[1]))
     K = np.zeros(len(dst))
-    K[moves] = delta + draws[is_K]
-    return graph.GraphProblem.from_edges(M, src, dst, K, draws[~is_K], q,
-                                         delta=delta)
+    K[moves] = 0.1 + draws[is_K]
+    return graph.GraphProblem.from_edges(M, src, dst, K, draws[~is_K], q)
 
 
 def cmd_random_graph(args):

@@ -31,8 +31,7 @@ class GraphProblem:
 
     Row i holds the out-edges (i, j) of node i (self-loops included when A1
     holds) at positions indptr[i]:indptr[i + 1] of dst, K and p, in the
-    order they were given in.  delta is the stored lower bound on non-self
-    transition costs (assumption A3).
+    order they were given in.
     """
 
     node_count: int
@@ -41,7 +40,6 @@ class GraphProblem:
     K: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    delta: float = 0.0
 
     def __post_init__(self):
         self.indptr, self.dst = (np.asarray(a, np.intp)
@@ -50,26 +48,32 @@ class GraphProblem:
                                   for a in (self.K, self.p, self.q))
 
     @classmethod
-    def from_dicts(cls, adjacency, K, q, p, delta=0.0):
+    def from_dicts(cls, adjacency, K, q, p):
         """Problem of out-neighbour lists (rows keep their order) and dicts
         keyed by edge (i, j): KeyError for an edge without a K, nan for one
         without a p (which validate reports)."""
         keys = [(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs]
         return cls(len(adjacency), np.cumsum([0] + list(map(len, adjacency))),
                    [j for _, j in keys], [K[e] for e in keys],
-                   [p.get(e, math.nan) for e in keys], q, delta)
+                   [p.get(e, math.nan) for e in keys], q)
 
     @classmethod
-    def from_edges(cls, node_count, src, dst, K, p, q, delta=0.0):
+    def from_edges(cls, node_count, src, dst, K, p, q):
         """Problem of edges listed row by row (src nondecreasing)."""
         counts = np.bincount(src, minlength=node_count)
         return cls(node_count=node_count, indptr=np.append(0, np.cumsum(counts)),
-                   dst=dst, K=K, p=p, q=q, delta=delta)
+                   dst=dst, K=K, p=p, q=q)
 
     @property
     def src(self):
         """The source node of every edge."""
         return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+
+    @property
+    def delta(self):
+        """The delta of A3: the smallest non-self transition cost, nan if
+        any is nan, +inf without non-self edges."""
+        return float(np.min(self.K[self.src != self.dst], initial=math.inf))
 
     def edge(self, i, j):
         """Position of the first edge (i, j) in dst, K and p, or None."""
@@ -129,12 +133,12 @@ def validate(problem):
     issues = [("A2 nonzero self-cost at node %d" if has_loop[i] else
                "A1 missing self-transition at node %d") % i
               for i in np.flatnonzero(~has_loop | costly).tolist()]
-    below = ~loop & ~(K >= problem.delta)  # nan too
+    below = ~loop & ~(K >= 0.0)  # nan too
     bad_p = ~((0.0 < p) & (p < 1.0))
     for e in np.flatnonzero(below | bad_p).tolist():
         if below[e]:
-            issues.append("A3 edge (%d,%d) cost %g below delta %g"
-                          % (src[e], dst[e], K[e], problem.delta))
+            issues.append("A3 edge (%d,%d) cost %g not >= 0"
+                          % (src[e], dst[e], K[e]))
         if bad_p[e]:
             issues.append("p out of (0,1) on edge (%d,%d)" % (src[e], dst[e]))
     if not np.all(np.isfinite(problem.q)):
@@ -150,13 +154,6 @@ def _require_valid(problem):
         issues[5:] = ["and %d more" % (len(issues) - 5)]
     if issues:
         raise ValueError("invalid problem: " + "; ".join(issues))
-
-
-def tightest_delta(src, dst, K):
-    """Smallest non-self transition cost by min() over them in the order
-    given, so a leading nan gives nan; 0 without non-self edges."""
-    offdiag = np.asarray(K)[np.asarray(src) != np.asarray(dst)].tolist()
-    return min(offdiag) if offdiag else 0.0
 
 
 def _self_costs(problem, missing):
@@ -178,7 +175,7 @@ def _with_costs(problem, K, q, p, bad):
     for e in np.flatnonzero(K < 0)[:1].tolist():
         raise ValueError(bad % (src[e], dst[e], K[e]))
     return GraphProblem(problem.node_count, problem.indptr.copy(), dst.copy(),
-                        K, p, q, tightest_delta(src, dst, K))
+                        K, p, q)
 
 
 def normalize_self_costs(problem):
@@ -253,7 +250,9 @@ def _solution(problem, V, const, surv, **stats):
     indptr, src, dst, q = problem.indptr, problem.src, problem.dst, problem.q
     with np.errstate(invalid="ignore", over="ignore"):
         cand = const + surv * V[dst]
-        motionless = np.abs(V - q) <= MOTIONLESS_RTOL * np.maximum(1.0, abs(q))
+        # the tolerance scales with a finite q; an infinite q must be met
+        motionless = (V == q) | (np.isfinite(q) & (
+            np.abs(V - q) <= MOTIONLESS_RTOL * np.maximum(1.0, abs(q))))
     best = _row_min(indptr, cand)
     lowest = _row_min(indptr, np.where(cand == best[src], dst, np.inf))
     moving = ~motionless & (best < np.inf)
@@ -265,10 +264,10 @@ def _solution(problem, V, const, surv, **stats):
 def value_iteration(problem, tol=1e-13, max_iters=100000):
     """Fixed-point iteration for the optimality equation (the general oracle).
 
-    Does not require A1-A3, but every edge needs a p in [0, 1].  Each Jacobi
-    sweep is a row minimum over the edge arrays.  Non-convergence is reported
-    through the status field, carrying the last iterate, and one warning on
-    the "randterm" logger.
+    Does not require A1-A3, but every edge needs a p in [0, 1] and every
+    node a q that is not nan.  Each Jacobi sweep is a row minimum over the
+    edge arrays.  Non-convergence is reported through the status field,
+    carrying the last iterate, and one warning on the "randterm" logger.
     """
     if math.isnan(tol):
         raise ValueError("tol must not be nan")
@@ -276,6 +275,8 @@ def value_iteration(problem, tol=1e-13, max_iters=100000):
     for e in np.flatnonzero(bad)[:1].tolist():  # the first
         raise ValueError("p missing, nan or outside [0, 1] on edge (%d,%d)"
                          % (problem.src[e], problem.dst[e]))
+    for i in np.flatnonzero(np.isnan(problem.q))[:1].tolist():
+        raise ValueError("terminal cost nan at node %d" % i)
     indptr, dst = problem.indptr, problem.dst
     const, surv = _terms(problem)
     V = problem.q.copy()
@@ -349,20 +350,20 @@ def _label_solve(problem, seeds, key):
                      acceptance_order=np.array(order, dtype=int))
 
 
-def dijkstra_solve(problem, seed_all=False):
+def dijkstra_solve(problem):
     """Label-setting solve by acceptance in nondecreasing value order.
 
     Tentative values start at q; the initial Considered set is the local minima
-    of q (or every node when seed_all is set).  Heap ties break on the lowest
-    node index so acceptance order is deterministic.
+    of q.  Heap ties break on the lowest node index so acceptance order is
+    deterministic.
     """
     _require_valid(problem)
-    seeds = range(problem.node_count) if seed_all else problem.local_minima()
-    return _label_solve(problem, seeds, float)
+    return _label_solve(problem, problem.local_minima(), float)
 
 
 def dial_solve(problem):
-    """Bucket-based label setting; requires delta > 0.
+    """Bucket-based label setting; requires delta > 0 (+inf, without
+    non-self edges, makes one bucket).
 
     Considered nodes are accepted by bucket of width delta above min q, the
     buckets in nondecreasing order.  No member of a bucket can improve
@@ -374,9 +375,9 @@ def dial_solve(problem):
     allocated, however fine delta is.
     """
     _require_valid(problem)
-    if problem.delta <= 0.0:
-        raise ValueError("dial_solve requires delta > 0")
     base, delta = float(problem.q.min()), problem.delta
+    if delta <= 0.0:
+        raise ValueError("dial_solve requires delta > 0")
     return _label_solve(problem, problem.local_minima(),
                         lambda v: int((v - base) / delta))
 

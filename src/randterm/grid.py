@@ -136,7 +136,6 @@ class GridSolution:
 
 @dataclass
 class MotionlessSet:
-    mask: np.ndarray
     boundary_mask: np.ndarray
     boundary_points: np.ndarray  # (x, y) rows
 
@@ -358,36 +357,28 @@ def fmm_solve(problem):
                         _motionless(problem, V))
 
 
-def default_motionless_eps(problem):
-    """Tolerance for V == q on the grid.  Wherever stopping is optimal the
-    obstacle binds exactly (solvers only ever lower V below its q start), so a
-    roundoff-scale tolerance suffices; truncation-scale tolerances drown the
-    shallow contrasts that occur at large termination rates."""
+def _motionless(problem, V):
+    """Live points where q - V <= 1e-9 max(1, max |q|).  Wherever stopping is
+    optimal the obstacle binds exactly (solvers only ever lower V below its q
+    start), so a roundoff-scale tolerance suffices; truncation-scale
+    tolerances drown the shallow contrasts that occur at large termination
+    rates."""
     live = ~problem.mask()
     scale = float(np.max(np.abs(problem.q[live]), initial=0.0))
-    return 1e-9 * max(1.0, scale)
-
-
-def _motionless(problem, V, eps=None):
-    """q - V <= eps on live points; eps defaults to default_motionless_eps."""
-    if eps is None:
-        eps = default_motionless_eps(problem)
-    live = ~problem.mask()
     gap = np.full(problem.q.shape, INF)
     gap[live] = problem.q[live] - V[live]
-    return gap <= eps
+    return gap <= 1e-9 * max(1.0, scale)
 
 
-def motionless_set(solution, problem, eps=None):
-    """Points where staying put is optimal (q - V <= eps), plus the free
-    boundary: motionless points with at least one moving 4-neighbor."""
-    live = ~problem.mask()
-    mask = _motionless(problem, solution.V, eps)
-    w, e, s, n = neighbours(mask | ~live, True)
+def motionless_set(solution, problem):
+    """The free boundary of solution.motionless: motionless points with at
+    least one moving 4-neighbor."""
+    mask = solution.motionless
+    w, e, s, n = neighbours(mask | problem.mask(), True)
     boundary = mask & ~(w & e & s & n)  # a moving 4-neighbour
     X, Y = problem.grid.meshgrid()
     pts = np.column_stack([X[boundary], Y[boundary]])
-    return MotionlessSet(mask=mask, boundary_mask=boundary, boundary_points=pts)
+    return MotionlessSet(boundary_mask=boundary, boundary_points=pts)
 
 
 def sweep_oracle(problem, tol=1e-12, max_iters=2000):

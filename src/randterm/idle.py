@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eikonal import check_call_probabilities
-from .graph import GraphProblem, tightest_delta
+from .graph import GraphProblem
 
 # placeholder only: self-loops are free and motionless nodes pay q directly,
 # so no solver ever reads the self-loop probability
@@ -57,12 +57,18 @@ class IdleScenario:
 
 
 def edge_wait_cost(tau, lam):
-    """Expected extra wait from committing to an edge of duration tau."""
-    x = lam * tau
-    if x < 1e-4:
-        # series keeps precision where exp(-x) - (1 - x) cancels
-        return tau * x / 2.0 * (1.0 - x / 3.0 + x * x / 12.0)
-    return (math.exp(-x) - (1.0 - x)) / lam
+    """Expected extra wait (e^{-lam tau} - 1 + lam tau) / lam from committing
+    to edges of durations tau (an array), by math.exp per element, as np.exp
+    differs from libm in the last bits."""
+    shape, tau = np.shape(tau), np.ravel(tau).astype(float)
+    with np.errstate(over="ignore"):  # inf, as floats, past float range
+        x = lam * tau
+        out = (np.array([math.exp(-v) for v in x.tolist()]) - (1.0 - x)) / lam
+    # the series keeps precision where e^{-x} - (1 - x) cancels
+    small = x < 1e-4
+    t, x = tau[small], x[small]
+    out[small] = t * x / 2.0 * (1.0 - x / 3.0 + x * x / 12.0)
+    return out.reshape(shape)
 
 
 def all_pairs_times(scenario):
@@ -112,8 +118,7 @@ def build_problem(scenario):
     src, dst = scenario.src, scenario.dst
     K, p = np.zeros(len(src)), np.full(len(src), SELF_LOOP_P)
     moves = np.flatnonzero(src != dst)
-    tau = scenario.tau[moves].tolist()
-    K[moves] = [edge_wait_cost(t, scenario.lam) for t in tau]
-    p[moves] = [1.0 - math.exp(-scenario.lam * t) for t in tau]
-    return GraphProblem.from_edges(scenario.node_count, src, dst, K, p, q,
-                                   delta=tightest_delta(src, dst, K))
+    tau = scenario.tau[moves]
+    K[moves] = edge_wait_cost(tau, scenario.lam)
+    p[moves] = [1.0 - math.exp(-scenario.lam * t) for t in tau.tolist()]
+    return GraphProblem.from_edges(scenario.node_count, src, dst, K, p, q)

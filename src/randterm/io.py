@@ -46,7 +46,7 @@ import numpy as np
 
 from . import native
 from .eikonal import CallSpec, response_cost
-from .graph import GraphProblem, sort_edges, tightest_delta
+from .graph import GraphProblem, sort_edges
 from .grid import MAX_NODES, Grid2D, GridProblem
 from .idle import IdleScenario
 
@@ -187,7 +187,6 @@ def load_graph(path, default_p=None, data=None):
     M, p_line, (qi, qv), (src, dst, K, p, no_p), rows = _read_lines(
         path, data, "p", "q", (4, 5))
     default_p = default_p if p_line is None else p_line
-    delta = max(tightest_delta(src, dst, K), 0.0)
     src, dst, K, p = (a[rows] for a in (src, dst, K, p))
     unset = np.flatnonzero(no_p[rows])
     if unset.size and default_p is None:
@@ -196,7 +195,7 @@ def load_graph(path, default_p=None, data=None):
     p[unset] = default_p
     q = np.zeros(M)
     q[qi] = qv  # the last q line of a node counts
-    return GraphProblem.from_edges(M, src, dst, K, p, q, delta=delta)
+    return GraphProblem.from_edges(M, src, dst, K, p, q)
 
 
 def load_idle(path, data=None):
@@ -241,6 +240,13 @@ def write_graph_solution(path, problem, solution):
 # --- grid scenario descriptors -------------------------------------------
 
 
+def _float(v):
+    """float(v), but TypeError for a bool: JSON true is not a number."""
+    if isinstance(v, bool):
+        raise TypeError("%r is not a number" % v)
+    return float(v)
+
+
 def _build_field(spec, grid, base_dir):
     """Evaluate one field spec to an (ny, nx) array.
 
@@ -249,41 +255,42 @@ def _build_field(spec, grid, base_dir):
     "rects": [{"x": [a, b], "y": [c, d], "value": v}]}}, {"disk": {"center":
     [x, y], "radius": r, "value": v, "default": v}}, {"csv": path}.
     """
-    if isinstance(spec, (int, float)):
+    if type(spec) in (int, float):  # bool aside
         return np.full((grid.ny, grid.nx), float(spec))
     if not isinstance(spec, dict):
         raise FormatError("bad field spec %r" % (spec,))
     if "constant" in spec:
-        return np.full((grid.ny, grid.nx), float(spec["constant"]))
+        return np.full((grid.ny, grid.nx), _float(spec["constant"]))
     if "radial" in spec:
         X, Y = grid.meshgrid()
         R = np.hypot(X, Y)
 
         def val(v):
-            return R if v == "r" else float(v)
+            return R if v == "r" else _float(v)
 
         out = np.empty_like(R)
         out[:] = val(spec["radial"].get("default", 0.0))
         for piece in spec["radial"].get("pieces", []):
             a, b = piece["range"]
-            sel = (R >= float(a)) & (R <= float(b))
+            sel = (R >= _float(a)) & (R <= _float(b))
             out[sel] = np.broadcast_to(val(piece["value"]), R.shape)[sel]
         return out
     if "rects" in spec:
         X, Y = grid.meshgrid()
-        out = np.full((grid.ny, grid.nx), float(spec["rects"]["default"]))
+        out = np.full((grid.ny, grid.nx), _float(spec["rects"]["default"]))
         for rect in spec["rects"].get("rects", []):
-            (xa, xb), (ya, yb) = rect["x"], rect["y"]
+            xa, xb = map(_float, rect["x"])
+            ya, yb = map(_float, rect["y"])
             sel = (X >= xa) & (X <= xb) & (Y >= ya) & (Y <= yb)
-            out[sel] = float(rect["value"])
+            out[sel] = _float(rect["value"])
         return out
     if "disk" in spec:
         X, Y = grid.meshgrid()
         d = spec["disk"]
-        out = np.full((grid.ny, grid.nx), float(d.get("default", 0.0)))
-        cx, cy = d["center"]
-        sel = np.hypot(X - cx, Y - cy) <= float(d["radius"])
-        out[sel] = float(d["value"])
+        out = np.full((grid.ny, grid.nx), _float(d.get("default", 0.0)))
+        cx, cy = map(_float, d["center"])
+        sel = np.hypot(X - cx, Y - cy) <= _float(d["radius"])
+        out[sel] = _float(d["value"])
         return out
     if "csv" in spec:
         arr = read_field_csv(os.path.join(base_dir, spec["csv"]))
@@ -314,7 +321,7 @@ def load_grid_scenario(path, lam=None, n=None):
                           % (path, ", ".join(map(repr, unknown))))
     extent = gspec.get("extent")
     if not (isinstance(extent, list) and len(extent) == 4
-            and all(isinstance(v, (int, float)) for v in extent)):
+            and all(type(v) in (int, float) for v in extent)):  # bool aside
         raise FormatError("%s: 'grid.extent' must be four numbers "
                           "[x0, x1, y0, y1]" % path)
     nx, ny = (gspec.get(k) for k in (("n", "n") if "n" in gspec
@@ -331,7 +338,7 @@ def load_grid_scenario(path, lam=None, n=None):
     except ValueError as exc:
         raise FormatError("%s: %s" % (path, exc)) from None
     try:
-        lam = float(doc.get("lambda") if lam is None else lam)
+        lam = _float(doc.get("lambda") if lam is None else lam)
     except (OverflowError, TypeError, ValueError):
         raise FormatError("%s: needs a number 'lambda'" % path) from None
     if "q" in doc and "calls" in doc:
@@ -369,8 +376,8 @@ def _call_spec(path, calls):
         locations, probabilities = [], []
         for call in calls:
             x, y = call["location"]
-            locations.append((float(x), float(y)))
-            probabilities.append(float(call["prob"]))
+            locations.append((_float(x), _float(y)))
+            probabilities.append(_float(call["prob"]))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError("%s: 'calls' needs a list of {\"location\": [x, y], "
                           "\"prob\": p} (%s)" % (path, _reason(exc))) from None

@@ -82,7 +82,7 @@ def trace(solution, problem, start, step=None):
     x, y = float(start[0]), float(start[1])
     pts = [(x, y)]
     j0, i0 = grid.nearest_index((x, y))
-    if mset.mask[j0, i0]:
+    if solution.motionless[j0, i0]:
         return TrajectoryPath(np.array(pts),
                               np.array([_bilinear(Vsafe, grid, x, y)]))
 
@@ -112,7 +112,7 @@ def trace(solution, problem, start, step=None):
         y = min(max(y, grid.origin[1]), grid.origin[1] + h * (grid.ny - 1))
         pts.append((x, y))
         j0, i0 = grid.nearest_index((x, y))
-        if mset.mask[j0, i0]:
+        if solution.motionless[j0, i0]:
             status = "ok"
             break
     pts_arr = np.array(pts)

@@ -28,10 +28,7 @@ def make_graph(q, edges, p, node_count=None):
         pd[(i, j)] = p
     for nbrs in adjacency:
         nbrs.sort()
-    offdiag = [v for (i, j), v in K.items() if i != j]
-    delta = min(offdiag) if offdiag else 0.0
-    return GraphProblem.from_dicts(adjacency, K, np.asarray(q, float), pd,
-                                   delta=max(delta, 0.0))
+    return GraphProblem.from_dicts(adjacency, K, np.asarray(q, float), pd)
 
 
 def fig1b(p):

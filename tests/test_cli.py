@@ -138,6 +138,38 @@ class TestRunGraph:
                    "--out", str(tmp_path)) == 2
         assert "tol must not be nan" in capsys.readouterr().err
 
+    def test_nan_cost_in_any_line_order(self, tmp_path, capsys):
+        # delta is a function of the costs, so the line order of a nan cost
+        # changes nothing, and only the nan edge breaks A3
+        edges = ["edge 0 1 nan\n", "edge 1 2 1.0\n", "edge 2 0 2.0\n"]
+        errs = []
+        for order in (edges, [edges[1], edges[0], edges[2]]):
+            path = tmp_path / "g.txt"
+            path.write_text("nodes 3\np 0.5\n" + "".join(order))
+            assert run("run-graph", str(path), "--out", str(tmp_path)) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            "error: invalid problem: A3 edge (0,1) cost nan not >= 0\n")
+
+    def test_vi_infinite_q_never_motionless(self, tmp_path):
+        # V_0 = 1 + 0.5 * 1 + 0.5 * V_1 = 2 < q_0 = inf: node 0 moves
+        path = tmp_path / "g.txt"
+        path.write_text("nodes 2\np 0.5\nq 0 inf\nq 1 1.0\n"
+                        "edge 0 1 1.0\nedge 1 0 1.0\n")
+        assert run("run-graph", str(path), "--solver", "vi",
+                   "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "solution.csv").read_text().splitlines()
+        assert rows[1:] == ["0,2.0,inf,0,1", "1,1.0,1.0,1,1"]
+
+    def test_vi_nan_q_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("nodes 2\np 0.5\nq 0 nan\nq 1 1.0\n"
+                        "edge 0 1 1.0\nedge 1 0 1.0\n")
+        assert run("run-graph", str(path), "--solver", "vi",
+                   "--out", str(tmp_path)) == 2
+        assert "terminal cost nan at node 0" in capsys.readouterr().err
+        assert not (tmp_path / "solution.csv").exists()
+
     def test_malformed_scenario_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("nodes two\n")
@@ -328,6 +360,11 @@ class TestRunGrid:
         ({"grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": 0.5,
           "calls": [{"location": [math.inf, 0.5], "prob": 1.0}]},
          "outside the grid"),
+        # JSON booleans are not numbers
+        ({"grid": {"n": 11, "extent": [False, True, 0, 1]}, "lambda": 0.5,
+          "q": 1.0}, "'grid.extent'"),
+        ({"grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": True,
+          "q": 1.0}, "'lambda'"),
     ])
     def test_grid_schema_exit_2(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"
@@ -357,8 +394,20 @@ class TestRunGrid:
         ({"q": {"rects": {"rects": []}}}, "'default'"),
         ({"f": {"disk": {"radius": 1, "value": 1}}, "q": 1.0}, "'center'"),
         ({"q": {"constant": "-inf"}}, "finite"),
+        ({"f": True, "q": 1.0}, "'f'"),
+        ({"q": {"constant": False}}, "'q'"),
+        ({"q": {"radial": {"pieces": [{"range": [0, True], "value": 1}]}}},
+         "'q'"),
+        ({"q": {"rects": {"default": 1, "rects": [
+            {"x": [0, True], "y": [0, 1], "value": 2}]}}}, "'q'"),
+        ({"K": {"disk": {"center": [True, 0.5], "radius": 1, "value": 1}},
+          "q": 1.0}, "'K'"),
+        ({"calls": [{"location": [True, 0.5], "prob": 1.0}]}, "'calls'"),
+        ({"calls": [{"location": [0.5, 0.5], "prob": True}]}, "'calls'"),
     ], ids=["no-location", "short-location", "calls-not-list", "radial-5",
-            "rects-no-default", "disk-no-center", "q-minus-inf"])
+            "rects-no-default", "disk-no-center", "q-minus-inf", "f-true",
+            "constant-false", "range-true", "rect-x-true", "center-true",
+            "location-true", "prob-true"])
     def test_malformed_grid_fields_exit_2(self, tmp_path, capsys, spec, key):
         doc = {"grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": 0.5}
         bad = tmp_path / "bad.json"

@@ -20,7 +20,7 @@ def drop_edge(pb, i, j):
     keep = np.arange(len(pb.dst)) != pb.edge(i, j)
     indptr = pb.indptr - (np.arange(len(pb.indptr)) > i)
     return graph.GraphProblem(pb.node_count, indptr, pb.dst[keep], pb.K[keep],
-                              pb.p[keep], pb.q, pb.delta)
+                              pb.p[keep], pb.q)
 
 
 class TestGraphProblem:
@@ -99,9 +99,23 @@ class TestValidate:
         assert any("p out of (0,1)" in m for m in graph.validate(pb))
 
     def test_cost_below_delta(self):
+        # delta is the smallest non-self cost, and A3 needs it >= 0
         pb = fig2(0.5)
-        pb.delta = 2.0
-        assert any("A3" in m for m in graph.validate(pb))
+        assert pb.delta == 1.0
+        pb.K[pb.edge(1, 2)] = -0.5
+        assert pb.delta == -0.5
+        assert graph.validate(pb) == ["A3 edge (1,2) cost -0.5 not >= 0"]
+
+    def test_delta_of_the_costs(self):
+        # nan wherever a nan cost sits, +inf without non-self edges, and
+        # self-loop costs never count
+        for order in ([(0, 1, math.nan), (1, 2, 1.0)],
+                      [(1, 2, 1.0), (0, 1, math.nan)]):
+            assert math.isnan(make_graph([0.0, 0.0, 0.0], order, 0.5).delta)
+        pb = make_graph([0.0, 1.0], [], 0.5)
+        assert pb.delta == math.inf
+        pb.K[pb.edge(0, 0)] = -1.0
+        assert pb.delta == math.inf
 
     def test_nan_cost(self):
         pb = fig2(0.5)
@@ -117,12 +131,13 @@ class TestValidate:
         p[(1, 0)] = 1.0
         del p[(2, 0)]
         pb = graph.GraphProblem.from_dicts([[1], [2, 1, 0], [0, 2]], K,
-                                           [0.0, 1.0, math.inf], p, delta=1.0)
+                                           [0.0, 1.0, math.inf], p)
+        assert math.isnan(pb.delta)
         assert graph.validate(pb) == [
             "A1 missing self-transition at node 0",
             "A2 nonzero self-cost at node 1",
-            "A3 edge (1,2) cost -1 below delta 1",
-            "A3 edge (1,0) cost nan below delta 1",
+            "A3 edge (1,2) cost -1 not >= 0",
+            "A3 edge (1,0) cost nan not >= 0",
             "p out of (0,1) on edge (1,0)",
             "p out of (0,1) on edge (2,0)",
             "non-finite terminal cost",
@@ -300,14 +315,19 @@ class TestLabelSetting:
             graph.dial_solve(fig1b(0.5))  # all costs zero -> delta 0
 
     def test_dial_single_node(self):
-        pb = make_graph([4.0], [], 0.5)
-        pb.delta = 1.0  # vacuous: no non-self edges
-        sol = graph.dial_solve(pb)
-        assert sol.V[0] == 4.0
+        # no non-self edges: delta is +inf, one bucket, and V = q
+        for q in ([4.0], [4.0, 1.0, 2.0]):
+            pb = make_graph(q, [], 0.5)
+            assert pb.delta == math.inf
+            sol = graph.dial_solve(pb)
+            assert sol.V.tolist() == q and sol.motionless.all()
 
     def test_seed_all_agrees(self, random_problem):
+        # the seed set cannot change V: seeding every node, not just the
+        # local minima of q, gives the same values
         a = graph.dijkstra_solve(random_problem)
-        b = graph.dijkstra_solve(random_problem, seed_all=True)
+        b = graph._label_solve(random_problem,
+                               range(random_problem.node_count), float)
         assert np.abs(a.V - b.V).max() == 0.0
 
     def test_acceptance_order_nondecreasing(self, random_problem):

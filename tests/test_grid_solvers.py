@@ -122,10 +122,10 @@ class TestSolutionProperties:
         for lam in (0.5, 2.0, 10.0):
             pbs[lam] = RadialCase("circular", lam).problem(radial_grid(61))
             sols[lam] = grid.fmm_solve(pbs[lam])
+        # a truncation-scale tolerance, not the solvers' roundoff-scale one
         eps = 1e-6 * 2.0 * math.sqrt(2.0)
-        m_small = grid.motionless_set(sols[0.5], pbs[0.5], eps=eps).mask
-        m_mid = grid.motionless_set(sols[2.0], pbs[2.0], eps=eps).mask
-        m_big = grid.motionless_set(sols[10.0], pbs[10.0], eps=eps).mask
+        m_small, m_mid, m_big = (pbs[lam].q - sols[lam].V <= eps
+                                 for lam in (0.5, 2.0, 10.0))
         assert np.all(m_small <= m_mid)
         assert np.all(m_mid <= m_big)
 
@@ -242,9 +242,34 @@ class TestMotionlessSet:
         pb = RadialCase("trivial", 0.5).problem(radial_grid(101))
         sol = grid.fmm_solve(pb)
         mset = grid.motionless_set(sol, pb)
-        jj, ii = np.nonzero(mset.mask)
+        jj, ii = np.nonzero(sol.motionless)
         assert len(jj) == 1
         assert (jj[0], ii[0]) == pb.grid.nearest_index((0.0, 0.0))
+        assert mset.boundary_points.tolist() == [[0.0, 0.0]]
+
+    @pytest.mark.parametrize("solve", [grid.fmm_solve, grid.sweep_oracle])
+    def test_boundary_of_the_solution(self, solve):
+        # the free boundary is read off solution.motionless: motionless points
+        # with a live, moving 4-neighbour (a masked one does not count); the
+        # circular case with a wall (q = +inf) across its free boundary
+        case = RadialCase("circular", 1.0).problem(radial_grid(41))
+        X, Y = case.grid.meshgrid()
+        wall = (np.abs(X - 1.0) <= 0.1) & (np.abs(Y) <= 1.0)
+        pb = grid.GridProblem(grid=case.grid, f=1.0, K=case.K, lam=1.0,
+                              q=np.where(wall, math.inf, case.q))
+        sol = solve(pb)
+        moving = ~sol.motionless & ~pb.mask()
+        padded = np.pad(moving, 1)
+        expected = sol.motionless & (padded[1:-1, :-2] | padded[1:-1, 2:]
+                                     | padded[:-2, 1:-1] | padded[2:, 1:-1])
+        mset = grid.motionless_set(sol, pb)
+        assert expected.any() and pb.mask().any()
+        assert np.array_equal(mset.boundary_mask, expected)
+        assert np.array_equal(mset.boundary_points,
+                              np.column_stack([X[expected], Y[expected]]))
+        # what it reads is the solution's set, not one recomputed from V
+        sol.motionless = np.zeros_like(sol.motionless)
+        assert not grid.motionless_set(sol, pb).boundary_mask.any()
 
 
 def random_problem(rng, nx, ny):

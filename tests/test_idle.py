@@ -5,7 +5,7 @@ import pytest
 
 from randterm import graph, idle
 
-from conftest import scenario
+from conftest import bit_equal, scenario
 from randterm.io import load_idle
 
 
@@ -69,8 +69,25 @@ class TestEdgeWaitCost:
             assert idle.edge_wait_cost(x, 1.0) == pytest.approx(direct, rel=1e-8)
 
     def test_monotone_in_tau(self):
-        ks = [idle.edge_wait_cost(t, 0.7) for t in np.linspace(0.1, 5, 40)]
+        ks = idle.edge_wait_cost(np.linspace(0.1, 5, 40), 0.7)
         assert np.all(np.diff(ks) > 0)
+
+    def test_arrays_match_scalar_formula(self, rng):
+        # bit for bit the per-edge formula of a scalar tau, over lam tau from
+        # the series range past float range, with no RuntimeWarning
+        def scalar(tau, lam):
+            x = lam * tau
+            if x < 1e-4:
+                return tau * x / 2.0 * (1.0 - x / 3.0 + x * x / 12.0)
+            return (math.exp(-x) - (1.0 - x)) / lam
+
+        tau = 10.0 ** rng.uniform(-12, 300, (3, 200))
+        for lam in (1e-300, 1e-8, 0.7, 25.0, 1e10):
+            K = idle.edge_wait_cost(tau, lam)
+            assert K.shape == tau.shape
+            assert bit_equal(K, [[scalar(t, lam) for t in row]
+                                 for row in tau.tolist()])
+        assert math.isinf(idle.edge_wait_cost(1e300, 1e10))
 
 
 class TestTravelTimes:
@@ -142,22 +159,25 @@ class TestBuildProblem:
 
     def test_matches_per_edge_reference(self, rng):
         # the rows, K and p of build_problem against per-edge dict lookups
-        n, lam = 12, 0.7
+        # and the per-edge scalar formulas, bit for bit
+        n, lam = 12, float(10.0 ** rng.uniform(-3.0, 2.0))
         tau = {(i, (i + 1) % n): 1.0 for i in range(n)}
         for i, j in rng.integers(0, n, size=(30, 2)).tolist():
-            if i != j:
-                tau[(i, j)] = float(rng.uniform(1e-5, 3.0))
+            if i != j:  # lam tau on both sides of the series switch
+                tau[(i, j)] = float(10.0 ** rng.uniform(-6.0, 1.0) / lam)
         pb = idle.build_problem(idle_scenario(n, tau, lam=lam))
         adjacency = [sorted({i} | {j for a, j in tau if a == i})
                      for i in range(n)]
         K = {(i, i): 0.0 for i in range(n)}
         p = {(i, i): idle.SELF_LOOP_P for i in range(n)}
         for e, t in tau.items():
-            K[e] = idle.edge_wait_cost(t, lam)
+            x = lam * t
+            K[e] = ((math.exp(-x) - (1.0 - x)) / lam if x >= 1e-4 else
+                    t * x / 2.0 * (1.0 - x / 3.0 + x * x / 12.0))
             p[e] = 1.0 - math.exp(-lam * t)
         ref = graph.GraphProblem.from_dicts(adjacency, K, pb.q, p)
         for name in ("indptr", "dst", "K", "p"):
-            assert np.array_equal(getattr(pb, name), getattr(ref, name)), name
+            assert bit_equal(getattr(pb, name), getattr(ref, name)), name
         assert pb.delta == min(K[e] for e in tau)
 
     def test_unreachable_call_rejected(self):

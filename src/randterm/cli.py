@@ -109,8 +109,9 @@ def cmd_run_grid(args):
             raise io.FormatError("--grid override must be square (NxN)")
         n = int(nx)
     with open(args.scenario, "rb") as fh:
-        scenario = hashlib.sha256(fh.read())
-    problem = io.load_grid_scenario(args.scenario, lam=args.lam, n=n)
+        data = fh.read()
+    problem = io.load_grid_scenario(args.scenario, args.lam, n, data)
+    scenario = hashlib.sha256(data)
     for kind, start in kinds:
         if kind == "trajectory":
             problem.grid.nearest_index(start)  # ValueError outside the grid

@@ -10,7 +10,9 @@ satisfies
 Under the structural assumptions A1 (self-loops everywhere), A2 (free
 self-transitions) and A3 (non-self transition costs bounded below by delta >= 0)
 the system is causal and can be solved by label-setting (Dijkstra-like or
-Dial-like) methods as well as by plain value iteration.
+Dial-like) methods as well as by plain value iteration.  Node i is motionless
+(staying put optimal) where |V_i - q_i| <= 1e-12 max(1, |q_i|), and only
+where V_i = q_i if q_i is infinite; grid points share this rule, motionless.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-MOTIONLESS_RTOL = 1e-12
 
 
 @dataclass
@@ -244,21 +244,27 @@ def _row_min(indptr, values):
     return out
 
 
+def motionless(V, q):
+    """Where V meets q: within 1e-12 max(1, |q|) of each point's own q, and
+    exactly where q is infinite (grid solvers leave out masked points)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (V == q) | (np.isfinite(q) & (
+            np.abs(V - q) <= 1e-12 * np.maximum(1.0, abs(q))))
+
+
 def _solution(problem, V, const, surv, **stats):
     """GraphSolution of V with the motionless set and the greedy successor
     per node (ties to lowest index, self for motionless)."""
-    indptr, src, dst, q = problem.indptr, problem.src, problem.dst, problem.q
+    indptr, src, dst = problem.indptr, problem.src, problem.dst
     with np.errstate(invalid="ignore", over="ignore"):
         cand = const + surv * V[dst]
-        # the tolerance scales with a finite q; an infinite q must be met
-        motionless = (V == q) | (np.isfinite(q) & (
-            np.abs(V - q) <= MOTIONLESS_RTOL * np.maximum(1.0, abs(q))))
+    still = motionless(V, problem.q)
     best = _row_min(indptr, cand)
     lowest = _row_min(indptr, np.where(cand == best[src], dst, np.inf))
-    moving = ~motionless & (best < np.inf)
+    moving = ~still & (best < np.inf)
     policy = np.arange(problem.node_count)
     policy[moving] = lowest[moving]
-    return GraphSolution(V, policy, motionless, **stats)
+    return GraphSolution(V, policy, still, **stats)
 
 
 def value_iteration(problem, tol=1e-13, max_iters=100000):

@@ -13,7 +13,9 @@ neighbors, so a Fast-Marching sweep (heap ordered acceptance) solves the whole
 system non-iteratively; the same marching skeleton serves the eikonal travel
 times.  It runs as compiled C (march.c) where a C compiler is available, with
 results equal bit for bit to the Python march.  A Gauss-Seidel sweeping
-solver is kept as an independent oracle.
+solver is kept as an independent oracle.  A live point is motionless by the
+graph nodes' rule, graph.motionless: V within 1e-12 max(1, |q|) of its own q
+(the solvers only lower V from q, so where stopping pays V = q to roundoff).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
+from .graph import motionless
 
 INF = math.inf
 
@@ -354,20 +357,7 @@ def fmm_solve(problem):
                   problem.lam)
     V = V.reshape(g.ny, g.nx)
     return GridSolution(V, order.reshape(g.ny, g.nx),
-                        _motionless(problem, V))
-
-
-def _motionless(problem, V):
-    """Live points where q - V <= 1e-9 max(1, max |q|).  Wherever stopping is
-    optimal the obstacle binds exactly (solvers only ever lower V below its q
-    start), so a roundoff-scale tolerance suffices; truncation-scale
-    tolerances drown the shallow contrasts that occur at large termination
-    rates."""
-    live = ~problem.mask()
-    scale = float(np.max(np.abs(problem.q[live]), initial=0.0))
-    gap = np.full(problem.q.shape, INF)
-    gap[live] = problem.q[live] - V[live]
-    return gap <= 1e-9 * max(1.0, scale)
+                        motionless(V, problem.q) & ~problem.mask())
 
 
 def motionless_set(solution, problem):
@@ -429,8 +419,8 @@ def sweep_oracle(problem, tol=1e-12, max_iters=2000):
             "sweeping did not converge after %d iterations; max residual "
             "%.3e", sweep, res)
     return GridSolution(Varr, np.full((ny, nx), -1),
-                        _motionless(problem, Varr), status=status,
-                        iterations=sweep)
+                        motionless(Varr, problem.q) & ~problem.mask(),
+                        status=status, iterations=sweep)
 
 
 def semi_lagrangian_update(v1, v2, K, q, f, lam, h):

@@ -38,6 +38,7 @@ import csv
 import json
 import math
 import os
+import re
 from array import array
 from io import BytesIO, TextIOWrapper
 from itertools import chain
@@ -211,15 +212,17 @@ def load_idle(path, data=None):
 
 
 def is_idle_scenario(path, data=None):
-    """True when the file has a 'lambda' line; only the lines that contain
-    the word are tokenized.  data as for load_graph."""
-    text = _text(_read(path, data)).read()
-    at = text.find("lambda")
-    while at >= 0:
-        line = text[text.rfind("\n", 0, at) + 1:at + 7]  # up to one past it
+    """True when the file has a 'lambda' line, lines ending at \\n or \\r as
+    universal newlines end them; only the lines that contain the word are
+    decoded and tokenized.  data as for load_graph."""
+    data, hi = _read(path, data), 0
+    while (at := data.find(b"lambda", hi)) >= 0:
+        lo = 1 + max(data.rfind(b"\n", hi, at), data.rfind(b"\r", hi, at))
+        end = re.compile(rb"[\r\n]").search(data, at)
+        hi = end.start() if end else len(data)
+        line = _text(data[lo:hi]).read()
         if line.split("#", 1)[0].split()[:1] == ["lambda"]:
             return True
-        at = text.find("lambda", at + 6)
     return False
 
 
@@ -300,14 +303,13 @@ def _build_field(spec, grid, base_dir):
     raise FormatError("bad field spec %r" % (spec,))
 
 
-def load_grid_scenario(path, lam=None, n=None):
+def load_grid_scenario(path, lam=None, n=None, data=None):
     """Parse a JSON grid scenario into a GridProblem.
 
     lam and n override the file's termination rate and per-axis point count
-    (the latter only for square grids).
+    (the latter only for square grids); data as for load_graph.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = json.load(_text(_read(path, data)))
     base_dir = os.path.dirname(os.path.abspath(path))
     gspec = doc.get("grid") if isinstance(doc, dict) else None
     if not isinstance(gspec, dict):

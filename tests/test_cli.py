@@ -19,6 +19,19 @@ def run(*argv):
     return main(list(argv))
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The files the test opens through builtins.open, in order."""
+    files, builtin_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        files.append(file)
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return files
+
+
 # summary.json keys of every run-graph and run-grid solve
 SHARED_KEYS = {"scenario", "solver", "status", "iterations", "wall_time_s",
                "motionless_count", "config_hash"}
@@ -69,14 +82,7 @@ class TestRunGraph:
         assert summary["config_hash"] == config_hash
 
     @pytest.mark.parametrize("name", ["three_node_chain.txt", "idle_ring.txt"])
-    def test_scenario_read_once(self, tmp_path, monkeypatch, name):
-        opened, builtin_open = [], open
-
-        def counting_open(file, *args, **kwargs):
-            opened.append(file)
-            return builtin_open(file, *args, **kwargs)
-
-        monkeypatch.setattr("builtins.open", counting_open)
+    def test_scenario_read_once(self, tmp_path, opened, name):
         path = scenario(name)
         assert run("run-graph", path, "--p", "0.1", "--out", str(tmp_path)) == 0
         assert opened.count(path) == 1
@@ -175,6 +181,16 @@ class TestRunGraph:
         bad.write_text("nodes two\n")
         assert run("run-graph", str(bad), "--p", "0.5",
                    "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("data", [
+        b"nodes 2\np 0.5\nedge 0 1 1.0 \xff\n",
+        b"nodes 2\nlambda 1.0\nedge 0 1 \xff1.0\ncall 0 1.0\n",
+    ], ids=["graph", "idle"])
+    def test_undecodable_byte_exit_2(self, tmp_path, data):
+        # off the lambda line the byte is left to the load, which refuses it
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        assert run("run-graph", str(bad), "--out", str(tmp_path)) == 2
 
     def test_missing_file_exit_4(self, tmp_path):
         assert run("run-graph", str(tmp_path / "nope.txt"), "--p", "0.5",
@@ -281,6 +297,13 @@ class TestRunGrid:
         Vb = np.loadtxt(b / "value.csv", delimiter=",")
         assert np.all(Vb >= Va - 1e-10)
         assert Vb.mean() > Va.mean()  # corners are motionless either way
+
+    def test_scenario_read_once(self, tmp_path, opened):
+        # the config hash and the problem come from the same bytes
+        path = scenario("radial_trivial.json")
+        assert run("run-grid", path, "--grid", "21x21",
+                   "--out", str(tmp_path)) == 0
+        assert opened.count(path) == 1
 
     def test_sweep_solver_agrees_with_fmm(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

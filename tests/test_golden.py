@@ -4,7 +4,9 @@ mask.csv and boundary.csv for every grid scenario at its own size, and for
 the call scenarios also at --grid 201; and of the random-graph text for
 seeds 0-2.  io promises byte-identical CSVs for identical runs; these
 digests hold that promise across changes of the code.  A run that exits
-nonzero writes no solution.csv (digest None).
+nonzero writes no solution.csv (digest None).  Every scenario run is made
+twice, on the compiled library and on its Python twins (native.library
+patched to None), which must give the same digests.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import pytest
 
 from randterm.cli import main
 
-from conftest import SCENARIOS, scenario
+from conftest import SCENARIOS, both_paths, scenario
 
 RUN_GRAPH = [
     ('idle_ring.txt', 'dijkstra', None, 0,
@@ -107,29 +109,38 @@ def test_every_grid_scenario_pinned():
     assert {os.path.basename(f) for f in files} == {r[0] for r in RUN_GRID}
 
 
+def _digests(tmp_path, argv, code, names):
+    """(compiled, python): the sha256 of each file of names (None when not
+    written) that main(argv), exiting with code, writes into a new --out
+    directory, on the compiled library and on its Python twins."""
+    dirs = iter(("compiled", "python"))
+
+    def run():
+        out = tmp_path / next(dirs)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv + ["--out", str(out)]) == code
+        return [_sha256((out / name).read_bytes())
+                if (out / name).exists() else None for name in names]
+
+    return both_paths(run)
+
+
 @pytest.mark.parametrize("name, solver, p, code, digest", RUN_GRAPH)
 def test_run_graph_solution(tmp_path, name, solver, p, code, digest):
-    argv = ["run-graph", scenario(name), "--solver", solver,
-            "--out", str(tmp_path)]
+    argv = ["run-graph", scenario(name), "--solver", solver]
     if p is not None:
         argv += ["--p", p]
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == code
-    solution = tmp_path / "solution.csv"
-    assert (_sha256(solution.read_bytes()) if solution.exists()
-            else None) == digest
+    assert _digests(tmp_path, argv, code, ["solution.csv"]) == ([digest],) * 2
 
 
 @pytest.mark.parametrize("name, size, value, mask, boundary", RUN_GRID)
 def test_run_grid_csvs(tmp_path, name, size, value, mask, boundary):
-    argv = ["run-grid", scenario(name), "--out", str(tmp_path),
+    argv = ["run-grid", scenario(name),
             "--emit", "value", "--emit", "mask", "--emit", "boundary"]
     if size is not None:
         argv += ["--grid", size]
-    assert main(argv) == 0
-    assert [_sha256((tmp_path / (kind + ".csv")).read_bytes())
-            for kind in ("value", "mask", "boundary")] == [value, mask,
-                                                            boundary]
+    names = ["value.csv", "mask.csv", "boundary.csv"]
+    assert _digests(tmp_path, argv, 0, names) == ([value, mask, boundary],) * 2
 
 
 @pytest.mark.parametrize("seed, digest", RANDOM_GRAPH)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randterm import analytic, grid, io, native
+from randterm import analytic, graph, grid, io, native
 from randterm.analytic import RadialCase, radial_grid
 from randterm.eikonal import eikonal_solve
 
@@ -238,9 +238,14 @@ class TestMotionlessSet:
         assert radii.size > 0
         assert np.max(np.abs(radii - r_exact)) <= 2 * pb.grid.h
 
-    def test_trivial_case_origin_only(self):
+    @pytest.mark.parametrize("far_q", [None, 1e10])
+    @pytest.mark.parametrize("solve", [grid.fmm_solve, grid.sweep_oracle])
+    def test_trivial_case_origin_only(self, solve, far_q):
+        # a costly far corner widens no other point's motionless tolerance
         pb = RadialCase("trivial", 0.5).problem(radial_grid(101))
-        sol = grid.fmm_solve(pb)
+        if far_q is not None:
+            pb.q[0, 0] = far_q
+        sol = solve(pb)
         mset = grid.motionless_set(sol, pb)
         jj, ii = np.nonzero(sol.motionless)
         assert len(jj) == 1
@@ -262,6 +267,9 @@ class TestMotionlessSet:
         padded = np.pad(moving, 1)
         expected = sol.motionless & (padded[1:-1, :-2] | padded[1:-1, 2:]
                                      | padded[:-2, 1:-1] | padded[2:, 1:-1])
+        assert np.array_equal(sol.motionless,
+                              graph.motionless(sol.V, pb.q) & ~pb.mask())
+        assert not sol.motionless[pb.mask()].any()
         mset = grid.motionless_set(sol, pb)
         assert expected.any() and pb.mask().any()
         assert np.array_equal(mset.boundary_mask, expected)

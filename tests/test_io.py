@@ -125,11 +125,19 @@ class TestIdleDetection:
         ("nodes 2\r\nlambda 1.0\r\n", True),
         ("nodes 2\rlambda 1.0\r", True),
         ("nodes 2\nedge 0 1 lambda\nlambdax\nlambda", True),
+        ("nodes 2\n\x1clambda 1.0\n", True),
+        ("nodes 2\x1clambda 1.0\n", False),
+        ("nodes 2\n\xa0lambda 1.0\n", True),
+        ("nodes 2\nlambda\xa01.0\n", True),
+        ("nodes 2\n\udcff 1\nlambda 1.0\n", True),
     ], ids=["comment", "trailing-comment", "leading-space", "hash-after",
-            "longer-word", "crlf", "cr", "last-line"])
+            "longer-word", "crlf", "cr", "last-line", "fs-before",
+            "fs-no-line-end", "nbsp-before", "nbsp-after",
+            "undecodable-other-line"])
     def test_lambda_line_detection(self, tmp_path, text, idle):
+        # \udcff writes the byte 0xff, which no line with lambda holds
         f = tmp_path / "sc.txt"
-        f.write_bytes(text.encode())
+        f.write_bytes(text.encode(errors="surrogateescape"))
         assert io.is_idle_scenario(str(f)) is idle
         assert io.is_idle_scenario(str(f), f.read_bytes()) is idle
 

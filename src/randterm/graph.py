@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
+
 
 @dataclass
 class GraphProblem:
@@ -303,26 +305,50 @@ def value_iteration(problem, tol=1e-13, max_iters=100000):
     return _solution(problem, V, const, surv, status=status, iterations=it)
 
 
-def _label_setting(problem, const, surv, seeds, key):
+def _label_setting(problem, const, surv, seeds, base=0.0, delta=0.0):
     """Accept nodes in increasing (key(V_j), j) order from a heap, relaxing
-    the in-edges i -> j, i != j, of each accepted j in node order i; V starts
-    at q.  Every drop of V_i pushes a new entry and key is nondecreasing, so
-    the first popped entry of a node carries its current key; the node is
-    accepted there and its later entries are skipped.  Returns V, the
-    acceptance order and the heap pushes + pops (every push is popped)."""
-    src, dst = problem.src, problem.dst
+    the in-edges i -> j, i != j, of each accepted j in edge order; V starts
+    at q.  The key is V_j when delta is 0, and Dial's bucket
+    int((V_j - base) / delta) otherwise.  Every drop of V_i pushes a new
+    entry and key is nondecreasing, so the first popped entry of a node
+    carries its current key; the node is accepted there and its later
+    entries are skipped.  Runs label() of march.c, its C twin, when the
+    native library can be built (see native.library), else the Python loop,
+    with the same results bit for bit.  Returns V, the acceptance order and
+    the heap pushes + pops (every push is popped)."""
+    n = problem.node_count
+    indptr, dst, seeds = (np.ascontiguousarray(a, np.int64)
+                          for a in (problem.indptr, problem.dst, seeds))
+    const, surv = (np.ascontiguousarray(a, np.float64) for a in (const, surv))
+    V = problem.q.astype(np.float64)
+    if (V.size != n or indptr.size != n + 1 or indptr[0] != 0
+            or np.any(np.diff(indptr) < 0)
+            or not indptr[-1] == dst.size == const.size == surv.size
+            or not np.all((dst >= 0) & (dst < n))
+            or not np.all((seeds >= 0) & (seeds < n))):
+        raise ValueError("label-setting arrays must form CSR rows over %d "
+                         "nodes and seeds lie in range" % n)
+    lib = native.library()
+    if lib is not None:
+        order = np.empty(n, dtype=np.int64)
+        pushes = lib.label(n, indptr, dst, const, surv, seeds, seeds.size,
+                           base, delta, V, order)
+        if pushes < 0:
+            raise MemoryError("out of memory for the label-setting heap")
+        return V, order[order >= 0], 2 * pushes
+    key = float if delta == 0.0 else (lambda v: int((v - base) / delta))
+    src = problem.src
     moves = np.flatnonzero(src != dst)
     rev = moves[np.argsort(dst[moves], kind="stable")]
     # reverse CSR in memoryviews (no Python object per edge): the in-edges
     # of j are the slices ptr[j]:ptr[j + 1]
-    ptr = memoryview(np.searchsorted(dst[rev],
-                                     np.arange(problem.node_count + 1)))
+    ptr = memoryview(np.searchsorted(dst[rev], np.arange(n + 1)))
     src, const, surv = (memoryview(a[rev]) for a in (src, const, surv))
     FAR, CONSIDERED, ACCEPTED = 0, 1, 2
-    V = problem.q.tolist()
-    state = bytearray(len(V))
+    V = V.tolist()
+    state = bytearray(n)
     heap = []
-    for i in seeds:
+    for i in seeds.tolist():
         state[i] = CONSIDERED
         heapq.heappush(heap, (key(V[i]), i))
     order, pushes = [], len(heap)
@@ -345,15 +371,15 @@ def _label_setting(problem, const, surv, seeds, key):
             state[i] = CONSIDERED
             heapq.heappush(heap, (key(V[i]), i))
             pushes += 1
-    return np.array(V), order, 2 * pushes
+    return np.array(V), np.array(order, dtype=np.int64), 2 * pushes
 
 
-def _label_solve(problem, seeds, key):
+def _label_solve(problem, seeds, base=0.0, delta=0.0):
     """_label_setting from V = q over the edge arrays, then the policy."""
     const, surv = _terms(problem)
-    V, order, ops = _label_setting(problem, const, surv, seeds, key)
+    V, order, ops = _label_setting(problem, const, surv, seeds, base, delta)
     return _solution(problem, V, const, surv, heap_operations=ops,
-                     acceptance_order=np.array(order, dtype=int))
+                     acceptance_order=order)
 
 
 def dijkstra_solve(problem):
@@ -364,7 +390,7 @@ def dijkstra_solve(problem):
     deterministic.
     """
     _require_valid(problem)
-    return _label_solve(problem, problem.local_minima(), float)
+    return _label_solve(problem, problem.local_minima())
 
 
 def dial_solve(problem):
@@ -378,14 +404,19 @@ def dial_solve(problem):
     index: a Far neighbour enters at its unimproved q_i, which can fall in
     the bucket being accepted after higher indices of it have gone.  The
     bucket index is the key of the shared heap, so no bucket array is
-    allocated, however fine delta is.
+    allocated.  Label setting keeps min q <= V <= q, so every bucket index
+    is at most (max q - min q) / delta; a delta that leaves this quotient
+    infinite is refused with ValueError.
     """
     _require_valid(problem)
     base, delta = float(problem.q.min()), problem.delta
     if delta <= 0.0:
         raise ValueError("dial_solve requires delta > 0")
-    return _label_solve(problem, problem.local_minima(),
-                        lambda v: int((v - base) / delta))
+    top = (float(problem.q.max()) - base) / delta
+    if not math.isfinite(top):
+        raise ValueError("dial_solve: (max q - min q) / delta = %r is not "
+                         "finite (delta %r too small)" % (top, delta))
+    return _label_solve(problem, problem.local_minima(), base, delta)
 
 
 def solve_v0(problem):
@@ -396,7 +427,7 @@ def solve_v0(problem):
     _require_valid(problem)
     # the p_ij = 0 limit of the edge terms: const K_ij, surv 1
     return _label_setting(problem, problem.K, np.ones_like(problem.K),
-                          range(problem.node_count), float)[0]
+                          np.arange(problem.node_count))[0]
 
 
 def solve_v1(problem):

@@ -1,7 +1,11 @@
-/* The compiled march of randterm.grid.march, twin of the Python grid._march.
- * It exports one function, march(), which runs the update of fmm_solve
- * (grid.quadrant_update) or, when eikonal is set, that of eikonal_solve
- * (grid.travel_update, which reads f only).
+/* The package's two heap loops, twins of Python code:
+ *
+ * march() is randterm.grid.march, twin of the Python grid._march.  It runs
+ * the update of fmm_solve (grid.quadrant_update) or, when eikonal is set,
+ * that of eikonal_solve (grid.travel_update, which reads f only).
+ *
+ * label() is the label-setting loop of randterm.graph._label_setting (for
+ * dijkstra_solve, dial_solve and solve_v0), on the same (key, index) heap.
  *
  * Every floating-point operation is the one the Python code performs, in the
  * same order, so the results are bit-identical to it.  That holds only when
@@ -9,7 +13,7 @@
  * (Python's x ** 2 calls libm pow; gcc would fold pow(x, 2.0) into x * x),
  * and without -ffast-math.
  *
- * march() returns 0, or -1 when the heap cannot be allocated.
+ * Both return -1 when their memory cannot be allocated.
  */
 #include <math.h>
 #include <stdint.h>
@@ -18,7 +22,7 @@
 typedef struct { double v; int64_t i; } entry;
 typedef struct { entry *a; int64_t n, cap; } heap;
 
-/* (value, index) order, as Python compares the tuples heapq holds */
+/* (key, index) order, as Python compares the tuples heapq holds */
 static int less(entry x, entry y) { return x.v < y.v || (x.v == y.v && x.i < y.i); }
 
 static int push(heap *h, double v, int64_t i)
@@ -48,6 +52,12 @@ static entry pop(heap *h)
     }
     h->a[k] = last;
     return top;
+}
+
+/* the key of value v in label(): v itself when delta == 0, else its bucket */
+static double key(double v, double base, double delta)
+{
+    return delta == 0.0 ? v : trunc((v - base) / delta);
 }
 
 static double one_sided(double v1, double K, double q, double f, double lam, double h)
@@ -133,6 +143,74 @@ int march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseed
     }
     rc = 0;
 done:
+    free(state);
+    free(hp.a);
+    return rc;
+}
+
+/* Accept nodes in (key, index) order from the seeds, relaxing the in-edges
+ * i -> j, i != j, of each accepted j in edge order: V_i drops to
+ * const + surv * V_j when that is lower, and a node is pushed when first
+ * reached or when its value drops.  key() is V when delta == 0 and
+ * trunc((V - base) / delta) otherwise, which orders as Python's int() of the
+ * same quotient wherever it is finite.  The forward rows indptr, dst, const
+ * and surv give the in-edge lists by one counting pass.  V (n values, the
+ * start values) is lowered in place and order gets the accepted nodes in
+ * turn, then -1.  Returns the number of pushes, or -1. */
+int64_t label(int64_t n, const int64_t *indptr, const int64_t *dst,
+              const double *cnst, const double *surv, const int64_t *seeds,
+              int64_t nseeds, double base, double delta, double *V,
+              int64_t *order)
+{
+    int64_t m = indptr[n], pushes = nseeds, accepted = 0, rc = -1;
+    int64_t *ptr = calloc(n + 2, sizeof(int64_t));
+    int64_t *rsrc = malloc((m + 1) * sizeof(int64_t)); /* + 1: never size 0 */
+    double *rcnst = malloc((m + 1) * sizeof(double));
+    double *rsurv = malloc((m + 1) * sizeof(double));
+    uint8_t *state = calloc(n + 1, 1); /* 0 far, 1 considered, 2 accepted */
+    heap hp = {malloc(64 * sizeof(entry)), 0, 64};
+    if (!ptr || !rsrc || !rcnst || !rsurv || !state || !hp.a) goto done;
+    /* in-edges of j at ptr[j]:ptr[j + 1], in the order of the forward rows */
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++)
+            if (dst[e] != i) ptr[dst[e] + 2]++;
+    for (int64_t j = 2; j <= n + 1; j++) ptr[j] += ptr[j - 1];
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++)
+            if (dst[e] != i) {
+                int64_t k = ptr[dst[e] + 1]++;
+                rsrc[k] = i;
+                rcnst[k] = cnst[e];
+                rsurv[k] = surv[e];
+            }
+    for (int64_t k = 0; k < n; k++) order[k] = -1;
+    for (int64_t k = 0; k < nseeds; k++) {
+        state[seeds[k]] = 1;
+        if (push(&hp, key(V[seeds[k]], base, delta), seeds[k])) goto done;
+    }
+    while (hp.n) {
+        int64_t j = pop(&hp).i;
+        if (state[j] == 2) continue; /* stale: accepted at an earlier entry */
+        state[j] = 2;
+        order[accepted++] = j;
+        double vj = V[j];
+        for (int64_t k = ptr[j]; k < ptr[j + 1]; k++) {
+            int64_t i = rsrc[k];
+            if (state[i] == 2) continue;
+            double cand = rcnst[k] + rsurv[k] * vj;
+            if (cand < V[i]) V[i] = cand;
+            else if (state[i]) continue;
+            state[i] = 1;
+            if (push(&hp, key(V[i], base, delta), i)) goto done;
+            pushes++;
+        }
+    }
+    rc = pushes;
+done:
+    free(ptr);
+    free(rsrc);
+    free(rcnst);
+    free(rsurv);
     free(state);
     free(hp.a);
     return rc;

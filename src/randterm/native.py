@@ -1,8 +1,10 @@
 """The package's C code as one shared library, loaded through ctypes.
 
-Every C source of the package (march.c, the Fast-Marching loop of
-grid.march, and scan.c, the graph-file scanner of io) is compiled on first
-use with the system C compiler into one library, cached under
+Every C source of the package is compiled on first use with the system C
+compiler into one library: march.c holds the two heap loops, march() of
+grid.march (the Fast-Marching pass) and label() of graph._label_setting
+(the label-setting pass of dijkstra_solve, dial_solve and solve_v0), and
+scan.c the graph-file scanner of io.  The library is cached under
 $XDG_CACHE_HOME (default ~/.cache)/randterm/<sha256 of the sources and
 flags>/native.so.  Nothing is built or loaded at import.  Without a
 compiler, when the build fails or when the cache is not writable, library()
@@ -18,7 +20,7 @@ import os
 import numpy as np
 
 # -O2 without -ffast-math, and the two flags march.c explains, keep every
-# IEEE operation of the compiled march equal to the Python one.
+# IEEE operation of the compiled loops equal to the Python ones.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-fPIC", "-shared")
 _SOURCES = ("march.c", "scan.c")
 
@@ -89,6 +91,9 @@ def library():
             ("march", ctypes.c_int,
              [i64, i64, arr(np.float64), arr(np.int64), i64, arr(np.uint8),
               arr(np.int64), ctypes.c_int, f64, *[arr(np.float64)] * 4]),
+            ("label", i64,
+             [i64, *[arr(np.int64)] * 2, *[arr(np.float64)] * 2,
+              arr(np.int64), i64, f64, f64, arr(np.float64), arr(np.int64)]),
             ("scan_rows", i64, [ctypes.c_char_p, i64, ctypes.c_char_p,
                                 ctypes.c_char_p, ctypes.c_int]),
             ("scan", i64,

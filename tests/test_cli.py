@@ -100,6 +100,19 @@ class TestRunGraph:
         assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "0.5",
                    "--solver", "dial", "--out", str(tmp_path)) == 2
 
+    def test_dial_infinite_bucket_index_exit_2(self, tmp_path, capsys):
+        # delta 5e-324 leaves no finite bucket index for q = 10
+        path = tmp_path / "g.txt"
+        path.write_text("nodes 3\np 0.5\nq 0 0.0\nq 1 10.0\nq 2 1.0\n"
+                        "edge 0 0 0.0\nedge 1 1 0.0\nedge 2 2 0.0\n"
+                        "edge 2 0 5e-324\n")
+        assert run("run-graph", str(path), "--solver", "dial",
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            "error: dial_solve: (max q - min q) / delta = inf is not finite "
+            "(delta 5e-324 too small)\n")
+        assert not (tmp_path / "out" / "solution.csv").exists()
+
     @pytest.mark.parametrize("p", ["1.5", "-0.5"])
     def test_vi_probability_out_of_range_exit_2(self, tmp_path, capsys, p):
         assert run("run-graph", scenario("two_node_cycle.txt"), "--p", p,

@@ -1,14 +1,20 @@
+import glob
 import logging
 import math
+import os
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randterm import graph
+from randterm import graph, idle, io, native
 from randterm.cli import random_graph_problem
 from randterm.io import load_graph
 
-from conftest import fig1b, fig2, make_graph
+from conftest import (SCENARIOS, bit_equal, both_paths, fig1b, fig2,
+                      make_graph)
 
 
 def fig1a():
@@ -327,7 +333,7 @@ class TestLabelSetting:
         # local minima of q, gives the same values
         a = graph.dijkstra_solve(random_problem)
         b = graph._label_solve(random_problem,
-                               range(random_problem.node_count), float)
+                               range(random_problem.node_count))
         assert np.abs(a.V - b.V).max() == 0.0
 
     def test_acceptance_order_nondecreasing(self, random_problem):
@@ -362,6 +368,13 @@ class TestLabelSetting:
         dial = graph.dial_solve(pb)
         assert np.array_equal(dial.V, graph.dijkstra_solve(pb).V)
 
+    def test_dial_refuses_infinite_bucket_index(self):
+        # (10 - 0) / 5e-324 overflows: no bucket index exists for q = 10
+        pb = make_graph([0.0, 10.0, 1.0], [(2, 0, 5e-324)], 0.5)
+        with pytest.raises(ValueError, match="delta = inf is not finite"):
+            graph.dial_solve(pb)
+        assert graph.dijkstra_solve(pb).V.tolist() == [0.0, 10.0, 5e-324]
+
     def test_dial_buckets_nondecreasing(self, random_problem):
         # buckets are accepted in order; within one the order is not by index
         sol = graph.dial_solve(random_problem)
@@ -374,6 +387,106 @@ class TestLabelSetting:
         a = graph.dijkstra_solve(random_problem)
         b = graph.dijkstra_solve(random_problem)
         assert np.array_equal(a.acceptance_order, b.acceptance_order)
+
+
+def scenario_problems():
+    """(name, problem) of every graph and idle file in scenarios/, the graph
+    files with p 0.5 where they give none and with p 0.3 on every edge."""
+    for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.txt"))):
+        name = os.path.basename(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if io.is_idle_scenario(path, data):
+            yield name, idle.build_problem(io.load_idle(path, data))
+            continue
+        yield name, load_graph(path, default_p=0.5, data=data)
+        pb = load_graph(path, default_p=0.3, data=data)
+        pb.p[:] = 0.3
+        yield name + " p 0.3", pb
+
+
+@pytest.mark.usefixtures("compiled_march")
+class TestCompiledLabelSetting:
+    """dijkstra_solve, dial_solve and solve_v0 through label() of march.c
+    give the Python loop's V bit for bit, and its acceptance order, heap
+    operations and policy."""
+
+    @staticmethod
+    def check(pb):
+        """Compare the paths on pb; the number of solvers (of dijkstra and
+        dial) that did not refuse it."""
+        def run(solve):
+            try:
+                return solve(pb)
+            except ValueError as exc:  # A1-A3 or delta refused
+                return str(exc)
+
+        solved = 0
+        for solve in (graph.dijkstra_solve, graph.dial_solve):
+            compiled, python = both_paths(lambda: run(solve))
+            if isinstance(compiled, str):
+                assert compiled == python
+                continue
+            assert bit_equal(compiled.V, python.V)
+            assert (compiled.acceptance_order.tolist()
+                    == python.acceptance_order.tolist())
+            assert compiled.heap_operations == python.heap_operations
+            assert np.array_equal(compiled.policy, python.policy)
+            assert np.array_equal(compiled.motionless, python.motionless)
+            solved += 1
+        if solved:
+            assert bit_equal(*both_paths(lambda: graph.solve_v0(pb)))
+        return solved
+
+    def test_scenarios(self):
+        solved = [name for name, pb in scenario_problems() if self.check(pb)]
+        assert "idle_ring.txt" in solved and len(solved) >= 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs(self, seed):
+        assert self.check(random_graph_problem(seed, nodes=300)) == 2
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.integers(0, 3)), max_size=3 * n),
+        st.sampled_from([0.25, 0.5, 0.75]))))
+    def test_integer_costs(self, case):
+        # integer q and K make many equal values and keys, so the index
+        # breaks the heap's ties; a zero cost makes dial refuse the problem
+        q, edges, p = case
+        self.check(make_graph([float(v) for v in q],
+                              [(i, j, float(k)) for i, j, k in edges if i != j],
+                              p, node_count=len(q)))
+
+    def test_dial_keys_past_two_to_the_53(self):
+        # delta 1e-300 puts the bucket indices near 1e300: exact integers in
+        # a double, so the C key orders as Python's int() key
+        pb = random_graph_problem(5, nodes=300)
+        pb.K[np.flatnonzero(pb.src != pb.dst)[7]] = 1e-300
+        assert pb.delta == 1e-300
+        sol = graph.dial_solve(pb)
+        keys = [int((v - pb.q.min()) / pb.delta) for v in sol.V.tolist()]
+        assert max(keys) > 2 ** 900 and len(set(keys)) > 250
+        assert self.check(pb) == 2
+        assert np.array_equal(sol.V, graph.dijkstra_solve(pb).V)
+
+    def test_bad_arrays_raise(self):
+        pb = make_graph([1.0, 0.0], [(0, 1, 1.0)], 0.5)
+        const, surv = graph._terms(pb)
+        for seeds in ([2], [-1]):
+            with pytest.raises(ValueError, match="CSR rows over 2 nodes"):
+                graph._label_setting(pb, const, surv, seeds)
+        pb.dst[1] = 5
+        with pytest.raises(ValueError, match="CSR rows over 2 nodes"):
+            graph._label_setting(pb, const, surv, [0])
+
+    def test_allocation_failure_is_memory_error(self, monkeypatch):
+        monkeypatch.setattr(native, "library", lambda: types.SimpleNamespace(
+            label=lambda *args: -1))
+        with pytest.raises(MemoryError):
+            graph.dijkstra_solve(fig2(0.5))
 
 
 class TestLimits:

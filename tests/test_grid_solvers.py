@@ -336,13 +336,14 @@ class TestKernelLoading:
         clear()
 
     def fallback_warnings(self, caplog):
-        """Solve twice and load a graph file, which the library also serves;
-        the messages logged on the "randterm" channel."""
+        """Solve twice, then load and solve a graph file, which the library
+        also serves; the messages logged on the "randterm" channel."""
         pb = RadialCase("circular", 0.5).problem(radial_grid(11))
         with caplog.at_level(logging.WARNING, logger="randterm"):
             grid.fmm_solve(pb)
             grid.fmm_solve(pb)
-            io.load_graph(scenario("three_node_chain.txt"), default_p=0.5)
+            graph.dijkstra_solve(io.load_graph(
+                scenario("three_node_chain.txt"), default_p=0.5))
         return [r.getMessage() for r in caplog.records]
 
     def test_no_compiler(self, caplog, monkeypatch):

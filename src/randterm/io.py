@@ -28,8 +28,14 @@ values).  The terminal cost may instead be derived from call locations via
 the travel-time mix.  Any key other than comment, grid, lambda, f, K, q and
 calls, or grid.extent, n, nx and ny, is rejected.
 
-All CSV output uses shortest round-trip decimals (repr) so identical runs are
-byte-identical.
+All CSV output uses shortest round-trip decimals, the bytes
+",".join(map(str, row)) + "\r\n" gives for each row (a float's str is its
+repr), so identical runs are byte-identical.  The numeric tables (fields,
+masks, points, trajectories and graph solutions) are written by the
+compiled writer csv.c (see native) where it builds, in blocks of rows
+through one buffer, and else by the Python loop _write_csv, its twin; the
+two write the same bytes.  The convergence table, with its blank cells,
+always takes the Python loop.
 """
 
 from __future__ import annotations
@@ -233,11 +239,56 @@ def _write_csv(path, rows):
         fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
+# rows of at most this many cells go to csv.c at once, through one buffer
+_BLOCK_CELLS = 1 << 16
+
+
+def _write_table(path, header, columns):
+    """The compiled twin of _write_csv for a numeric table: the header (a
+    tuple of names; none when empty), then one line per row of columns (1-D
+    arrays and 2-D blocks of one length, as np.column_stack joins them),
+    where int and bool columns hold ints below 2^53 and are written as ints,
+    float columns as floats.  csv_rows of csv.c writes the cells, but for
+    the floats outside its range (see csv.c), whose repr it is handed.
+    Returns False, writing nothing, when the native library is unavailable.
+    """
+    lib = native.library()
+    if lib is None:
+        return False
+    columns = [np.asarray(c) for c in columns]
+    integer = np.concatenate([
+        np.full(c.shape[1] if c.ndim == 2 else 1, c.dtype.kind != "f")
+        for c in columns])
+    step = max(1, _BLOCK_CELLS // max(1, integer.size))
+    # at most 25 bytes a cell (a repr of 24 and its comma) and 2 a row
+    out = np.empty(min(len(columns[0]), step) * (25 * integer.size + 2),
+                   np.uint8)
+    with open(path, "wb") as fh:
+        if header:
+            fh.write((",".join(header) + "\r\n").encode())
+        for lo in range(0, len(columns[0]), step):
+            block = np.column_stack([c[lo:lo + step] for c in columns])
+            block = block.astype(np.float64, copy=False)
+            size = np.abs(block)
+            fast = (integer | (block == 0)
+                    | ((size >= 1e-4) & (size < 2.0 ** 53)))
+            texts = [str(v) for v in block[~fast].tolist()]
+            lens = np.fromiter(map(len, texts), np.int64, len(texts))
+            used = lib.csv_rows(block, *block.shape, integer.view(np.uint8),
+                                "".join(texts).encode(), lens, len(texts), out)
+            if used < 0:
+                raise RuntimeError("csv.c and io disagree on the cells that "
+                                   "repr writes")
+            fh.write(out[:used])
+    return True
+
+
 def write_graph_solution(path, problem, solution):
-    _write_csv(path, chain(
-        [("node", "V", "q", "motionless", "policy_successor")],
-        zip(range(problem.node_count), solution.V.tolist(), problem.q.tolist(),
-            solution.motionless.astype(int).tolist(), solution.policy.tolist())))
+    header = ("node", "V", "q", "motionless", "policy_successor")
+    columns = (np.arange(problem.node_count), solution.V, problem.q,
+               solution.motionless.astype(int), solution.policy)
+    if not _write_table(path, header, columns):
+        _write_csv(path, chain([header], zip(*(c.tolist() for c in columns))))
 
 
 # --- grid scenario descriptors -------------------------------------------
@@ -394,20 +445,28 @@ def read_field_csv(path):
 
 def write_field_csv(path, field):
     """Row-major CSV, one grid row per line."""
-    _write_csv(path, (row.tolist() for row in np.asarray(field, float)))
+    field = np.asarray(field, float)
+    if not _write_table(path, (), [field]):
+        _write_csv(path, (row.tolist() for row in field))
 
 
 def write_mask_csv(path, mask):
-    _write_csv(path, (row.tolist() for row in np.asarray(mask).astype(int)))
+    mask = np.asarray(mask).astype(int)
+    if not _write_table(path, (), [mask]):
+        _write_csv(path, (row.tolist() for row in mask))
 
 
 def write_points_csv(path, points):
-    _write_csv(path, chain([("x", "y")], np.asarray(points, float).tolist()))
+    points = np.asarray(points, float)
+    if not _write_table(path, ("x", "y"), [points]):
+        _write_csv(path, chain([("x", "y")], points.tolist()))
 
 
 def write_trajectory_csv(path, traj):
-    rows = np.column_stack((np.reshape(traj.points, (-1, 2)), traj.values))
-    _write_csv(path, chain([("x", "y", "V")], rows.astype(float).tolist()))
+    rows = np.column_stack((np.reshape(traj.points, (-1, 2)),
+                            traj.values)).astype(float)
+    if not _write_table(path, ("x", "y", "V"), [rows]):
+        _write_csv(path, chain([("x", "y", "V")], rows.tolist()))
 
 
 def write_convergence_csv(path, rows):

@@ -3,8 +3,11 @@
 Every C source of the package is compiled on first use with the system C
 compiler into one library: march.c holds the two heap loops, march() of
 grid.march (the Fast-Marching pass) and label() of graph._label_setting
-(the label-setting pass of dijkstra_solve, dial_solve and solve_v0), and
-scan.c the graph-file scanner of io.  The library is cached under
+(the label-setting pass of dijkstra_solve, dial_solve and solve_v0), scan.c
+the graph-file scanner of io, and csv.c the CSV writer of io's numeric
+tables, which finds repr's shortest digits by exact integer arithmetic in
+unsigned __int128 (gcc or clang on a 64-bit target; elsewhere the build
+fails and everything falls back as below).  The library is cached under
 $XDG_CACHE_HOME (default ~/.cache)/randterm/<sha256 of the sources and
 flags>/native.so.  Nothing is built or loaded at import.  Without a
 compiler, when the build fails or when the cache is not writable, library()
@@ -22,7 +25,7 @@ import numpy as np
 # -O2 without -ffast-math, and the two flags march.c explains, keep every
 # IEEE operation of the compiled loops equal to the Python ones.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-fPIC", "-shared")
-_SOURCES = ("march.c", "scan.c")
+_SOURCES = ("march.c", "scan.c", "csv.c")
 
 
 def _build(sources, lib):
@@ -100,7 +103,10 @@ def library():
              [ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_char_p,
               ctypes.c_int, i64, i64, *[arr(np.int64)] * 3,
               *[arr(np.float64)] * 2, arr(np.uint8), arr(np.int64),
-              arr(np.float64)])):
+              arr(np.float64)]),
+            ("csv_rows", i64,
+             [arr(np.float64), i64, i64, arr(np.uint8), ctypes.c_char_p,
+              arr(np.int64), i64, arr(np.uint8)])):
         getattr(dll, name).restype = restype
         getattr(dll, name).argtypes = argtypes
     return dll

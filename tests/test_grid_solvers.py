@@ -335,35 +335,39 @@ class TestKernelLoading:
         yield
         clear()
 
-    def fallback_warnings(self, caplog):
-        """Solve twice, then load and solve a graph file, which the library
-        also serves; the messages logged on the "randterm" channel."""
+    def fallback_warnings(self, caplog, out):
+        """Solve twice, then load and solve a graph file and write both
+        solutions into the directory out, which the library also serves;
+        the messages logged on the "randterm" channel."""
         pb = RadialCase("circular", 0.5).problem(radial_grid(11))
         with caplog.at_level(logging.WARNING, logger="randterm"):
             grid.fmm_solve(pb)
-            grid.fmm_solve(pb)
-            graph.dijkstra_solve(io.load_graph(
-                scenario("three_node_chain.txt"), default_p=0.5))
+            io.write_field_csv(str(out / "value.csv"), grid.fmm_solve(pb).V)
+            chain = io.load_graph(scenario("three_node_chain.txt"),
+                                  default_p=0.5)
+            io.write_graph_solution(str(out / "solution.csv"), chain,
+                                    graph.dijkstra_solve(chain))
+        assert (out / "value.csv").exists() and (out / "solution.csv").exists()
         return [r.getMessage() for r in caplog.records]
 
-    def test_no_compiler(self, caplog, monkeypatch):
+    def test_no_compiler(self, caplog, monkeypatch, tmp_path):
         monkeypatch.setattr(shutil, "which", lambda name: None)
-        assert self.fallback_warnings(caplog) == [
+        assert self.fallback_warnings(caplog, tmp_path) == [
             "compiled code unavailable, using the Python twins: "
             "no C compiler (cc or gcc) found"]
 
     @pytest.mark.usefixtures("compiled_march")
-    def test_compile_error(self, caplog, monkeypatch):
+    def test_compile_error(self, caplog, monkeypatch, tmp_path):
         monkeypatch.setattr(native, "_CFLAGS",
                             native._CFLAGS + ("-std=no-such-standard",))
-        [message] = self.fallback_warnings(caplog)
+        [message] = self.fallback_warnings(caplog, tmp_path)
         assert "using the Python twins: compile error: " in message
 
     @pytest.mark.usefixtures("compiled_march")
     def test_unwritable_cache(self, caplog, monkeypatch, tmp_path):
         (tmp_path / "file").write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
-        [message] = self.fallback_warnings(caplog)
+        [message] = self.fallback_warnings(caplog, tmp_path)
         assert ("using the Python twins: cache directory is not writable"
                 in message)
 

@@ -1,15 +1,16 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from randterm import eikonal, graph, io
-from randterm.cli import main
-from randterm.grid import Grid2D, fmm_solve
-from randterm.trajectory import TrajectoryPath
+from randterm import eikonal, graph, idle, io, native
+from randterm.cli import main, random_graph_problem
+from randterm.grid import fmm_solve, motionless_set
+from randterm.trajectory import TrajectoryPath, trace
 
 from conftest import bit_equal, both_paths, read_lines, scenario
 
@@ -407,3 +408,161 @@ class TestWriters:
         assert lines[0] == "grid,line_Linf,L2,Linf,order"
         assert lines[1].endswith(",")
         assert lines[2].endswith(",1.0")
+
+
+def written(tmp_path, write, *args):
+    """(compiled, python): the bytes write(path, *args) writes on the native
+    library (csv.c) and on the Python twin (io._write_csv)."""
+    path = tmp_path / "out.csv"
+
+    def run():
+        write(str(path), *args)
+        return path.read_bytes()
+
+    return both_paths(run)
+
+
+def csv_rows(rows):
+    """The bytes io promises for rows: ",".join(map(str, row)) + "\\r\\n"."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in rows).encode()
+
+
+# Floats down every branch of csv.c and io._write_table.
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    9.99e-5, 1e-4, -1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1),
+    0.001, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 1.0, -1.5, 100.0, 123.456,
+    2.0 ** 53 - 1, 2.0 ** 53, -2.0 ** 53, 2.0 ** 53 + 2, 1e15, 1e16, 1e17,
+    9999999999999998.0, 1e22, 1e-5, 123456789.0, 0.30000000000000004,
+    # ties between two shortest candidates go to the even digit
+    2.0 ** 50 + 0.25, 2108612665307.90625, 2.0 ** 49 + 0.125,
+    # powers of two (the m = 2^52 gap below is half the one above) and the
+    # doubles beside them, across the fast range of csv.c
+    *(v for k in range(-15, 55) for v in (
+        2.0 ** k, math.nextafter(2.0 ** k, 0),
+        math.nextafter(2.0 ** k, math.inf))),
+    # the doubles beside short decimals
+    *(v for d in (0.001, 0.125, 1.1, 9.995, 33.333, 1e-3 + 1e-4, 4.35, 0.3)
+      for v in (math.nextafter(d, 0), math.nextafter(d, math.inf))),
+]
+
+
+@pytest.mark.usefixtures("compiled_march")
+class TestCompiledWriter:
+    """Every io.write_* user but write_convergence_csv writes the same bytes
+    through csv.c as through the Python loop, which io.read_field_csv reads
+    back to the same doubles."""
+
+    def test_edge_floats(self, tmp_path):
+        field = np.reshape(EDGE_FLOATS, (-1, 1))
+        compiled, python = written(tmp_path, io.write_field_csv, field)
+        assert python == csv_rows(field.tolist())
+        assert compiled.split(b"\r\n") == python.split(b"\r\n")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=60),
+           st.integers(1, 7))
+    def test_any_floats(self, tmp_path_factory, values, cols):
+        field = np.resize(values, (-(-len(values) // cols), cols))
+        compiled, python = written(tmp_path_factory.getbasetemp(),
+                                   io.write_field_csv, field)
+        assert compiled == python == csv_rows(field.tolist())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60))
+    def test_any_bit_patterns(self, tmp_path_factory, bits):
+        field = np.array(bits, np.uint64).view(np.float64).reshape(1, -1)
+        compiled, python = written(tmp_path_factory.getbasetemp(),
+                                   io.write_field_csv, field)
+        assert compiled == python == csv_rows(field.tolist())
+
+    def test_random_fields_across_blocks(self, tmp_path):
+        # more cells than one block of io._write_table, with repr-only
+        # values in several blocks; and rows longer than a block
+        rng = np.random.default_rng(3)
+        tall = rng.standard_normal((400, 300)) * 10.0 ** rng.integers(
+            -8, 20, (400, 300))
+        tall.ravel()[rng.integers(0, tall.size, 50)] = [math.nan, math.inf,
+                                                        -0.0, 0.0, 1e-300] * 10
+        for field in (tall, rng.random((2, 70000)), rng.random((3, 0))):
+            compiled, python = written(tmp_path, io.write_field_csv, field)
+            assert compiled == python == csv_rows(field.tolist())
+
+    @pytest.mark.parametrize("name", ["maze.json", "radial_circular.json",
+                                      "radial_trivial.json", "slow_disk.json"])
+    def test_grid_scenario_outputs(self, tmp_path, name):
+        pb = io.load_grid_scenario(scenario(name))
+        sol = fmm_solve(pb)
+        (x0, y0), n = pb.grid.origin, pb.grid.nx - 1
+        h = pb.grid.h
+        traj = trace(sol, pb, (x0 + 0.7 * n * h, y0 + 0.6 * n * h))
+        for write, arg in ((io.write_field_csv, sol.V),
+                           (io.write_mask_csv, sol.motionless),
+                           (io.write_points_csv,
+                            motionless_set(sol, pb).boundary_points),
+                           (io.write_trajectory_csv, traj)):
+            compiled, python = written(tmp_path, write, arg)
+            assert compiled == python and python.count(b"\r\n") > 1
+
+    @pytest.mark.parametrize("name", ["idle_ring.txt", "subtle_motionless.txt",
+                                      "three_node_chain.txt",
+                                      "two_node_cycle.txt", "random"])
+    def test_graph_solutions(self, tmp_path, name):
+        if name == "random":
+            pb = random_graph_problem(5, nodes=300)
+        elif name == "idle_ring.txt":
+            pb = idle.build_problem(io.load_idle(scenario(name)))
+        else:
+            pb = io.load_graph(scenario(name), default_p=0.3)
+        sol = graph.value_iteration(pb)
+        compiled, python = written(tmp_path, io.write_graph_solution, pb, sol)
+        assert compiled == python
+        assert python.count(b"\r\n") == pb.node_count + 1
+
+    def test_graph_solution_of_any_values(self, tmp_path):
+        # every float of EDGE_FLOATS in the V and q columns, between the
+        # integer columns
+        values = np.array(EDGE_FLOATS)
+        pb = types.SimpleNamespace(node_count=values.size, q=values[::-1])
+        sol = types.SimpleNamespace(V=values, motionless=values > 1,
+                                    policy=np.arange(values.size) - 3)
+        compiled, python = written(tmp_path, io.write_graph_solution, pb, sol)
+        assert compiled == python == csv_rows(
+            [("node", "V", "q", "motionless", "policy_successor")]
+            + list(zip(range(values.size), sol.V.tolist(), pb.q.tolist(),
+                       sol.motionless.astype(int).tolist(),
+                       sol.policy.tolist())))
+
+    def test_empty_tables(self, tmp_path):
+        assert written(tmp_path, io.write_points_csv, np.empty((0, 2))) == (
+            b"x,y\r\n",) * 2
+        assert written(tmp_path, io.write_points_csv, []) == (b"x,y\r\n",) * 2
+
+    def test_round_trip(self, tmp_path):
+        field = np.array([[0.0, -0.0, 5e-324, 9.99e-5, 1e-4],
+                          [2.0 ** 53, math.nextafter(2.0 ** 53, 0),
+                           math.nextafter(2.0 ** 53, math.inf),
+                           1.7976931348623157e308, math.nan],
+                          [math.inf, -math.inf, -1e-4, 0.1, 1 / 3]])
+        nan = np.isnan(field)
+
+        def run():
+            io.write_field_csv(str(tmp_path / "f.csv"), field)
+            return io.read_field_csv(str(tmp_path / "f.csv"))
+
+        for back in both_paths(run):
+            assert np.array_equal(np.isnan(back), nan)
+            assert bit_equal(back[~nan], field[~nan])
+
+    def test_repr_texts_must_match_the_cells(self):
+        # csv_rows refuses, writing past nothing, when it is handed more or
+        # fewer repr texts than it has cells outside its range
+        lib = native.library()
+        x, out = np.array([1.5, math.nan]), np.empty(64, np.uint8)
+        flags = np.zeros(2, np.uint8)
+        assert lib.csv_rows(x, 1, 2, flags, b"nan", np.array([3]), 1, out) == 9
+        assert out[:9].tobytes() == b"1.5,nan\r\n"
+        for texts, lens in ((b"", []), (b"nannan", [3, 3])):
+            assert lib.csv_rows(x, 1, 2, flags, texts,
+                                np.array(lens, np.int64), len(lens), out) == -1

@@ -51,14 +51,13 @@ def _run(args, scenario, flags, solve, write, **keys):
 
 def _graph_problem(args):
     """The problem of a graph or idle scenario file, and the sha256 of its
-    bytes; the file is read once."""
-    with open(args.scenario, "rb") as fh:
-        data = fh.read()
-    if io.is_idle_scenario(args.scenario, data):
-        problem = idle.build_problem(io.load_idle(args.scenario, data))
-    else:
-        problem = io.load_graph(args.scenario, default_p=args.p, data=data)
-    return problem, hashlib.sha256(data)
+    bytes.  io.load_graph reads the file once, hashes its bytes and frees
+    them once it has scanned them."""
+    scenario = hashlib.sha256()
+    problem = io.load_graph(args.scenario, default_p=args.p, sha256=scenario)
+    if isinstance(problem, idle.IdleScenario):
+        problem = idle.build_problem(problem)
+    return problem, scenario
 
 
 def cmd_run_graph(args):

@@ -19,6 +19,14 @@ In both, M must lie in [1, MAX_NODES] (ten million); a larger count is
 rejected before anything is allocated.  Both are read from the file's bytes
 by the compiled scanner scan.c (see native), which accepts a strict subset
 of this format, or else by a Python loop; the two read the same arrays.
+scan.c reads numbers by exact integer arithmetic: a float w 10^e with at
+most 19 significant digits in w and -19 <= e <= 19 (every repr from 1e-3
+to 1e19) becomes the double float() gives by one correctly rounded
+operation on exact operands, 128-bit integers or doubles, and any other
+float goes through strtod, which rounds as float() does (see scan.c for
+why).  load_graph takes either kind
+of file: a file that scan.c reads under the graph grammar, which has no
+'lambda' line, is a graph file, and only the others are searched for one.
 
 Grid scenarios are JSON descriptors: a grid block (an extent of four finite
 numbers and integer point counts, made a grid by Grid2D.spanning, which
@@ -152,20 +160,28 @@ def _scan(data, scalar, point, edge_sizes):
             lines, src, dst, x, y, size)
 
 
-def _read_lines(path, data, scalar, point, edge_sizes):
-    """Tokenize a graph or idle file once: lines `nodes M`, `<scalar> V`,
-    `<point> I V` and `edge I J X [Y]` (len(tok) in edge_sizes).  Returns
-    M, the last scalar (or None), the points' (indices, values), the edges'
-    (src, dst, X, Y, no Y given) in file order and then a self-loop (X = 0,
-    no Y) at every node, and rows: their stable (i, j) order, each pair once.
-    FormatError names the line of a malformed line, a node count outside
-    [1, MAX_NODES], a repeated edge or an index outside [0, M).  data is
-    the file's bytes (read from path when None); scan.c reads them where it
-    can, else _parse."""
-    data = _read(path, data)
-    M, value, lines, src, dst, x, y, size = (
-        _scan(data, scalar, point, edge_sizes)
-        or _parse(path, data, scalar, point, edge_sizes))
+# the keywords of the two kinds of file: scalar, point and the edge lines'
+# token counts (see _read_lines)
+_GRAPH = ("p", "q", (4, 5))
+_IDLE = ("lambda", "call", (4,))
+
+
+def _rows(path, data, grammar):
+    """What _parse returns for the file's bytes data: from scan.c where it
+    reads them, else from _parse."""
+    return _scan(data, *grammar) or _parse(path, data, *grammar)
+
+
+def _read_lines(path, scanned, point):
+    """The arrays of a graph or idle file from what _rows returns for it,
+    for lines `nodes M`, `<scalar> V`, `<point> I V` and `edge I J X [Y]`.
+    Returns M, the last scalar (or None), the points' (indices, values), the
+    edges' (src, dst, X, Y, no Y given) in file order and then a self-loop
+    (X = 0, no Y) at every node, and rows: their stable (i, j) order, each
+    pair once.  FormatError names the line of a repeated edge or an index
+    outside [0, M), or says that the nodes line is missing; _parse has
+    refused malformed lines and node counts outside [1, MAX_NODES]."""
+    M, value, lines, src, dst, x, y, size = scanned
     edge, loops = size != 3, np.arange(M or 0)
     es, ed = np.append(src[edge], loops), np.append(dst[edge], loops)
     order, again = sort_edges(es, ed)  # file order within an (i, j)
@@ -186,13 +202,33 @@ def _read_lines(path, data, scalar, point, edge_sizes):
     return M, value, (src[~edge], x[~edge]), edges, np.delete(order, again)
 
 
-def load_graph(path, default_p=None, data=None):
+def load_graph(path, default_p=None, data=None, sha256=None):
     """Parse a graph scenario file into a GraphProblem: the edges in file
     order, then the implicit self-loops, sorted stably by (i, j).  A 'p'
-    line replaces default_p.  data, when given, is the file's bytes, so
-    that the file is not read again."""
+    line replaces default_p.  An idle-time scenario file (see
+    is_idle_scenario) is read by load_idle instead, and its IdleScenario
+    returned.
+
+    data, when given, is the file's bytes, so that the file is not read
+    again; sha256, when given, a hashlib object that is updated with them.
+    load_graph keeps no reference to the bytes once it has scanned them, so
+    that the bytes of a file it reads itself are freed before the arrays
+    are built.  The graph grammar of scan.c has no 'lambda' line, so a file
+    that scan.c reads is a graph file; is_idle_scenario looks only at the
+    others."""
+    data = _read(path, data)
+    if sha256 is not None:
+        sha256.update(data)
+    scanned = _scan(data, *_GRAPH)
+    if scanned is None:
+        if is_idle_scenario(path, data):
+            return load_idle(path, data)
+        scanned = _parse(path, data, *_GRAPH)
+    del data
     M, p_line, (qi, qv), (src, dst, K, p, no_p), rows = _read_lines(
-        path, data, "p", "q", (4, 5))
+        path, scanned, "q")
+    # _read_lines copied what it keeps: 4 MB less peak RSS at 50k nodes
+    del scanned
     default_p = default_p if p_line is None else p_line
     src, dst, K, p = (a[rows] for a in (src, dst, K, p))
     unset = np.flatnonzero(no_p[rows])
@@ -209,7 +245,7 @@ def load_idle(path, data=None):
     """Parse an idle-time scenario file into an IdleScenario; data as for
     load_graph."""
     M, lam, (calls, probs), (src, dst, tau, _, _), rows = _read_lines(
-        path, data, "lambda", "call", (4,))
+        path, _rows(path, _read(path, data), _IDLE), "call")
     if lam is None or not calls.size:
         raise FormatError("%s: needs 'lambda' and 'call' lines" % path)
     return IdleScenario(node_count=M, src=src[rows], dst=dst[rows],

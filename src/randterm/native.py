@@ -4,10 +4,12 @@ Every C source of the package is compiled on first use with the system C
 compiler into one library: march.c holds the two heap loops, march() of
 grid.march (the Fast-Marching pass) and label() of graph._label_setting
 (the label-setting pass of dijkstra_solve, dial_solve and solve_v0), scan.c
-the graph-file scanner of io, and csv.c the CSV writer of io's numeric
-tables, which finds repr's shortest digits by exact integer arithmetic in
-unsigned __int128 (gcc or clang on a 64-bit target; elsewhere the build
-fails and everything falls back as below).  The library is cached under
+the graph-file scanner of io, which reads a decimal of at most 19
+significant digits and an exponent within +-19 into the nearest double by
+exact integer arithmetic, and csv.c the CSV writer of io's numeric tables,
+which finds repr's shortest digits the same way.  Both use unsigned
+__int128 (gcc or clang on a 64-bit target; elsewhere the build fails and
+everything falls back as below).  The library is cached under
 $XDG_CACHE_HOME (default ~/.cache)/randterm/<sha256 of the sources and
 flags>/native.so.  Nothing is built or loaded at import.  Without a
 compiler, when the build fails or when the cache is not writable, library()

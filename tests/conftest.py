@@ -80,10 +80,10 @@ def read_lines(path):
     FormatError message."""
     with open(path, "rb") as fh:
         data = fh.read()
-    grammar = (("lambda", "call", (4,)) if io.is_idle_scenario(path, data)
-               else ("p", "q", (4, 5)))
+    grammar = io._IDLE if io.is_idle_scenario(path, data) else io._GRAPH
     try:
-        M, value, points, edges, rows = io._read_lines(path, data, *grammar)
+        M, value, points, edges, rows = io._read_lines(
+            path, io._rows(path, data, grammar), grammar[1])
     except io.FormatError as exc:
         return str(exc)
     return repr((M, value)), [(a.dtype.str, a.tobytes())

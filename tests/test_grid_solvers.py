@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 import shutil
 import subprocess
 import types
@@ -389,6 +390,16 @@ class TestKernelLoading:
                             (np.zeros(16), [-1], np.ones(16))):
             with pytest.raises(ValueError, match="nx \\* ny = 16 points"):
                 grid.march(g, V, seeds, blocked, f)
+
+    @pytest.mark.parametrize("source", native._SOURCES)
+    def test_source_free_of_warnings(self, source):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler (cc or gcc) found")
+        path = os.path.join(os.path.dirname(native.__file__), source)
+        run = subprocess.run([cc, "-fsyntax-only", "-Wall", "-Wextra",
+                              "-Werror", path], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
     def test_allocation_failure_is_memory_error(self, monkeypatch):
         monkeypatch.setattr(native, "library", lambda: types.SimpleNamespace(

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import random
+import sys
 import types
 
 import numpy as np
@@ -175,6 +178,76 @@ class TestIdleDetection:
         assert message in str(err.value)
 
 
+class TestGraphFileLoad:
+    """load_graph reads a graph or idle file once: it hashes the bytes,
+    searches them for a lambda line only when scan.c refuses them under the
+    graph grammar, and keeps no reference to them once they are scanned."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = io.is_idle_scenario
+        monkeypatch.setattr(io, "is_idle_scenario", lambda *args: (
+            calls.append(args[0]) or search(*args)))
+        return calls
+
+    @pytest.mark.usefixtures("compiled_march")
+    def test_scanned_graph_file_is_not_searched(self, searches):
+        pb = io.load_graph(scenario("three_node_chain.txt"), default_p=0.1)
+        assert isinstance(pb, graph.GraphProblem) and searches == []
+
+    @pytest.mark.parametrize("text", ["nodes 2\r\nq 0 1.5\r\n",
+                                      "nodes 2\nq 0 nan\n"])
+    def test_refused_graph_file_is_searched(self, tmp_path, searches, text):
+        f = tmp_path / "g.txt"
+        f.write_bytes(text.encode())
+        assert io.load_graph(str(f), default_p=0.5).node_count == 2
+        assert searches == [str(f)]
+
+    def test_idle_file_gives_its_scenario(self, searches):
+        path = scenario("idle_ring.txt")
+        compiled, python = both_paths(lambda: io.load_graph(path))
+        for sc in compiled, python:
+            assert isinstance(sc, idle.IdleScenario)
+            assert repr(sc) == repr(io.load_idle(path))
+        assert searches == [path, path]
+
+    def test_no_library_searches_every_file(self, monkeypatch, searches):
+        monkeypatch.setattr(native, "library", lambda: None)
+        io.load_graph(scenario("three_node_chain.txt"), default_p=0.1)
+        assert searches == [scenario("three_node_chain.txt")]
+
+    def test_sha256_of_the_bytes(self):
+        path = scenario("three_node_chain.txt")
+        h = hashlib.sha256()
+        io.load_graph(path, default_p=0.1, sha256=h)
+        with open(path, "rb") as fh:
+            assert h.hexdigest() == hashlib.sha256(fh.read()).hexdigest()
+
+    def test_bytes_freed_once_scanned(self, tmp_path, monkeypatch):
+        # no frame of run-graph holds the file's bytes while the arrays are
+        # built, so nothing keeps them alive
+        path = tmp_path / "g.txt"
+        assert main(["random-graph", "--nodes", "200", "--out",
+                     str(path)]) == 0
+        size, held = path.stat().st_size, []
+        read_lines = io._read_lines
+
+        def spy(*args):
+            frame = sys._getframe(1)
+            while frame is not None:
+                held.extend(frame.f_code.co_name
+                            for v in frame.f_locals.values()
+                            if isinstance(v, bytes) and len(v) == size)
+                frame = frame.f_back
+            return read_lines(*args)
+
+        monkeypatch.setattr(io, "_read_lines", spy)
+        assert main(["run-graph", str(path), "--out",
+                     str(tmp_path / "out")]) == 0
+        assert held == []
+
+
 GRAMMARS = {"graph": ("p", "q", (4, 5)), "idle": ("lambda", "call", (4,))}
 
 # decimal strings of the compiled scanner's float grammar,
@@ -288,9 +361,52 @@ class TestScanner:
               "1e400", "-1e400", "-0.0", "-1e-400",
               "9007199254740993",  # 2^53 + 1: ties to even
               "1e99999999999999999999", "0." + "0" * 400 + "1"])
+    # the edges of scan.c's exact path: 19 significant digits at most, and
+    # exponents within +-19
+    @example(["9999999999999999999", "18446744073709551615",
+              "-9.999999999999999999e-1", "1.0000000000000000001"])
+    @example(["1e19", "1e-19", "1e20", "1e-20", "9999999999999999999e19",
+              "1e-0000000000000000000000019", "123.456e-17"])
+    @example(["0e5", "-0.0", "-0e-99999", "0" * 25 + "1.5",
+              "0." + "0" * 25 + "17", "-" + "0" * 30 + "." + "0" * 30])
+    @example(["4503599627370496.5",  # 2^52 + 1/2: ties to even, down
+              "4503599627370497.5",  # 2^52 + 3/2: ties to even, up
+              "9007199254740993.0",  # 2^53 + 1 with a dot: down
+              "0.30000000000000001", "1.7976931348623157e19"])
     def test_float_bits_equal_python(self, decimals):
         x = scan("nodes 1\n" + "".join("q 0 %s\n" % s for s in decimals))[5]
         assert bit_equal(x, [float(s) for s in decimals])
+
+    def test_fuzz_floats_equal_python(self):
+        # 200,000 decimals through one scan: 1 to 20 digits with a dot
+        # anywhere, exponents within +-25 and signs, and the reprs of
+        # doubles scaled by 10^-22 to 10^22
+        rng = random.Random(17)
+        decimals = []
+        for _ in range(200000):
+            if rng.random() < 0.25:
+                s = repr(rng.uniform(-1, 1) * 10.0 ** rng.randint(-22, 22))
+            else:
+                s = "%d" % rng.randrange(10 ** rng.randint(1, 20))
+                if rng.random() < 0.6:
+                    k = rng.randint(1, len(s))
+                    s = s[:k] + "." + (s[k:] or "0")
+                if rng.random() < 0.5:
+                    s += "%s%+d" % (rng.choice("eE"), rng.randint(-25, 25))
+                s = rng.choice(("", "+", "-")) + s
+            decimals.append(s)
+        x = scan("nodes 1\n" + "".join("q 0 %s\n" % s for s in decimals))[5]
+        assert bit_equal(x, [float(s) for s in decimals])
+
+    @pytest.mark.parametrize("text", ["%d" % -2 ** 63, "%d" % (2 ** 63 - 1),
+                                      "-0", "+0000000000000000042"])
+    def test_int_equal_python(self, text):
+        assert scan("nodes 1\nq %s 1\n" % text)[3].tolist() == [int(text)]
+
+    @pytest.mark.parametrize("text", ["%d" % 2 ** 63, "%d" % (-2 ** 63 - 1),
+                                      "+%d" % 2 ** 63, "99999999999999999999"])
+    def test_int_past_int64_refused(self, text):
+        assert scan("nodes 1\nq %s 1\n" % text) is None
 
 
 class TestGridScenario:

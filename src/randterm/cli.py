@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import analytic, graph, grid, idle, io, trajectory
+from . import analytic, graph, grid, io, trajectory
 
 
 def _config_hash(scenario, flags):
@@ -49,19 +49,9 @@ def _run(args, scenario, flags, solve, write, **keys):
     return 0
 
 
-def _graph_problem(args):
-    """The problem of a graph or idle scenario file, and the sha256 of its
-    bytes.  io.load_graph reads the file once, hashes its bytes and frees
-    them once it has scanned them."""
-    scenario = hashlib.sha256()
-    problem = io.load_graph(args.scenario, default_p=args.p, sha256=scenario)
-    if isinstance(problem, idle.IdleScenario):
-        problem = idle.build_problem(problem)
-    return problem, scenario
-
-
 def cmd_run_graph(args):
-    problem, scenario = _graph_problem(args)
+    scenario = hashlib.sha256()
+    problem = io.load_scenario(args.scenario, args.p, scenario)
     if args.p is not None:
         problem.p[:] = args.p
     # the label-setting solvers check A1-A3 themselves (ValueError, exit 2);

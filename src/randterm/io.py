@@ -24,9 +24,9 @@ most 19 significant digits in w and -19 <= e <= 19 (every repr from 1e-3
 to 1e19) becomes the double float() gives by one correctly rounded
 operation on exact operands, 128-bit integers or doubles, and any other
 float goes through strtod, which rounds as float() does (see scan.c for
-why).  load_graph takes either kind
-of file: a file that scan.c reads under the graph grammar, which has no
-'lambda' line, is a graph file, and only the others are searched for one.
+why).  load_scenario takes either kind of file: a file that scan.c reads
+under the graph grammar, which has no 'lambda' line, is a graph file, and
+only the others are searched for one.
 
 Grid scenarios are JSON descriptors: a grid block (an extent of four finite
 numbers and integer point counts, made a grid by Grid2D.spanning, which
@@ -59,7 +59,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import native
+from . import idle, native
 from .eikonal import CallSpec, response_cost
 from .graph import GraphProblem, sort_edges
 from .grid import MAX_NODES, Grid2D, GridProblem
@@ -202,33 +202,37 @@ def _read_lines(path, scanned, point):
     return M, value, (src[~edge], x[~edge]), edges, np.delete(order, again)
 
 
-def load_graph(path, default_p=None, data=None, sha256=None):
+def load_graph(path, default_p=None):
     """Parse a graph scenario file into a GraphProblem: the edges in file
     order, then the implicit self-loops, sorted stably by (i, j).  A 'p'
-    line replaces default_p.  An idle-time scenario file (see
-    is_idle_scenario) is read by load_idle instead, and its IdleScenario
-    returned.
+    line replaces default_p."""
+    return _graph_problem(path, _read_lines(
+        path, _rows(path, _read(path, None), _GRAPH), "q"), default_p)
 
-    data, when given, is the file's bytes, so that the file is not read
-    again; sha256, when given, a hashlib object that is updated with them.
-    load_graph keeps no reference to the bytes once it has scanned them, so
-    that the bytes of a file it reads itself are freed before the arrays
-    are built.  The graph grammar of scan.c has no 'lambda' line, so a file
-    that scan.c reads is a graph file; is_idle_scenario looks only at the
-    others."""
-    data = _read(path, data)
-    if sha256 is not None:
-        sha256.update(data)
+
+def load_scenario(path, default_p, sha256):
+    """The problem of a graph or idle scenario file (see is_idle_scenario):
+    load_graph's GraphProblem, or idle.build_problem of load_idle's
+    IdleScenario.  sha256, a hashlib object, is updated with the file's
+    bytes, which are read once and dropped once scanned.  The graph grammar
+    of scan.c has no 'lambda' line, so a file that scan.c reads under it is
+    a graph file, and only the others are searched for one."""
+    data = _read(path, None)
+    sha256.update(data)
     scanned = _scan(data, *_GRAPH)
     if scanned is None:
         if is_idle_scenario(path, data):
-            return load_idle(path, data)
+            return idle.build_problem(load_idle(path, data))
         scanned = _parse(path, data, *_GRAPH)
     del data
-    M, p_line, (qi, qv), (src, dst, K, p, no_p), rows = _read_lines(
-        path, scanned, "q")
-    # _read_lines copied what it keeps: 4 MB less peak RSS at 50k nodes
-    del scanned
+    lines = _read_lines(path, scanned, "q")
+    del scanned  # _read_lines copied what it keeps
+    return _graph_problem(path, lines, default_p)
+
+
+def _graph_problem(path, lines, default_p):
+    """The GraphProblem of what _read_lines returns for a graph file."""
+    M, p_line, (qi, qv), (src, dst, K, p, no_p), rows = lines
     default_p = default_p if p_line is None else p_line
     src, dst, K, p = (a[rows] for a in (src, dst, K, p))
     unset = np.flatnonzero(no_p[rows])
@@ -242,8 +246,8 @@ def load_graph(path, default_p=None, data=None, sha256=None):
 
 
 def load_idle(path, data=None):
-    """Parse an idle-time scenario file into an IdleScenario; data as for
-    load_graph."""
+    """Parse an idle-time scenario file into an IdleScenario.  data, when
+    given, is the file's bytes, so that the file is not read again."""
     M, lam, (calls, probs), (src, dst, tau, _, _), rows = _read_lines(
         path, _rows(path, _read(path, data), _IDLE), "call")
     if lam is None or not calls.size:
@@ -256,7 +260,7 @@ def load_idle(path, data=None):
 def is_idle_scenario(path, data=None):
     """True when the file has a 'lambda' line, lines ending at \\n or \\r as
     universal newlines end them; only the lines that contain the word are
-    decoded and tokenized.  data as for load_graph."""
+    decoded and tokenized.  data as for load_idle."""
     data, hi = _read(path, data), 0
     while (at := data.find(b"lambda", hi)) >= 0:
         lo = 1 + max(data.rfind(b"\n", hi, at), data.rfind(b"\r", hi, at))
@@ -394,7 +398,7 @@ def load_grid_scenario(path, lam=None, n=None, data=None):
     """Parse a JSON grid scenario into a GridProblem.
 
     lam and n override the file's termination rate and per-axis point count
-    (the latter only for square grids); data as for load_graph.
+    (the latter only for square grids); data as for load_idle.
     """
     doc = json.load(_text(_read(path, data)))
     base_dir = os.path.dirname(os.path.abspath(path))

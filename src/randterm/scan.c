@@ -34,10 +34,11 @@
  *     integer lies strictly between them, so they round alike.  The
  *     conversion of Q to double is thus the correctly rounded w 2^s / D,
  *     and the scaling by 2^-s, to a normal double, is exact.
- * Every other float (more significant digits, a larger exponent) is read
- * by strtod, which rounds correctly as float() does, overflow to inf and
- * underflow to subnormals and zero included.  Needs unsigned __int128
- * (gcc or clang on a 64-bit target).
+ * Every other float (more significant digits, a larger e, or an exponent
+ * written as 1000 or more, which a long fraction could otherwise bring
+ * back within +-19) is read by strtod, which rounds correctly as float()
+ * does, overflow to inf and underflow to subnormals and zero included.
+ * Needs unsigned __int128 (gcc or clang on a 64-bit target).
  */
 #include <math.h>
 #include <stdint.h>
@@ -136,6 +137,7 @@ static int to_float(token t, double *out)
     const char *end = t.s + t.n, *p = t.s + (*t.s == '+' || *t.s == '-'), *run = p;
     uint64_t w = 0;
     int64_t sig = 0, e = 0;  /* the decimal is w 10^e when sig <= 19 */
+    int huge = 0;  /* an exponent of 1000 or more: e is then not the decimal's */
     if ((p = mantissa(p, end, &w, &sig)) == run) return -1;
     if (p < end && *p == '.') {
         run = ++p;
@@ -145,14 +147,15 @@ static int to_float(token t, double *out)
     if (p < end && (*p == 'e' || *p == 'E')) {
         int minus = ++p < end && *p == '-';
         p += p < end && (*p == '+' || *p == '-');
-        int64_t k = 0;  /* stops growing past 99, out of the exact range */
+        int64_t k = 0;  /* exact below 1000, else huge */
         for (run = p; p < end && is_digit(*p); p++)
             if (k < 100) k = 10 * k + (*p - '0');
+            else huge = 1;
         if (p == run) return -1;
         e += minus ? -k : k;
     }
     if (p != end) return -1;
-    if (w == 0 || (sig <= 19 && e >= -19 && e <= 19)) {
+    if (w == 0 || (!huge && sig <= 19 && e >= -19 && e <= 19)) {
         double v = w ? exact(w, (int)e) : 0.0;
         *out = *t.s == '-' ? -v : v;
         return 0;

@@ -399,8 +399,8 @@ def scenario_problems():
         if io.is_idle_scenario(path, data):
             yield name, idle.build_problem(io.load_idle(path, data))
             continue
-        yield name, load_graph(path, default_p=0.5, data=data)
-        pb = load_graph(path, default_p=0.3, data=data)
+        yield name, load_graph(path, default_p=0.5)
+        pb = load_graph(path, default_p=0.3)
         pb.p[:] = 0.3
         yield name + " p 0.3", pb
 

@@ -178,8 +178,8 @@ class TestIdleDetection:
         assert message in str(err.value)
 
 
-class TestGraphFileLoad:
-    """load_graph reads a graph or idle file once: it hashes the bytes,
+class TestScenarioLoad:
+    """load_scenario reads a graph or idle file once: it hashes the bytes,
     searches them for a lambda line only when scan.c refuses them under the
     graph grammar, and keeps no reference to them once they are scanned."""
 
@@ -191,36 +191,51 @@ class TestGraphFileLoad:
             calls.append(args[0]) or search(*args)))
         return calls
 
+    @staticmethod
+    def load(path, default_p=None):
+        return io.load_scenario(path, default_p, hashlib.sha256())
+
+    @staticmethod
+    def same(a, b):
+        fields = [(k, np.asarray(v).dtype, np.asarray(v).tobytes())
+                  for k, v in vars(a).items()]
+        return fields == [(k, np.asarray(v).dtype, np.asarray(v).tobytes())
+                          for k, v in vars(b).items()]
+
     @pytest.mark.usefixtures("compiled_march")
     def test_scanned_graph_file_is_not_searched(self, searches):
-        pb = io.load_graph(scenario("three_node_chain.txt"), default_p=0.1)
-        assert isinstance(pb, graph.GraphProblem) and searches == []
+        path = scenario("three_node_chain.txt")
+        pb = self.load(path, 0.1)
+        assert self.same(pb, io.load_graph(path, 0.1)) and searches == []
 
     @pytest.mark.parametrize("text", ["nodes 2\r\nq 0 1.5\r\n",
                                       "nodes 2\nq 0 nan\n"])
     def test_refused_graph_file_is_searched(self, tmp_path, searches, text):
         f = tmp_path / "g.txt"
         f.write_bytes(text.encode())
-        assert io.load_graph(str(f), default_p=0.5).node_count == 2
+        assert self.load(str(f), 0.5).node_count == 2
         assert searches == [str(f)]
 
-    def test_idle_file_gives_its_scenario(self, searches):
+    def test_idle_file_gives_its_problem(self, searches):
         path = scenario("idle_ring.txt")
-        compiled, python = both_paths(lambda: io.load_graph(path))
-        for sc in compiled, python:
-            assert isinstance(sc, idle.IdleScenario)
-            assert repr(sc) == repr(io.load_idle(path))
+        compiled, python = both_paths(lambda: self.load(path))
+        for pb in compiled, python:
+            assert self.same(pb, idle.build_problem(io.load_idle(path)))
         assert searches == [path, path]
+
+    def test_load_graph_refuses_an_idle_file(self):
+        with pytest.raises(io.FormatError):
+            io.load_graph(scenario("idle_ring.txt"))
 
     def test_no_library_searches_every_file(self, monkeypatch, searches):
         monkeypatch.setattr(native, "library", lambda: None)
-        io.load_graph(scenario("three_node_chain.txt"), default_p=0.1)
+        self.load(scenario("three_node_chain.txt"), 0.1)
         assert searches == [scenario("three_node_chain.txt")]
 
     def test_sha256_of_the_bytes(self):
         path = scenario("three_node_chain.txt")
         h = hashlib.sha256()
-        io.load_graph(path, default_p=0.1, sha256=h)
+        io.load_scenario(path, 0.1, h)
         with open(path, "rb") as fh:
             assert h.hexdigest() == hashlib.sha256(fh.read()).hexdigest()
 
@@ -373,6 +388,11 @@ class TestScanner:
               "4503599627370497.5",  # 2^52 + 3/2: ties to even, up
               "9007199254740993.0",  # 2^53 + 1 with a dot: down
               "0.30000000000000001", "1.7976931348623157e19"])
+    # a long fraction moves e far from the exponent written: an exponent of
+    # 1000 or more goes to strtod whatever the fraction
+    @example(["0." + "0" * 99 + "1e1000", "-0." + "0" * 118 + "1e1234",
+              "0." + "0" * 999 + "1e1000", "0." + "0" * 99 + "1e100",
+              "1" + "0" * 999 + "e-1000", "0e1000", "-0.0e-99999"])
     def test_float_bits_equal_python(self, decimals):
         x = scan("nodes 1\n" + "".join("q 0 %s\n" % s for s in decimals))[5]
         assert bit_equal(x, [float(s) for s in decimals])

@@ -39,7 +39,8 @@ def _run(args, scenario, flags, solve, write, **keys):
         return 3
     keys.update(write(sol), scenario=os.path.basename(args.scenario),
                 solver=args.solver, status=sol.status,
-                iterations=sol.iterations, wall_time_s=wall,
+                iterations=sol.iterations,
+                heap_operations=sol.heap_operations, wall_time_s=wall,
                 motionless_count=int(np.count_nonzero(sol.motionless)),
                 config_hash=_config_hash(scenario,
                                          dict(flags, solver=args.solver)))
@@ -62,7 +63,7 @@ def cmd_run_graph(args):
     def write(sol):
         io.write_graph_solution(os.path.join(args.out, "solution.csv"),
                                 problem, sol)
-        return {"heap_operations": sol.heap_operations}
+        return {}
 
     return _run(args, scenario, {"p": args.p},
                 lambda: solvers[args.solver](problem), write,

@@ -135,6 +135,7 @@ class GridSolution:
     motionless: np.ndarray
     status: str = "ok"
     iterations: int = 0  # passes of sweep_oracle; 0 for fmm_solve
+    heap_operations: int = 0  # march heap pushes + pops; 0 for sweep_oracle
 
 
 @dataclass
@@ -266,7 +267,7 @@ def _march(g, V, seeds, blocked, eikonal, f, K, q, lam):
     heapq.heapify(heap)
     for idx in seeds:
         state[idx] = 1
-    n_accepted = 0
+    n_accepted, pushes = 0, len(heap)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         va, idx = pop(heap)
@@ -300,8 +301,9 @@ def _march(g, V, seeds, blocked, eikonal, f, K, q, lam):
                 continue
             state[n] = 1
             push(heap, (Vl[n], n))
+            pushes += 1
     V[:] = Vl
-    return np.array(order)
+    return np.array(order), 2 * pushes
 
 
 def march(grid, V, seeds, blocked, *fields):
@@ -317,7 +319,7 @@ def march(grid, V, seeds, blocked, *fields):
     first reached or when its value drops.  Runs march.c when the native
     library can be built (see native.library), else the Python march, with
     the same results bit for bit.  Returns the acceptance index per point,
-    -1 if never accepted.
+    -1 if never accepted, and the heap pushes + pops (every push is popped).
     """
     npts = grid.nx * grid.ny
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -335,10 +337,12 @@ def march(grid, V, seeds, blocked, *fields):
     if lib is None:
         return _march(grid, V, seeds, blocked, eikonal, f, K, q, lam)
     order = np.empty(npts, dtype=np.int64)
-    if lib.march(grid.nx, grid.ny, V, seeds, seeds.size,
-                 blocked.view(np.uint8), order, eikonal, grid.h, f, K, q, lam):
+    pushes = lib.march(grid.nx, grid.ny, V, seeds, seeds.size,
+                       blocked.view(np.uint8), order, eikonal, grid.h, f, K, q,
+                       lam)
+    if pushes < 0:
         raise MemoryError("out of memory for the march heap")
-    return order
+    return order, 2 * pushes
 
 
 def fmm_solve(problem):
@@ -353,11 +357,12 @@ def fmm_solve(problem):
     V = problem.q.ravel().copy()
     seeds = np.flatnonzero(local_minima_mask(problem.q))
     blocked = problem.mask().ravel()
-    order = march(g, V, seeds, blocked, problem.f, problem.K, problem.q,
-                  problem.lam)
+    order, ops = march(g, V, seeds, blocked, problem.f, problem.K, problem.q,
+                       problem.lam)
     V = V.reshape(g.ny, g.nx)
     return GridSolution(V, order.reshape(g.ny, g.nx),
-                        motionless(V, problem.q) & ~problem.mask())
+                        motionless(V, problem.q) & ~problem.mask(),
+                        heap_operations=ops)
 
 
 def motionless_set(solution, problem):

@@ -13,7 +13,19 @@
  * (Python's x ** 2 calls libm pow; gcc would fold pow(x, 2.0) into x * x),
  * and without -ffast-math.
  *
- * Both return -1 when their memory cannot be allocated.
+ * The heap follows the sift rules of CPython's heapq: push() moves the new
+ * entry up while it is less than its parent, and pop() is heappop, Floyd's
+ * bottom-up pop.  It moves the hole at the root down to a leaf along the
+ * smaller child, taking the right child unless left < right, and then moves
+ * the last entry up from that leaf.  The child is chosen by arithmetic on
+ * less(), which has no branch, so the walk down costs no mispredictions.
+ * Where no value is NaN the pop order cannot differ from heapq's, nor from
+ * any other heap's: a node is pushed again only when its value drops, so no
+ * two entries of march() share a (value, index) key, and entries of label()
+ * that share one (a value drop within Dial's bucket) are equal.
+ *
+ * Both return the number of pushes (every push is popped), or -1 when their
+ * memory cannot be allocated.
  */
 #include <math.h>
 #include <stdint.h>
@@ -23,7 +35,7 @@ typedef struct { double v; int64_t i; } entry;
 typedef struct { entry *a; int64_t n, cap; } heap;
 
 /* (key, index) order, as Python compares the tuples heapq holds */
-static int less(entry x, entry y) { return x.v < y.v || (x.v == y.v && x.i < y.i); }
+static int less(entry x, entry y) { return (x.v < y.v) | ((x.v == y.v) & (x.i < y.i)); }
 
 static int push(heap *h, double v, int64_t i)
 {
@@ -43,14 +55,20 @@ static int push(heap *h, double v, int64_t i)
 
 static entry pop(heap *h)
 {
-    entry top = h->a[0], last = h->a[--h->n];
-    int64_t k = 0, c;
-    for (; (c = 2 * k + 1) < h->n; k = c) {
-        if (c + 1 < h->n && less(h->a[c + 1], h->a[c])) c++;
-        if (!less(h->a[c], last)) break;
-        h->a[k] = h->a[c];
+    entry *a = h->a;
+    entry top = a[0], last = a[--h->n];
+    int64_t n = h->n, k = 0, c;
+    for (; (c = 2 * k + 2) < n; k = c) {
+        c -= less(a[c - 1], a[c]);
+        a[k] = a[c];
     }
-    h->a[k] = last;
+    if (c == n) { /* a left child alone */
+        a[k] = a[c - 1];
+        k = c - 1;
+    }
+    for (; k > 0 && less(last, a[(k - 1) / 2]); k = (k - 1) / 2)
+        a[k] = a[(k - 1) / 2];
+    a[k] = last;
     return top;
 }
 
@@ -101,14 +119,14 @@ static double travel(double a, double b, double s)
     return 0.5 * (a + b + sqrt(2.0 * s * s - pow(b - a, 2.0)));
 }
 
-int march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseeds,
-          const uint8_t *blocked, int64_t *order, int eikonal, double h,
-          const double *f, const double *K, const double *q, const double *lam)
+int64_t march(int64_t nx, int64_t ny, double *V, const int64_t *seeds,
+              int64_t nseeds, const uint8_t *blocked, int64_t *order,
+              int eikonal, double h, const double *f, const double *K,
+              const double *q, const double *lam)
 {
-    int64_t accepted = 0;
+    int64_t pushes = nseeds, accepted = 0, rc = -1;
     uint8_t *state = calloc(nx * ny, 1); /* 0 far, 1 considered, 2 accepted */
     heap hp = {malloc(64 * sizeof(entry)), 0, 64};
-    int rc = -1;
     if (!state || !hp.a) goto done;
     for (int64_t k = 0; k < nx * ny; k++) order[k] = -1;
     for (int64_t k = 0; k < nseeds; k++) {
@@ -139,9 +157,10 @@ int march(int64_t nx, int64_t ny, double *V, const int64_t *seeds, int64_t nseed
             else if (state[n]) continue;
             state[n] = 1;
             if (push(&hp, V[n], n)) goto done;
+            pushes++;
         }
     }
-    rc = 0;
+    rc = pushes;
 done:
     free(state);
     free(hp.a);

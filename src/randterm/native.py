@@ -12,9 +12,10 @@ __int128 (gcc or clang on a 64-bit target; elsewhere the build fails and
 everything falls back as below).  The library is cached under
 $XDG_CACHE_HOME (default ~/.cache)/randterm/<sha256 of the sources and
 flags>/native.so.  Nothing is built or loaded at import.  Without a
-compiler, when the build fails or when the cache is not writable, library()
-returns None and logs one warning on the "randterm" logger; the callers
-then run their Python twins, which give the same results.
+compiler, when a source cannot be read, when the build fails or when the
+cache is not writable, library() returns None and logs one warning on the
+"randterm" logger; the callers then run their Python twins, which give the
+same results.
 """
 
 from __future__ import annotations
@@ -74,13 +75,17 @@ def library():
     here = os.path.dirname(__file__)
     sources = [os.path.join(here, name) for name in _SOURCES]
     key = hashlib.sha256(" ".join(_CFLAGS).encode())
-    for source in sources:
-        with open(source, "rb") as fh:
-            key.update(fh.read())
-    cache = (os.environ.get("XDG_CACHE_HOME")
-             or os.path.join(os.path.expanduser("~"), ".cache"))
-    lib = os.path.join(cache, "randterm", key.hexdigest(), "native.so")
-    why = None if os.path.exists(lib) else _build(sources, lib)
+    try:
+        for source in sources:
+            with open(source, "rb") as fh:
+                key.update(fh.read())
+    except OSError as exc:  # e.g. a package installed without its sources
+        why = "cannot read a C source (%s)" % exc
+    else:
+        cache = (os.environ.get("XDG_CACHE_HOME")
+                 or os.path.join(os.path.expanduser("~"), ".cache"))
+        lib = os.path.join(cache, "randterm", key.hexdigest(), "native.so")
+        why = None if os.path.exists(lib) else _build(sources, lib)
     if why is None:
         try:
             dll = ctypes.CDLL(lib)
@@ -93,7 +98,7 @@ def library():
     i64, f64 = ctypes.c_int64, ctypes.c_double
     arr = functools.partial(np.ctypeslib.ndpointer, flags="C_CONTIGUOUS")
     for name, restype, argtypes in (
-            ("march", ctypes.c_int,
+            ("march", i64,
              [i64, i64, arr(np.float64), arr(np.int64), i64, arr(np.uint8),
               arr(np.int64), ctypes.c_int, f64, *[arr(np.float64)] * 4]),
             ("label", i64,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randterm import eikonal
-from randterm.grid import Grid2D, neighbours
+from randterm.grid import Grid2D, march, neighbours
 
 from conftest import bit_equal, both_paths
 
@@ -125,6 +125,25 @@ class TestCompiledMarch:
             compiled, python = both_paths(
                 lambda: eikonal.eikonal_solve(g, f, (3, 4), mask=m))
             assert bit_equal(compiled, python)
+
+    def test_mirror_sources_tie(self):
+        # two sources mirrored across the middle column at constant speed:
+        # equal travel times on both halves, so the index breaks the ties
+        g = Grid2D(nx=41, ny=31, h=0.1)
+        seeds = [15 * 41 + 12, 15 * 41 + 28]
+        blocked = np.zeros(41 * 31, dtype=bool)
+
+        def run():
+            u = np.full(41 * 31, math.inf)
+            u[seeds] = 0.0
+            order, ops = march(g, u, seeds, blocked, np.ones(41 * 31))
+            return u, order, ops
+
+        (u, order, ops), (u_py, order_py, ops_py) = both_paths(run)
+        assert bit_equal(u, u_py)
+        assert np.array_equal(order, order_py)
+        assert ops == ops_py >= 2 * 41 * 31
+        assert np.unique(u).size < u.size // 2
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(2, 16),

@@ -472,6 +472,16 @@ class TestCompiledLabelSetting:
         assert self.check(pb) == 2
         assert np.array_equal(sol.V, graph.dijkstra_solve(pb).V)
 
+    def test_dial_one_bucket(self):
+        # q spans less than delta, so every key is bucket 0 and the index
+        # alone orders the pops of dial_solve
+        pb = random_graph_problem(6, nodes=300)
+        pb.q[:] = np.random.default_rng(6).uniform(0.0, 0.9 * pb.delta, 300)
+        sol = graph.dial_solve(pb)
+        assert {int((v - pb.q.min()) / pb.delta) for v in sol.V} == {0}
+        assert sol.acceptance_order.size == 300
+        assert self.check(pb) == 2
+
     def test_bad_arrays_raise(self):
         pb = make_graph([1.0, 0.0], [(0, 1, 1.0)], 0.5)
         const, surv = graph._terms(pb)

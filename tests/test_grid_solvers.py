@@ -1,3 +1,4 @@
+import glob
 import logging
 import math
 import os
@@ -14,7 +15,7 @@ from randterm import analytic, graph, grid, io, native
 from randterm.analytic import RadialCase, radial_grid
 from randterm.eikonal import eikonal_solve
 
-from conftest import bit_equal, both_paths, scenario
+from conftest import SCENARIOS, bit_equal, both_paths, scenario
 
 
 class TestGeometry:
@@ -297,13 +298,45 @@ def random_problem(rng, nx, ny):
 @pytest.mark.usefixtures("compiled_march")
 class TestCompiledMarch:
     """fmm_solve through march.c gives the Python march's V, bit for bit,
-    and its acceptance order."""
+    its acceptance order and its heap operations."""
 
     @staticmethod
     def check(pb):
         compiled, python = both_paths(lambda: grid.fmm_solve(pb))
         assert bit_equal(compiled.V, python.V)
         assert np.array_equal(compiled.order, python.order)
+        assert compiled.heap_operations == python.heap_operations
+        return compiled
+
+    @pytest.mark.parametrize("name", sorted(
+        os.path.basename(p) for p in glob.glob(os.path.join(SCENARIOS,
+                                                            "*.json"))))
+    def test_scenarios(self, name):
+        sol = self.check(io.load_grid_scenario(scenario(name)))
+        assert sol.heap_operations >= 2 * (sol.order >= 0).sum()
+
+    def test_constant_q_index_order(self):
+        # every point is a seed at the one value q and stays there (K > 0),
+        # so the index alone orders the pops: row-major acceptance
+        g = grid.Grid2D(nx=37, ny=23, h=0.1)
+        sol = self.check(grid.GridProblem(grid=g, f=1.0, K=0.5, q=2.0,
+                                          lam=1.0))
+        assert np.all(sol.V == 2.0)
+        assert sol.order.ravel().tolist() == list(range(37 * 23))
+        assert sol.heap_operations == 2 * 37 * 23
+
+    def test_constant_q_varied_fields(self):
+        # with K = 0 an update can land an ulp below q, and masked points
+        # break the rows; the index still decides every tie of a seed
+        rng = np.random.default_rng(5)
+        g = grid.Grid2D(nx=41, ny=29, h=0.07)
+        q = np.full((29, 41), 1.5)
+        q[rng.random((29, 41)) < 0.1] = math.inf
+        pb = grid.GridProblem(grid=g, f=rng.uniform(0.3, 3.0, (29, 41)),
+                              K=0.0, q=q,
+                              lam=rng.uniform(0.1, 4.0, (29, 41)))
+        assert grid.local_minima_mask(pb.q).sum() == (~pb.mask()).sum()
+        self.check(pb)
 
     @pytest.mark.parametrize("case, lam, n", [("circular", 0.5, 201),
                                               ("trivial", 5.0, 101)])
@@ -391,14 +424,34 @@ class TestKernelLoading:
             with pytest.raises(ValueError, match="nx \\* ny = 16 points"):
                 grid.march(g, V, seeds, blocked, f)
 
+    def test_unreadable_source(self, caplog, monkeypatch, tmp_path):
+        # a package installed without one of its C sources runs the twins
+        monkeypatch.setattr(native, "_SOURCES",
+                            native._SOURCES + ("missing.c",))
+        [message] = self.fallback_warnings(caplog, tmp_path)
+        assert message.startswith("compiled code unavailable, using the "
+                                  "Python twins: cannot read a C source")
+        assert "missing.c" in message
+
+    def test_package_data_covers_sources(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        root = os.path.join(os.path.dirname(__file__), "..")
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)
+        data = project["tool"]["setuptools"]["package-data"]["randterm"]
+        assert set(native._SOURCES) <= set(data)
+
     @pytest.mark.parametrize("source", native._SOURCES)
-    def test_source_free_of_warnings(self, source):
+    def test_source_free_of_warnings(self, source, tmp_path):
+        # built as native.library() builds it, so that the warnings of the
+        # optimisation passes show too
         cc = shutil.which("cc") or shutil.which("gcc")
         if cc is None:
             pytest.skip("no C compiler (cc or gcc) found")
         path = os.path.join(os.path.dirname(native.__file__), source)
-        run = subprocess.run([cc, "-fsyntax-only", "-Wall", "-Wextra",
-                              "-Werror", path], capture_output=True, text=True)
+        run = subprocess.run([cc, *native._CFLAGS, "-Wall", "-Wextra",
+                              "-Werror", "-o", str(tmp_path / "lib.so"), path,
+                              "-lm"], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
 
     def test_allocation_failure_is_memory_error(self, monkeypatch):

@@ -184,9 +184,10 @@ def travel_update(a, b, s):
     from the smaller neighbour alone when |a - b| >= s."""
     if a > b:
         a, b = b, a
-    if b - a >= s:
+    d = b - a
+    if d >= s:
         return a + s
-    return 0.5 * (a + b + math.sqrt(2.0 * s * s - (b - a) ** 2))
+    return 0.5 * (a + b + math.sqrt(2.0 * s * s - d * d))
 
 
 def _real_roots(a, b, c):

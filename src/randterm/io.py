@@ -19,14 +19,16 @@ In both, M must lie in [1, MAX_NODES] (ten million); a larger count is
 rejected before anything is allocated.  Both are read from the file's bytes
 by the compiled scanner scan.c (see native), which accepts a strict subset
 of this format, or else by a Python loop; the two read the same arrays.
-scan.c reads numbers by exact integer arithmetic: a float w 10^e with at
-most 19 significant digits in w and -19 <= e <= 19 (every repr from 1e-3
-to 1e19) becomes the double float() gives by one correctly rounded
-operation on exact operands, 128-bit integers or doubles, and any other
-float goes through strtod, which rounds as float() does (see scan.c for
-why).  load_scenario takes either kind of file: a file that scan.c reads
-under the graph grammar, which has no 'lambda' line, is a graph file, and
-only the others are searched for one.
+scan.c reads the bytes in one pass, each line's numbers where they stand,
+into arrays sized by the file's byte count (see _scan).  It reads numbers
+by exact integer arithmetic: a float w 10^e with at most 19 significant
+digits in w and -19 <= e <= 19 (every repr from 1e-3 to 1e19) becomes the
+double float() gives by one correctly rounded operation on exact operands,
+128-bit integers or doubles, and any other float goes through strtod,
+which rounds as float() does (see scan.c for why).  load_scenario takes
+either kind of file: a file that scan.c reads under the graph grammar,
+which has no 'lambda' line, is a graph file, and only the others are
+searched for one.
 
 Grid scenarios are JSON descriptors: a grid block (an extent of four finite
 numbers and integer point counts, made a grid by Grid2D.spanning, which
@@ -141,23 +143,38 @@ def _parse(path, data, scalar, point, edge_sizes):
 def _scan(data, scalar, point, edge_sizes):
     """What _parse returns, from scan.c; None when the native library is
     unavailable or the file lies outside the grammar scan.c accepts (then
-    _parse decides, with its own messages)."""
+    _parse decides, with its own messages).  scan.c reads the bytes in one
+    pass into arrays sized by their count, a row for every _ROW_BYTES bytes,
+    never by a number written in the file; a file with more rows than that
+    is scanned once more, into arrays of its row count.  The arrays are
+    then shrunk in place to the rows read: views would keep the unused
+    tail, whose last touched huge page costs up to 2 MB of RSS an array."""
     lib = native.library()
     if lib is None:
         return None
     grammar = (scalar.encode(), point.encode(), max(edge_sizes))
-    rows = lib.scan_rows(data, len(data), *grammar)
-    if rows < 0:
-        return None
-    lines, src, dst = (np.empty(rows, np.int64) for _ in range(3))
-    x, y, size = np.empty(rows), np.empty(rows), np.empty(rows, np.uint8)
     meta, value = np.empty(2, np.int64), np.empty(1)
-    if lib.scan(data, len(data), *grammar, MAX_NODES, rows, lines, src, dst,
-                x, y, size, meta, value) != rows:  # -1: refused
+    cap = len(data) // _ROW_BYTES + 1
+    while True:
+        out = [np.empty(cap, t) for t in (np.int64,) * 3 + (np.float64,) * 2
+               + (np.uint8,)]
+        rows = lib.scan(data, len(data), *grammar, MAX_NODES, cap, *out, meta,
+                        value)
+        if rows <= cap:
+            break
+        cap, out = rows, None  # the first arrays freed before the second
+    if rows < 0:  # refused
         return None
+    for a in out:
+        a.resize(rows, refcheck=False)  # no view of a exists
     return (int(meta[0]) if meta[0] > 0 else None,
-            float(value[0]) if meta[1] else None,
-            lines, src, dst, x, y, size)
+            float(value[0]) if meta[1] else None, *out)
+
+
+# the first capacity of _scan's arrays, in file bytes a row: 41 bytes of
+# arrays a row, so about 5 for each byte of the file, where the shortest
+# row, `q 0 0\n`, has 6 bytes and a row of repr floats some 30 to 60
+_ROW_BYTES = 8
 
 
 # the keywords of the two kinds of file: scalar, point and the edge lines'

@@ -9,9 +9,8 @@
  *
  * Every floating-point operation is the one the Python code performs, in the
  * same order, so the results are bit-identical to it.  That holds only when
- * built with -ffp-contract=off (no fused multiply-add) and -fno-builtin-pow
- * (Python's x ** 2 calls libm pow; gcc would fold pow(x, 2.0) into x * x),
- * and without -ffast-math.
+ * built with -ffp-contract=off (no fused multiply-add) and without
+ * -ffast-math.
  *
  * The heap follows the sift rules of CPython's heapq: push() moves the new
  * entry up while it is less than its parent, and pop() is heappop, Floyd's
@@ -115,8 +114,9 @@ static double quadrant(double v1, double v2, double K, double q, double f, doubl
 static double travel(double a, double b, double s)
 {
     if (a > b) { double t = a; a = b; b = t; }
-    if (b - a >= s) return a + s;
-    return 0.5 * (a + b + sqrt(2.0 * s * s - pow(b - a, 2.0)));
+    double d = b - a;
+    if (d >= s) return a + s;
+    return 0.5 * (a + b + sqrt(2.0 * s * s - d * d));
 }
 
 int64_t march(int64_t nx, int64_t ny, double *V, const int64_t *seeds,

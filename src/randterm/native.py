@@ -4,12 +4,13 @@ Every C source of the package is compiled on first use with the system C
 compiler into one library: march.c holds the two heap loops, march() of
 grid.march (the Fast-Marching pass) and label() of graph._label_setting
 (the label-setting pass of dijkstra_solve, dial_solve and solve_v0), scan.c
-the graph-file scanner of io, which reads a decimal of at most 19
-significant digits and an exponent within +-19 into the nearest double by
-exact integer arithmetic, and csv.c the CSV writer of io's numeric tables,
-which finds repr's shortest digits the same way.  Both use unsigned
-__int128 (gcc or clang on a 64-bit target; elsewhere the build fails and
-everything falls back as below).  The library is cached under
+the graph-file scanner of io, which reads a file in one pass, its numbers
+where they stand, a decimal of at most 19 significant digits and an
+exponent within +-19 into the nearest double by exact integer arithmetic,
+and csv.c the CSV writer of io's numeric tables, which finds repr's
+shortest digits the same way.  Both use unsigned __int128 (gcc or clang on
+a 64-bit target; elsewhere the build fails and everything falls back as
+below).  The library is cached under
 $XDG_CACHE_HOME (default ~/.cache)/randterm/<sha256 of the sources and
 flags>/native.so.  Nothing is built or loaded at import.  Without a
 compiler, when a source cannot be read, when the build fails or when the
@@ -25,9 +26,9 @@ import os
 
 import numpy as np
 
-# -O2 without -ffast-math, and the two flags march.c explains, keep every
-# IEEE operation of the compiled loops equal to the Python ones.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin-pow", "-fPIC", "-shared")
+# -O2 without -ffast-math, and the flag march.c explains, keep every IEEE
+# operation of the compiled loops equal to the Python ones.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCES = ("march.c", "scan.c", "csv.c")
 
 
@@ -104,8 +105,6 @@ def library():
             ("label", i64,
              [i64, *[arr(np.int64)] * 2, *[arr(np.float64)] * 2,
               arr(np.int64), i64, f64, f64, arr(np.float64), arr(np.int64)]),
-            ("scan_rows", i64, [ctypes.c_char_p, i64, ctypes.c_char_p,
-                                ctypes.c_char_p, ctypes.c_int]),
             ("scan", i64,
              [ctypes.c_char_p, i64, ctypes.c_char_p, ctypes.c_char_p,
               ctypes.c_int, i64, i64, *[arr(np.int64)] * 3,

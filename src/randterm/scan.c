@@ -1,16 +1,24 @@
 /* The compiled scanner of randterm.io, twin of the per-line loop of
- * io._read_lines for graph and idle files.  It exports scan_rows(), which
- * counts the rows (edge and point lines) of a file's bytes, so that the
- * caller sizes the arrays, and scan(), which fills them.
+ * io._read_lines for graph and idle files.  It exports scan(), which reads
+ * a file's bytes in one walk: it classifies each line by its first token
+ * and reads that line's numbers where they stand, each byte looked at once.
+ * It fills arrays of a capacity the caller chooses; past it, it goes on
+ * reading and counting rows (edge and point lines) without storing them,
+ * and returns the count, so that the caller can size the arrays exactly
+ * and scan again.  The byte after the file must be a NUL, as a Python
+ * bytes object ends in one: the loops stop at it as at any other byte
+ * outside the grammar, with no bound check of their own.
  *
- * It accepts only a strict grammar, and refuses anything else (either
- * returns -1) so that the Python loop decides, with its own messages:
+ * It accepts only a strict grammar, and refuses anything else (returns -1)
+ * so that the Python loop decides, with its own messages:
  *   - bytes: printable ASCII, space, tab and \n only
  *   - tokens split by spaces and tabs, a line ending at # or \n
  *   - lines `nodes M` (1 <= M <= max_nodes), `<scalar> V`, `<point> I V` and
  *     `edge I J X [Y]` (4 to edge_max tokens)
  *   - ints [+-]digits, at most 19 digits and within int64
  *   - floats [+-]digits[.digits][(e|E)[+-]digits]
+ * A token ends at a space, tab, #, \n or the end of the file, so a number
+ * must end there too: a number followed by any other byte is refused.
  * Within this grammar a line means to Python what it means here.
  *
  * Numbers are read by exact arithmetic.  An int is its digits summed in a
@@ -45,8 +53,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define MAX_TOKENS 5
-
 typedef unsigned __int128 u128;
 
 static const uint64_t POW10[20] = {
@@ -56,53 +62,42 @@ static const uint64_t POW10[20] = {
     10000000000000000u, 100000000000000000u, 1000000000000000000u,
     10000000000000000000u};
 
-typedef struct { const char *s; int64_t n; } token;
-
-static int printable(unsigned char c) { return c - 0x20u < 0x5fu || c == '\t'; }
-
-/* The tokens of the line at p, which ends at the next \n or at end, in tok;
- * *eol gets the line's end.  Returns their count, or -1 for a byte outside
- * the grammar or more than MAX_TOKENS tokens. */
-static int tokens(const char *p, const char *end, token *tok, const char **eol)
-{
-    int n = 0;
-    for (;;) {
-        while (p < end && (*p == ' ' || *p == '\t')) p++;
-        if (p == end || *p == '\n') break;
-        if (*p == '#') {
-            while (p < end && *p != '\n')
-                if (!printable(*p++)) return -1;
-            break;
-        }
-        if (n == MAX_TOKENS) return -1;
-        tok[n].s = p;
-        while (p < end && (unsigned char)*p - 0x21u < 0x5eu && *p != '#') p++;
-        tok[n].n = p - tok[n].s;
-        if (tok[n++].n == 0) return -1; /* a byte that is not printable */
-    }
-    *eol = p;
-    return n;
-}
-
 static int is_digit(char c) { return c >= '0' && c <= '9'; }
 
-static int to_int(token t, int64_t *out)
+/* p past the spaces and tabs at it */
+static const char *blanks(const char *p)
 {
-    const char *end = t.s + t.n, *p = t.s + (*t.s == '+' || *t.s == '-');
-    if (p == end || end - p > 19) return -1;
+    while (*p == ' ' || *p == '\t') p++;
+    return p;
+}
+
+/* whether a token ends at p */
+static int ends(const char *p, const char *end)
+{
+    return p == end || *p == ' ' || *p == '\t' || *p == '#' || *p == '\n';
+}
+
+/* The int at p in *out; returns its end, or NULL when no int of the
+ * grammar ends a token there. */
+static const char *to_int(const char *p, const char *end, int64_t *out)
+{
+    int minus = *p == '-';
+    p += *p == '+' || *p == '-';
+    const char *run = p;
     uint64_t w = 0;  /* < 10^19 < 2^64 */
-    for (; p < end; p++) {
-        if (!is_digit(*p)) return -1;
+    for (; is_digit(*p); p++) {
+        if (p - run == 19) return NULL;
         w = 10 * w + (uint64_t)(*p - '0');
     }
-    if (*t.s == '-') {
-        if (w > (uint64_t)INT64_MAX + 1) return -1;
+    if (p == run || !ends(p, end)) return NULL;
+    if (minus) {
+        if (w > (uint64_t)INT64_MAX + 1) return NULL;
         *out = w ? -(int64_t)(w - 1) - 1 : 0;
     } else {
-        if (w > INT64_MAX) return -1;
+        if (w > INT64_MAX) return NULL;
         *out = (int64_t)w;
     }
-    return 0;
+    return p;
 }
 
 /* the correctly rounded double of w 10^e, for 0 < w < 10^19 and
@@ -122,127 +117,122 @@ static double exact(uint64_t w, int e)
     return (double)q * f;
 }
 
-/* The run of digits at p, up to end, appended to the significant digits
- * of to_float: *sig counts them (the first nonzero digit and every digit
- * after it), and *w holds the first 19.  Returns the run's end. */
-static const char *mantissa(const char *p, const char *end, uint64_t *w, int64_t *sig)
+/* The run of digits at p appended to the significant digits of to_float:
+ * *sig counts them (the first nonzero digit and every digit after it), and
+ * *w holds the first 19.  Returns the run's end. */
+static const char *mantissa(const char *p, uint64_t *w, int64_t *sig)
 {
-    for (; p < end && is_digit(*p); p++)
-        if ((*sig || *p != '0') && (*sig)++ < 19) *w = 10 * *w + (uint64_t)(*p - '0');
+    if (!*sig)
+        while (*p == '0') p++;
+    const char *run = p;
+    uint64_t v = *w;
+    for (; is_digit(*p); p++)
+        if (*sig + (p - run) < 19) v = 10 * v + (uint64_t)(*p - '0');
+    *w = v;
+    *sig += p - run;
     return p;
 }
 
-static int to_float(token t, double *out)
+/* The float at p in *out, as to_int. */
+static const char *to_float(const char *p, const char *end, double *out)
 {
-    const char *end = t.s + t.n, *p = t.s + (*t.s == '+' || *t.s == '-'), *run = p;
+    const char *s = p, *run;
     uint64_t w = 0;
     int64_t sig = 0, e = 0;  /* the decimal is w 10^e when sig <= 19 */
     int huge = 0;  /* an exponent of 1000 or more: e is then not the decimal's */
-    if ((p = mantissa(p, end, &w, &sig)) == run) return -1;
-    if (p < end && *p == '.') {
+    run = p += *p == '+' || *p == '-';
+    if ((p = mantissa(p, &w, &sig)) == run) return NULL;
+    if (*p == '.') {
         run = ++p;
-        if ((p = mantissa(p, end, &w, &sig)) == run) return -1;
+        if ((p = mantissa(p, &w, &sig)) == run) return NULL;
         e = run - p;
     }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-        int minus = ++p < end && *p == '-';
-        p += p < end && (*p == '+' || *p == '-');
+    if (*p == 'e' || *p == 'E') {
+        int minus = *++p == '-';
+        p += *p == '+' || *p == '-';
         int64_t k = 0;  /* exact below 1000, else huge */
-        for (run = p; p < end && is_digit(*p); p++)
+        for (run = p; is_digit(*p); p++)
             if (k < 100) k = 10 * k + (*p - '0');
             else huge = 1;
-        if (p == run) return -1;
+        if (p == run) return NULL;
         e += minus ? -k : k;
     }
-    if (p != end) return -1;
+    if (!ends(p, end)) return NULL;
     if (w == 0 || (!huge && sig <= 19 && e >= -19 && e <= 19)) {
         double v = w ? exact(w, (int)e) : 0.0;
-        *out = *t.s == '-' ? -v : v;
-        return 0;
+        *out = *s == '-' ? -v : v;
+        return p;
     }
     char *stop;
-    *out = strtod(t.s, &stop); /* over- and underflow round as float() does */
-    return stop == end ? 0 : -1;
+    *out = strtod(s, &stop); /* over- and underflow round as float() does */
+    return stop == p ? p : NULL;
 }
 
-enum { BAD, BLANK, EDGE, POINT, NODES, SCALAR };
-
-/* The kind of the line at p (see tokens), its tokens in tok, their count in
- * *n and its end in *eol.  EDGE and POINT lines are rows. */
-static int line(const char *p, const char *end, const char *scalar, const char *point,
-                int edge_max, token *tok, int *n, const char **eol)
-{
-    if ((*n = tokens(p, end, tok, eol)) <= 0) return *n ? BAD : BLANK;
-#define IS(word) ((size_t)tok[0].n == strlen(word) && !memcmp(tok[0].s, word, tok[0].n))
-    if (IS("edge") && *n >= 4 && *n <= edge_max) return EDGE;
-    if (IS(point) && *n == 3) return POINT;
-    if (IS("nodes") && *n == 2) return NODES;
-    if (IS(scalar) && *n == 2) return SCALAR;
-#undef IS
-    return BAD;
-}
-
-/* The rows of the file buf[0, len), or -1 when a line lies outside the
- * grammar (its numbers aside). */
-int64_t scan_rows(const char *buf, int64_t len, const char *scalar, const char *point,
-                  int edge_max)
-{
-    int64_t rows = 0;
-    token tok[MAX_TOKENS];
-    int n;
-    for (const char *p = buf, *end = buf + len; p < end; p++) {
-        int kind = line(p, end, scalar, point, edge_max, tok, &n, &p);
-        if (kind == BAD) return -1;
-        rows += kind == EDGE || kind == POINT;
-    }
-    return rows;
-}
-
-/* The rows of the file buf[0, len) in file order, at most cap: for each its
- * line number, i, j (= i on a point line), X, Y (NaN when not given) and
- * token count.  meta gets M (-1 without a nodes line) and whether a scalar
- * line was read, value the last scalar.  Returns the row count, or -1 to
- * refuse the file.  buf[len] must be readable and not a digit (a Python
- * bytes object ends in a NUL), since strtod stops only there. */
+/* The rows of the file buf[0, len) in file order: for each its line
+ * number, i, j (= i on a point line), X, Y (NaN when not given) and token
+ * count.  The first cap rows are stored, and later ones only counted.
+ * meta gets M (-1 without a nodes line) and whether a scalar line was
+ * read, value the last scalar.  Returns the row count, or -1 to refuse the
+ * file.  buf[len] must be a NUL (see the head of this file). */
 int64_t scan(const char *buf, int64_t len, const char *scalar, const char *point,
              int edge_max, int64_t max_nodes, int64_t cap, int64_t *lines,
              int64_t *src, int64_t *dst, double *x, double *y, uint8_t *size,
              int64_t *meta, double *value)
 {
+    size_t scalar_n = strlen(scalar), point_n = strlen(point);
     int64_t rows = 0, lineno = 0;
-    token tok[MAX_TOKENS];
-    int n;
     meta[0] = -1;
     meta[1] = 0;
     for (const char *p = buf, *end = buf + len; p < end; p++) {
         lineno++;
-        switch (line(p, end, scalar, point, edge_max, tok, &n, &p)) {
-        case BLANK:
-            continue;
-        case NODES:
-            if (to_int(tok[1], &meta[0]) || meta[0] < 1 || meta[0] > max_nodes) return -1;
-            continue;
-        case SCALAR:
-            if (to_float(tok[1], value)) return -1;
+        const char *word = p = blanks(p);
+        while ((unsigned char)*p - 0x21u < 0x5eu && *p != '#') p++;
+        size_t n = p - word;
+#define IS(w, wn) (n == (wn) && !memcmp(word, w, wn))
+        int64_t i = 0, j = 0;
+        double a = 0.0, b = NAN;
+        int tokens = 0;  /* of a row */
+        if (n == 0) {
+            /* a blank or comment line, or a byte outside the grammar */
+        } else if (IS("edge", 4)) {
+            if (!(p = to_int(blanks(p), end, &i))
+                || !(p = to_int(blanks(p), end, &j))
+                || !(p = to_float(blanks(p), end, &a))) return -1;
+            tokens = 4;
+            p = blanks(p);
+            if (edge_max == 5 && !ends(p, end)) {
+                if (!(p = to_float(p, end, &b))) return -1;
+                tokens = 5;
+            }
+        } else if (IS(point, point_n)) {
+            if (!(p = to_int(blanks(p), end, &i))
+                || !(p = to_float(blanks(p), end, &a))) return -1;
+            j = i;
+            tokens = 3;
+        } else if (IS("nodes", 5)) {
+            if (!(p = to_int(blanks(p), end, &meta[0]))
+                || meta[0] < 1 || meta[0] > max_nodes) return -1;
+        } else if (IS(scalar, scalar_n)) {
+            if (!(p = to_float(blanks(p), end, value))) return -1;
             meta[1] = 1;
-            continue;
-        case EDGE:
-            if (rows == cap || to_int(tok[1], &src[rows]) || to_int(tok[2], &dst[rows])
-                || to_float(tok[3], &x[rows])) return -1;
-            y[rows] = NAN;
-            if (n == 5 && to_float(tok[4], &y[rows])) return -1;
-            break;
-        case POINT:
-            if (rows == cap || to_int(tok[1], &src[rows]) || to_float(tok[2], &x[rows]))
-                return -1;
-            dst[rows] = src[rows];
-            y[rows] = NAN;
-            break;
-        default:
+        } else {
             return -1;
         }
-        lines[rows] = lineno;
-        size[rows++] = (uint8_t)n;
+#undef IS
+        p = blanks(p);
+        if (p < end && *p == '#')
+            for (; p < end && *p != '\n'; p++)
+                if ((unsigned char)*p - 0x20u >= 0x5fu && *p != '\t') return -1;
+        if (p < end && *p != '\n') return -1;
+        if (tokens && rows < cap) {
+            lines[rows] = lineno;
+            src[rows] = i;
+            dst[rows] = j;
+            x[rows] = a;
+            y[rows] = b;
+            size[rows] = (uint8_t)tokens;
+        }
+        rows += tokens != 0;
     }
     return rows;
 }

@@ -5,6 +5,8 @@ import pytest
 
 from randterm import grid
 
+from conftest import both_paths
+
 SQ = 2 * (math.sqrt(2) - 1)
 
 
@@ -103,6 +105,27 @@ class TestTravel:
         for a, s in ((0.0, 1.0), (2.5, 0.3), (1e3, 1e-3)):
             assert grid.travel_update(a, a, s) == \
                 pytest.approx(a + s / math.sqrt(2), rel=1e-15)
+
+    def test_square_by_multiplication_on_both_paths(self):
+        # at d = b - a below, libm's pow(d, 2.0) (1.0750354493863283) is one
+        # ulp from d * d (1.0750354493863286), the correctly rounded square,
+        # and the update tells them apart; point 1 of a 2 x 2 march between
+        # seeds 0 (value a) and 3 (value b) takes the two-axis update
+        a, b, s = 0.0, 1.0368391627375619, 1.25
+        d = b - a
+        assert math.pow(d, 2.0) != d * d
+        want = 0.5 * (a + b + math.sqrt(2.0 * s * s - d * d))
+        by_pow = 0.5 * (a + b + math.sqrt(2.0 * s * s - math.pow(d, 2.0)))
+        assert want != by_pow
+        assert grid.travel_update(a, b, s) == want
+
+        def run():
+            V = np.array([a, math.inf, math.inf, b])
+            grid.march(grid.Grid2D(2, 2, s), V, [0, 3], np.zeros(4, bool),
+                       np.ones(4))
+            return V[1]
+
+        assert both_paths(run) == (want, want)
 
 
 class TestNodeUpdate:

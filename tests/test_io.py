@@ -363,6 +363,64 @@ class TestScanner:
         assert (M, value, lines.tolist()) == (2, None, [100002])
         assert [a.size for a in arrays] == [1] * 5
 
+    @pytest.fixture
+    def caps(self, monkeypatch):
+        """The row capacity of each call of scan.c's scan()."""
+        lib, caps = native.library(), []
+
+        class Spy:
+            def scan(self, *args):
+                caps.append(args[6])
+                return lib.scan(*args)
+
+        monkeypatch.setattr(native, "library", Spy)
+        return caps
+
+    def test_arrays_reserve_a_multiple_of_the_bytes(self, caps):
+        # sized by the byte count, never by a number written in the file:
+        # 41 bytes of arrays a row
+        text = "# c\n" * 100000 + "nodes 2\nedge 0 1 1.0 0.5\n"
+        assert scan(text)[2].size == 1
+        assert len(caps) == 1 and 41 * caps[0] <= 6 * len(text)
+
+    def test_more_rows_than_the_first_capacity(self, caps):
+        # rows of 6 bytes, fewer than io._ROW_BYTES a row: the first arrays
+        # are too short, and scan.c reads the file once more into arrays of
+        # its row count
+        text = "nodes 3\n" + "q 1 5\nq 2 0\nq 0 -0\n" * 5000
+        M, value, *arrays = scan(text)
+        assert caps == [len(text) // io._ROW_BYTES + 1, 15000]
+        M_py, value_py, *arrays_py = io._parse("g.txt", text.encode(),
+                                              *io._GRAPH)
+        assert (M, value) == (M_py, value_py) == (3, None)
+        assert [(a.dtype, a.tobytes()) for a in arrays] == \
+            [(a.dtype, a.tobytes()) for a in arrays_py]
+
+    @pytest.mark.parametrize("text, read", [
+        ("nodes 2\nq 0 1.5#c\nq 1\t-2e3\t# tab\n", True),
+        ("nodes 2#c\nedge 0 1\t2.5#c\nedge\t1\t0\t1e-3\t0.25#", True),
+        ("nodes 2\nq 0\t7#c\nq 1 1e+1\t", True),
+        ("nodes 2\nq 0 1.5x\n", False),
+        ("nodes 2\nq 0 2e+\n", False),
+        ("nodes 2\nq 0 2e+", False),
+        ("nodes 2\nq 0 1e", False),
+        ("nodes 2\nq 0x 1.5\n", False),
+        ("nodes 2\nedge 0 1 2.5 0.5x\n", False),
+        ("nodes 2x\n", False),
+        ("nodes 2\nedge 0 1-1 2\n", False),
+        ("nodes 2\nedge 0 1 1.5+2\n", False),
+    ])
+    def test_number_ends(self, tmp_path, text, read):
+        # a number ends where a token does, at a space, tab, #, \n or the
+        # end of the file; any other byte after it refuses the file
+        f = tmp_path / "g.txt"
+        f.write_bytes(text.encode())
+        assert (scan(text) is not None) == read
+        compiled, python = both_paths(lambda: read_lines(str(f)))
+        assert compiled == python
+        if not read:  # _parse's message
+            assert "cannot parse" in python
+
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
     @given(st.lists(st.one_of(DECIMALS, st.floats(

@@ -1,6 +1,7 @@
 """Solvers for deterministic control processes terminated at a Poisson-random
 time: label-setting and value-iteration on graphs, Fast-Marching and sweeping
-on 2-D grids, plus the idle-vehicle repositioning construction."""
+on 2-D grids, plus the idle-vehicle repositioning construction and the
+conversions between graph problems and discounted infinite-horizon ones."""
 
 from .graph import (
     GraphProblem,
@@ -8,9 +9,12 @@ from .graph import (
     dial_solve,
     dijkstra_solve,
     extract_path,
+    from_infinite_horizon,
+    normalize_self_costs,
     path_cost,
     solve_v0,
     solve_v1,
+    to_infinite_horizon,
     validate,
     value_iteration,
 )

@@ -95,9 +95,6 @@ class GraphProblem:
         return np.flatnonzero(
             np.bincount(above, minlength=self.node_count) == 0).tolist()
 
-    def global_minima(self):
-        return np.flatnonzero(self.q == self.q.min()).tolist()
-
 
 def sort_edges(src, dst):
     """The stable order that sorts edges by (src, dst), and the positions in
@@ -158,32 +155,10 @@ def _require_valid(problem):
         raise ValueError("invalid problem: " + "; ".join(issues))
 
 
-def _self_costs(problem, missing):
-    """K of each node's first self-loop; ValueError(missing % i) for the
-    first node i without one."""
-    src = problem.src
-    loops = np.flatnonzero(src == problem.dst)
-    nodes, first = np.unique(src[loops], return_index=True)
-    for i in np.setdiff1d(np.arange(problem.node_count), nodes)[:1].tolist():
-        raise ValueError(missing % i)
-    return problem.K[loops[first]]
-
-
-def _with_costs(problem, K, q, p, bad):
-    """problem's rows with costs K (self-loops free), q and p; ValueError(bad
-    % (i, j, K_ij)) for the first edge whose cost is negative."""
-    src, dst = problem.src, problem.dst
-    K = np.where(src == dst, 0.0, K)
-    for e in np.flatnonzero(K < 0)[:1].tolist():
-        raise ValueError(bad % (src[e], dst[e], K[e]))
-    return GraphProblem(problem.node_count, problem.indptr.copy(), dst.copy(),
-                        K, p, q)
-
-
 def normalize_self_costs(problem):
     """Shift nonzero self-transition costs into the terminal costs.
 
-    Produces an equivalent problem with K_ii = 0:
+    Produces an equivalent problem (the same rows and V) with K_ii = 0:
         q_i  <- q_i + K_ii / p
         K_ij <- K_ij - K_jj.
     Requires a uniform termination probability and A1; fails if some shifted
@@ -192,42 +167,54 @@ def normalize_self_costs(problem):
     p = problem.uniform_p()
     if p is None:
         raise ValueError("normalize_self_costs requires a uniform p")
-    K_self = _self_costs(problem, "A1 missing self-transition at node %d")
+    src, dst = problem.src, problem.dst
+    loops = np.flatnonzero(src == dst)
+    nodes, first = np.unique(src[loops], return_index=True)
+    for i in np.setdiff1d(np.arange(problem.node_count), nodes)[:1].tolist():
+        raise ValueError("A1 missing self-transition at node %d" % i)
+    K_self = problem.K[loops[first]]
     with np.errstate(invalid="ignore", over="ignore"):  # silent, as floats
-        K, q = problem.K - K_self[problem.dst], problem.q + K_self / p
-    return _with_costs(problem, K, q, problem.p.copy(),
-                       "edge (%d,%d): K_ij - K_jj = %g < 0, A3 unsatisfiable")
+        K = np.where(src == dst, 0.0, problem.K - K_self[dst])
+        q = problem.q + K_self / p
+    for e in np.flatnonzero(K < 0)[:1].tolist():
+        raise ValueError("edge (%d,%d): K_ij - K_jj = %g < 0, A3 "
+                         "unsatisfiable" % (src[e], dst[e], K[e]))
+    return GraphProblem(problem.node_count, problem.indptr.copy(), dst.copy(),
+                        K, problem.p.copy(), q)
 
 
 def from_infinite_horizon(Ktilde, adjacency, alpha):
-    """Convert a discounted infinite-horizon problem into a randomly-terminated one.
-
-    With discount alpha in (0,1):  p = 1 - alpha, q_i = Ktilde_ii / p,
-    K_ij = Ktilde_ij - p q_j, K_ii = 0.  Expected path costs agree with the
-    discounted costs of the original problem.
+    """The randomly-terminated problem whose V solves the discounted one,
+    V_i = min_j { Ktilde_ij + alpha V_j } with alpha in (0, 1): K = Ktilde,
+    q = 0 and p = 1 - alpha (adjacency and Ktilde as in from_dicts) through
+    normalize_self_costs, so q_i = Ktilde_ii / p, K_ij = Ktilde_ij - Ktilde_jj.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0,1)")
-    p = 1.0 - alpha
-    tilde = GraphProblem.from_dicts(adjacency, Ktilde, np.zeros(len(adjacency)),
-                                    {})
-    K_self = _self_costs(tilde, "self-transition missing at node %d")
-    with np.errstate(invalid="ignore", over="ignore"):
-        q = K_self / p
-        K = tilde.K - p * q[tilde.dst]
-    return _with_costs(tilde, K, q, np.full(len(K), p),
-                       "edge (%d,%d): converted cost %g < 0, A3 unsatisfiable")
+    edges = ((i, j) for i, nbrs in enumerate(adjacency) for j in nbrs)
+    return normalize_self_costs(GraphProblem.from_dicts(
+        adjacency, Ktilde, np.zeros(len(adjacency)),
+        dict.fromkeys(edges, 1.0 - alpha)))
 
 
 def to_infinite_horizon(problem):
-    """Inverse of from_infinite_horizon; returns (Ktilde, alpha), Ktilde a
-    dict keyed by edge (i, j)."""
+    """The discounted problem of a randomly-terminated one with a uniform p,
+    as (Ktilde, alpha): Ktilde_ij = K_ij + p q_j on every edge, a dict keyed
+    by edge (i, j), and alpha = 1 - p.  Its equation
+    V_i = min_j { Ktilde_ij + alpha V_j } is the problem's own."""
     p = problem.uniform_p()
     if p is None:
         raise ValueError("conversion requires a uniform p")
-    src, dst, q = problem.src, problem.dst, problem.q
-    Ktilde = np.where(src == dst, p * q[src], problem.K + p * q[dst])
-    return dict(zip(zip(src.tolist(), dst.tolist()), Ktilde.tolist())), 1.0 - p
+    Ktilde = problem.K + p * problem.q[problem.dst]
+    edges = zip(problem.src.tolist(), problem.dst.tolist())
+    return dict(zip(edges, Ktilde.tolist())), 1.0 - p
+
+
+def check_tol(tol):
+    """ValueError unless tol is finite and >= 0: a negative tol can never be
+    met, and an infinite one is met by any first iterate."""
+    if not (0.0 <= tol < math.inf):
+        raise ValueError("tol must be finite and >= 0, got %r" % tol)
 
 
 def _terms(problem):
@@ -277,8 +264,7 @@ def value_iteration(problem, tol=1e-13, max_iters=100000):
     edge arrays.  Non-convergence is reported through the status field,
     carrying the last iterate, and one warning on the "randterm" logger.
     """
-    if math.isnan(tol):
-        raise ValueError("tol must not be nan")
+    check_tol(tol)
     bad = ~((0.0 <= problem.p) & (problem.p <= 1.0))  # nan too
     for e in np.flatnonzero(bad)[:1].tolist():  # the first
         raise ValueError("p missing, nan or outside [0, 1] on edge (%d,%d)"
@@ -434,22 +420,6 @@ def solve_v1(problem):
     """Certain-kill limit: single-step lookahead, min_j K_ij + q_j."""
     _require_valid(problem)
     return _row_min(problem.indptr, problem.K + problem.q[problem.dst])
-
-
-def m1_strict(problem):
-    """Diagnostic: nodes where staying put strictly beats every single
-    transition (q_i < K_ij + q_j for all out-neighbors j != i), mapped to the
-    positive margin min_j (K_ij + q_j - q_i).
-
-    Each such node becomes motionless for kill probabilities close enough
-    to 1; the margin indicates how robust that is, but no certified
-    probability threshold is claimed.
-    """
-    src, dst, q = problem.src, problem.dst, problem.q
-    with np.errstate(invalid="ignore", over="ignore"):
-        margin = _row_min(problem.indptr, np.where(
-            src == dst, np.inf, problem.K + q[dst] - q[src]))
-    return {i: margin[i] for i in np.flatnonzero(margin > 0).tolist()}
 
 
 def extract_path(solution, start):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native
-from .graph import motionless
+from .graph import check_tol, motionless
 
 INF = math.inf
 
@@ -382,8 +382,7 @@ def sweep_oracle(problem, tol=1e-12, max_iters=2000):
     orders; iterative test oracle for fmm_solve.  Non-convergence is
     reported through the status field, carrying the last iterate, and one
     warning on the "randterm" logger naming the max residual."""
-    if math.isnan(tol):
-        raise ValueError("tol must not be nan")
+    check_tol(tol)
     g = problem.grid
     nx, ny = g.nx, g.ny
     h = g.h
@@ -427,34 +426,3 @@ def sweep_oracle(problem, tol=1e-12, max_iters=2000):
     return GridSolution(Varr, np.full((ny, nx), -1),
                         motionless(Varr, problem.q) & ~problem.mask(),
                         status=status, iterations=sweep)
-
-
-def semi_lagrangian_update(v1, v2, K, q, f, lam, h):
-    """Control-theoretic form of the quadrant solve: minimize over the convex
-    weights xi of the two neighbors,
-
-        C(xi) = [ (K + lam q) tau(xi) + xi1 v1 + xi2 v2 ] / (1 + lam tau(xi)),
-
-    with tau(xi) = (h/f) sqrt(xi1^2 + xi2^2).  At interior minimizers this
-    coincides with the quadrant quadratic root; at vertex minimizers with the
-    one-sided form.
-    """
-    if not math.isfinite(v1) and not math.isfinite(v2):
-        return INF
-    if not math.isfinite(v2):
-        return one_sided_update(v1, K, q, f, lam, h)
-    if not math.isfinite(v1):
-        return one_sided_update(v2, K, q, f, lam, h)
-
-    s = K + lam * q
-
-    def cost(x1):
-        x2 = 1.0 - x1
-        tau = (h / f) * math.sqrt(x1 * x1 + x2 * x2)
-        return (s * tau + x1 * v1 + x2 * v2) / (1.0 + lam * tau)
-
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(cost, bounds=(0.0, 1.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return min(res.fun, cost(0.0), cost(1.0))

@@ -301,18 +301,21 @@ _BLOCK_CELLS = 1 << 16
 
 
 def _write_table(path, header, columns):
-    """The compiled twin of _write_csv for a numeric table: the header (a
-    tuple of names; none when empty), then one line per row of columns (1-D
-    arrays and 2-D blocks of one length, as np.column_stack joins them),
-    where int and bool columns hold ints below 2^53 and are written as ints,
-    float columns as floats.  csv_rows of csv.c writes the cells, but for
-    the floats outside its range (see csv.c), whose repr it is handed.
-    Returns False, writing nothing, when the native library is unavailable.
+    """A numeric table: the header (a tuple of names; none when empty),
+    then one line per row of columns (1-D arrays and 2-D blocks of one
+    length, as np.column_stack joins them), where int columns hold ints
+    below 2^53 and are written as ints, float columns as floats.
+    csv_rows of csv.c writes the cells, but for the floats outside its range
+    (see csv.c), whose repr it is handed; without the native library
+    _write_csv writes the same bytes.
     """
+    columns = [np.asarray(c) for c in columns]
     lib = native.library()
     if lib is None:
-        return False
-    columns = [np.asarray(c) for c in columns]
+        cells = [(c[:, None] if c.ndim == 1 else c).tolist() for c in columns]
+        _write_csv(path, chain([header] if header else [], (
+            list(chain.from_iterable(row)) for row in zip(*cells))))
+        return
     integer = np.concatenate([
         np.full(c.shape[1] if c.ndim == 2 else 1, c.dtype.kind != "f")
         for c in columns])
@@ -337,15 +340,13 @@ def _write_table(path, header, columns):
                 raise RuntimeError("csv.c and io disagree on the cells that "
                                    "repr writes")
             fh.write(out[:used])
-    return True
 
 
 def write_graph_solution(path, problem, solution):
     header = ("node", "V", "q", "motionless", "policy_successor")
     columns = (np.arange(problem.node_count), solution.V, problem.q,
                solution.motionless.astype(int), solution.policy)
-    if not _write_table(path, header, columns):
-        _write_csv(path, chain([header], zip(*(c.tolist() for c in columns))))
+    _write_table(path, header, columns)
 
 
 # --- grid scenario descriptors -------------------------------------------
@@ -503,27 +504,23 @@ def read_field_csv(path):
 def write_field_csv(path, field):
     """Row-major CSV, one grid row per line."""
     field = np.asarray(field, float)
-    if not _write_table(path, (), [field]):
-        _write_csv(path, (row.tolist() for row in field))
+    _write_table(path, (), [field])
 
 
 def write_mask_csv(path, mask):
     mask = np.asarray(mask).astype(int)
-    if not _write_table(path, (), [mask]):
-        _write_csv(path, (row.tolist() for row in mask))
+    _write_table(path, (), [mask])
 
 
 def write_points_csv(path, points):
     points = np.asarray(points, float)
-    if not _write_table(path, ("x", "y"), [points]):
-        _write_csv(path, chain([("x", "y")], points.tolist()))
+    _write_table(path, ("x", "y"), [points])
 
 
 def write_trajectory_csv(path, traj):
     rows = np.column_stack((np.reshape(traj.points, (-1, 2)),
                             traj.values)).astype(float)
-    if not _write_table(path, ("x", "y", "V"), [rows]):
-        _write_csv(path, chain([("x", "y", "V")], rows.tolist()))
+    _write_table(path, ("x", "y", "V"), [rows])
 
 
 def write_convergence_csv(path, rows):

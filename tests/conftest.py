@@ -1,9 +1,10 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
-from randterm import io, native
+from randterm import grid, io, native
 from randterm.cli import random_graph_problem
 from randterm.graph import GraphProblem
 
@@ -39,6 +40,37 @@ def fig1b(p):
 def fig2(p, C=1.0):
     """Chain q=(10,9,0), K=(1,C); V_0 = 2+8p when C=1."""
     return make_graph([10.0, 9.0, 0.0], [(0, 1, 1.0), (1, 2, C)], p)
+
+
+def semi_lagrangian_update(v1, v2, K, q, f, lam, h):
+    """Control-theoretic form of grid.quadrant_update, its test oracle:
+    minimize over the convex weights xi of the two neighbors,
+
+        C(xi) = [ (K + lam q) tau(xi) + xi1 v1 + xi2 v2 ] / (1 + lam tau(xi)),
+
+    with tau(xi) = (h/f) sqrt(xi1^2 + xi2^2).  At interior minimizers this
+    coincides with the quadrant quadratic root; at vertex minimizers with the
+    one-sided form.
+    """
+    if not math.isfinite(v1) and not math.isfinite(v2):
+        return math.inf
+    if not math.isfinite(v2):
+        return grid.one_sided_update(v1, K, q, f, lam, h)
+    if not math.isfinite(v1):
+        return grid.one_sided_update(v2, K, q, f, lam, h)
+
+    s = K + lam * q
+
+    def cost(x1):
+        x2 = 1.0 - x1
+        tau = (h / f) * math.sqrt(x1 * x1 + x2 * x2)
+        return (s * tau + x1 * v1 + x2 * v2) / (1.0 + lam * tau)
+
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(cost, bounds=(0.0, 1.0), method="bounded",
+                          options={"xatol": 1e-12})
+    return min(res.fun, cost(0.0), cost(1.0))
 
 
 @pytest.fixture

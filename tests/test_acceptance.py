@@ -23,7 +23,7 @@ import pytest
 from randterm import analytic, graph, grid, io, trajectory
 from randterm.cli import random_graph_problem
 
-from conftest import fig1b, fig2, scenario
+from conftest import fig1b, fig2, scenario, semi_lagrangian_update
 
 
 def _report(num, ok, detail):
@@ -156,10 +156,10 @@ def test_criterion_6_update_equivalence():
         lam = rng.uniform(0.05, 5)
         h = rng.uniform(0.01, 0.5)
         a = min(q, grid.quadrant_update(v1, v2, K, q, f, lam, h))
-        b = min(q, grid.semi_lagrangian_update(v1, v2, K, q, f, lam, h))
+        b = min(q, semi_lagrangian_update(v1, v2, K, q, f, lam, h))
         worst = max(worst, abs(a - b))
         checked += 1
-    vertex_ok = (grid.semi_lagrangian_update(0.7, math.inf, 1.0, 3.0, 1.0, 1.0, 0.5)
+    vertex_ok = (semi_lagrangian_update(0.7, math.inf, 1.0, 3.0, 1.0, 1.0, 0.5)
                  == pytest.approx(grid.one_sided_update(0.7, 1.0, 3.0, 1.0, 1.0,
                                                         0.5), abs=1e-12))
     ok = worst <= 1e-10 and vertex_ok

@@ -152,11 +152,13 @@ class TestRunGraph:
         assert list(tmp_path.iterdir()) == []
 
     def test_nan_tol_exit_2(self, tmp_path, capsys):
-        # refused before the first iteration, not after the last
-        assert run("run-graph", scenario("two_node_cycle.txt"), "--p", "0.25",
-                   "--solver", "vi", "--tol", "nan",
-                   "--out", str(tmp_path)) == 2
-        assert "tol must not be nan" in capsys.readouterr().err
+        # refused before the first iteration, not after the last: -1 can
+        # never be met and inf is met by any first iterate
+        for tol in ("nan", "inf", "-1"):
+            assert run("run-graph", scenario("two_node_cycle.txt"), "--p",
+                       "0.25", "--solver", "vi", "--tol", tol,
+                       "--out", str(tmp_path)) == 2
+            assert "tol must be finite and >= 0" in capsys.readouterr().err
 
     def test_nan_cost_in_any_line_order(self, tmp_path, capsys):
         # delta is a function of the costs, so the line order of a nan cost
@@ -334,21 +336,21 @@ class TestRunGrid:
         assert np.max(np.abs(Va - Vb)) <= 1e-9
 
     def test_sweep_nonconvergence_exit_3(self, tmp_path, monkeypatch):
-        # a negative tolerance is unattainable, so the sweep budget runs out;
-        # a budget of 20 sweeps, not 2,000, keeps the test short
+        # tol 0 needs 5 sweeps here, so a budget of one runs out
         sweep = grid.sweep_oracle
         monkeypatch.setattr(grid, "sweep_oracle",
-                            lambda pb, tol: sweep(pb, tol=tol, max_iters=20))
+                            lambda pb, tol: sweep(pb, tol=tol, max_iters=1))
         assert run("run-grid", scenario("radial_trivial.json"),
-                   "--grid", "21x21", "--solver", "sweep", "--tol", "-1",
+                   "--grid", "21x21", "--solver", "sweep", "--tol", "0",
                    "--out", str(tmp_path)) == 3
         assert list(tmp_path.iterdir()) == []
 
     def test_nan_tol_exit_2(self, tmp_path, capsys):
-        assert run("run-grid", scenario("radial_trivial.json"),
-                   "--grid", "21x21", "--solver", "sweep", "--tol", "nan",
-                   "--out", str(tmp_path)) == 2
-        assert "tol must not be nan" in capsys.readouterr().err
+        for tol in ("nan", "inf", "-1"):
+            assert run("run-grid", scenario("radial_trivial.json"),
+                       "--grid", "21x21", "--solver", "sweep", "--tol", tol,
+                       "--out", str(tmp_path)) == 2
+            assert "tol must be finite and >= 0" in capsys.readouterr().err
 
     def test_bad_emit_exit_2(self, tmp_path, monkeypatch):
         # every --emit is checked before the scenario is loaded: no solve

@@ -1,4 +1,5 @@
-"""Every top-level definition of the package is used somewhere."""
+"""Every top-level definition of the package is exported or used by the
+package or its benchmark."""
 
 import ast
 import pathlib
@@ -18,18 +19,30 @@ def _top_level_names(node):
             if isinstance(n, ast.Name)]
 
 
+def exported(root=ROOT):
+    """The names randterm/__init__.py imports from the package's modules."""
+    tree = ast.parse((root / "src" / "randterm" / "__init__.py").read_text())
+    return {a.asname or a.name for n in tree.body
+            if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
 def dead_definitions(root=ROOT):
     """module:name of every top-level function, class or constant of
-    src/randterm, dunder names aside, whose name appears in no file of src/,
-    tests/ or perfbench/ outside its own definition."""
-    texts = [p.read_text() for d in ("src", "tests", "perfbench")
+    src/randterm, dunder names aside, that randterm/__init__.py does not
+    export and whose name appears in no file of src/ or perfbench/ outside
+    its own definition.  Uses in tests/ do not count: a definition that
+    only tests reach is either the package's API, and exported, or a test
+    helper, and belongs in tests/."""
+    texts = [p.read_text() for d in ("src", "perfbench")
              for p in sorted((root / d).rglob("*.py"))]
+    public = exported(root)
     dead = []
     for path in sorted((root / "src" / "randterm").glob("*.py")):
         lines = path.read_text().splitlines()
         for node in ast.parse("\n".join(lines)).body:
             for name in _top_level_names(node):
-                if name.startswith("__") and name.endswith("__"):
+                if (name.startswith("__") and name.endswith("__")
+                        or name in public):
                     continue
                 word = re.compile(r"\b%s\b" % re.escape(name))
                 own = "\n".join(lines[node.lineno - 1:node.end_lineno])

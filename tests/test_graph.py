@@ -217,6 +217,63 @@ class TestInfiniteHorizonConversion:
         with pytest.raises(ValueError):
             graph.from_infinite_horizon(Kt, adjacency, alpha=0.5)
 
+    @staticmethod
+    def discounted_values(Ktilde, node_count, alpha):
+        """V_i = min_j { Ktilde_ij + alpha V_j }, iterated from V = 0 until
+        it repeats: costs >= 0 make the iterates nondecreasing."""
+        src, dst = np.array(list(Ktilde)).T
+        cost = np.array(list(Ktilde.values()))
+        V = np.zeros(node_count)
+        for _ in range(100000):
+            new = np.full(node_count, np.inf)
+            np.minimum.at(new, src, cost + alpha * V[dst])
+            if np.array_equal(new, V):
+                return V
+            V = new
+        raise AssertionError("discounted iteration did not settle")
+
+    @staticmethod
+    def costly_loops(seed, rng):
+        """A random problem with a uniform p and a cost on every self-loop."""
+        pb = random_graph_problem(seed, nodes=int(rng.integers(1, 30)),
+                                  p_range=(rng.uniform(0.02, 0.98),) * 2)
+        loops = pb.src == pb.dst
+        pb.K[loops] = rng.uniform(0.0, 2.0, loops.sum())
+        return pb
+
+    def test_from_infinite_horizon_keeps_values(self, rng):
+        # the paper's equivalence: the randomly-terminated problem has the
+        # discounted problem's value function
+        for seed in range(40):
+            pb = self.costly_loops(seed, rng)
+            src, dst, alpha = pb.src, pb.dst, rng.uniform(0.02, 0.98)
+            # Ktilde_ij = Ktilde_jj + K_ij >= Ktilde_jj, so A3 survives
+            Ktilde = pb.K[src == dst][dst] + np.where(src == dst, 0.0, pb.K)
+            adjacency = [pb.dst[lo:hi].tolist()
+                         for lo, hi in zip(pb.indptr, pb.indptr[1:])]
+            Kt = dict(zip(zip(src.tolist(), dst.tolist()), Ktilde.tolist()))
+            sol = graph.value_iteration(
+                graph.from_infinite_horizon(Kt, adjacency, alpha), tol=0)
+            assert sol.status == "ok"
+            ref = self.discounted_values(Kt, pb.node_count, alpha)
+            assert np.allclose(sol.V, ref, rtol=1e-13, atol=0)
+
+    def test_to_infinite_horizon_keeps_values(self, rng):
+        # one node, q = 3, K_00 = 2, p = 0.5: staying costs 2 + 0.5 * 3 a
+        # step, discounted by 0.5, so V = 3.5 / 0.5 = 7 on both sides
+        pb = make_graph([3.0], [], 0.5)
+        pb.K[0] = 2.0
+        Kt, alpha = graph.to_infinite_horizon(pb)
+        assert Kt == {(0, 0): 3.5} and alpha == 0.5
+        assert graph.value_iteration(pb).V[0] == pytest.approx(7.0)
+        for seed in range(40):
+            pb = self.costly_loops(seed, rng)
+            Kt, alpha = graph.to_infinite_horizon(pb)
+            sol = graph.value_iteration(pb, tol=0)
+            assert sol.status == "ok"
+            ref = self.discounted_values(Kt, pb.node_count, alpha)
+            assert np.allclose(sol.V, ref, rtol=1e-13, atol=0)
+
 
 class TestValueIteration:
     def test_two_node_cycle(self):
@@ -556,20 +613,12 @@ class TestLimits:
         # global minima of q are motionless already at p -> 0; local minima
         # at p -> 1
         v0 = graph.solve_v0(random_problem)
-        for g in random_problem.global_minima():
-            assert v0[g] == random_problem.q[g]
+        q = random_problem.q
+        for g in np.flatnonzero(q == q.min()).tolist():
+            assert v0[g] == q[g]
         v1 = graph.solve_v1(random_problem)
         for l in random_problem.local_minima():
             assert v1[l] == pytest.approx(random_problem.q[l])
-
-    def test_m1_strict(self):
-        pb = fig2(0.5)
-        diag = graph.m1_strict(pb)
-        # node 0 is motionless in the p->1 limit but not strictly so
-        assert 0 not in diag
-        assert 1 not in diag  # q_1 = 9 = K_12 + q_2 with C=1... strict check
-        pb2 = fig2(0.5, C=9.5)
-        assert 1 in graph.m1_strict(pb2)
 
 
 class TestPaths:

@@ -5,7 +5,7 @@ import pytest
 
 from randterm import grid
 
-from conftest import both_paths
+from conftest import both_paths, semi_lagrangian_update
 
 SQ = 2 * (math.sqrt(2) - 1)
 
@@ -154,16 +154,16 @@ class TestNodeUpdate:
 
 class TestSemiLagrangian:
     def test_symmetric_example(self):
-        got = grid.semi_lagrangian_update(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        got = semi_lagrangian_update(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         assert got == pytest.approx(SQ, abs=1e-9)
 
     def test_vertex_case(self):
-        got = grid.semi_lagrangian_update(0.0, math.inf, 1.0, 2.0, 1.0, 1.0, 1.0)
+        got = semi_lagrangian_update(0.0, math.inf, 1.0, 2.0, 1.0, 1.0, 1.0)
         assert got == pytest.approx(1.5)
 
     def test_constant(self):
         c = 2.2
-        assert grid.semi_lagrangian_update(c, c, 0.0, c, 1.0, 0.5, 0.1) == \
+        assert semi_lagrangian_update(c, c, 0.0, c, 1.0, 0.5, 0.1) == \
             pytest.approx(c)
 
     def test_matches_quadrant(self, rng):
@@ -176,6 +176,6 @@ class TestSemiLagrangian:
             lam = rng.uniform(0.05, 5)
             h = rng.uniform(0.01, 0.5)
             a = grid.quadrant_update(v1, v2, K, q, f, lam, h)
-            b = grid.semi_lagrangian_update(v1, v2, K, q, f, lam, h)
+            b = semi_lagrangian_update(v1, v2, K, q, f, lam, h)
             worst = max(worst, abs(a - b))
         assert worst <= 1e-10

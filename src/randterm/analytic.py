@@ -74,14 +74,17 @@ def exact_field(case, grid):
 
 def free_boundary_radius(lam):
     """Radius of the stop-immediately circle in the circular case: the positive
-    root of (lam+1)/lam * (r - (1 - e^{-lam r})/lam) = r, bracketed in (1, 2)."""
-    # imported here so that importing randterm loads no scipy module
-    from scipy.optimize import brentq
-
-    def fun(r):
-        return (lam + 1.0) / lam * float(edge_wait_cost(r, lam)) - r
-
-    return brentq(fun, 0.5, 2.5, xtol=1e-13, rtol=8.9e-16)
+    root of (lam+1)/lam * (r - (1 - e^{-lam r})/lam) = r, bracketed in (1, 2),
+    by bisection of [0.5, 2.5] down to adjacent floats."""
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+    lo, hi = 0.5, 2.5
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (lam + 1.0) / lam * float(edge_wait_cost(mid, lam)) < mid:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def error_norms(V, exact, grid, mask=None):

@@ -291,29 +291,41 @@ def value_iteration(problem, tol=1e-13, max_iters=100000):
     return _solution(problem, V, const, surv, status=status, iterations=it)
 
 
-def _label_setting(problem, const, surv, seeds, base=0.0, delta=0.0):
+def _rows(indptr, dst, const, surv, seeds):
+    """indptr, dst, const, surv and seeds as contiguous int64 and float64
+    arrays, after a ValueError unless they form CSR rows over
+    len(indptr) - 1 nodes with every seed among the nodes."""
+    indptr, dst, seeds = (np.ascontiguousarray(a, np.int64)
+                          for a in (indptr, dst, seeds))
+    const, surv = (np.ascontiguousarray(a, np.float64) for a in (const, surv))
+    n = indptr.size - 1
+    if (n < 0 or indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+            or not indptr[-1] == dst.size == const.size == surv.size
+            or not np.all((dst >= 0) & (dst < n))
+            or not np.all((seeds >= 0) & (seeds < n))):
+        raise ValueError("label-setting arrays must form CSR rows over %d "
+                         "nodes and seeds lie in range" % max(n, 0))
+    return indptr, dst, const, surv, seeds
+
+
+def _label_setting(indptr, dst, const, surv, V, seeds, base=0.0, delta=0.0):
     """Accept nodes in increasing (key(V_j), j) order from a heap, relaxing
-    the in-edges i -> j, i != j, of each accepted j in edge order; V starts
-    at q.  The key is V_j when delta is 0, and Dial's bucket
-    int((V_j - base) / delta) otherwise.  Every drop of V_i pushes a new
-    entry and key is nondecreasing, so the first popped entry of a node
+    the in-edges i -> j, i != j, of each accepted j in edge order, over the
+    CSR rows indptr, dst, const and surv (see _rows): V_i drops to
+    const_ij + surv_ij * V_j when that is lower.  V starts at the given
+    values (one per node).  The key is V_j when delta is 0, and Dial's
+    bucket int((V_j - base) / delta) otherwise.  Every drop of V_i pushes a
+    new entry and key is nondecreasing, so the first popped entry of a node
     carries its current key; the node is accepted there and its later
     entries are skipped.  Runs label() of march.c, its C twin, when the
     native library can be built (see native.library), else the Python loop,
     with the same results bit for bit.  Returns V, the acceptance order and
     the heap pushes + pops (every push is popped)."""
-    n = problem.node_count
-    indptr, dst, seeds = (np.ascontiguousarray(a, np.int64)
-                          for a in (problem.indptr, problem.dst, seeds))
-    const, surv = (np.ascontiguousarray(a, np.float64) for a in (const, surv))
-    V = problem.q.astype(np.float64)
-    if (V.size != n or indptr.size != n + 1 or indptr[0] != 0
-            or np.any(np.diff(indptr) < 0)
-            or not indptr[-1] == dst.size == const.size == surv.size
-            or not np.all((dst >= 0) & (dst < n))
-            or not np.all((seeds >= 0) & (seeds < n))):
-        raise ValueError("label-setting arrays must form CSR rows over %d "
-                         "nodes and seeds lie in range" % n)
+    indptr, dst, const, surv, seeds = _rows(indptr, dst, const, surv, seeds)
+    n = indptr.size - 1
+    V = np.array(V, dtype=np.float64)
+    if V.shape != (n,):
+        raise ValueError("label setting needs one start value per node")
     lib = native.library()
     if lib is not None:
         order = np.empty(n, dtype=np.int64)
@@ -323,7 +335,7 @@ def _label_setting(problem, const, surv, seeds, base=0.0, delta=0.0):
             raise MemoryError("out of memory for the label-setting heap")
         return V, order[order >= 0], 2 * pushes
     key = float if delta == 0.0 else (lambda v: int((v - base) / delta))
-    src = problem.src
+    src = np.repeat(np.arange(n), np.diff(indptr))
     moves = np.flatnonzero(src != dst)
     rev = moves[np.argsort(dst[moves], kind="stable")]
     # reverse CSR in memoryviews (no Python object per edge): the in-edges
@@ -360,10 +372,43 @@ def _label_setting(problem, const, surv, seeds, base=0.0, delta=0.0):
     return np.array(V), np.array(order, dtype=np.int64), 2 * pushes
 
 
+def distance_mix(indptr, dst, length, targets, weights):
+    """sum over targets t of weight_t * d(., t), where d(i, t) is the least
+    total length of a path i -> ... -> t along the CSR rows indptr, dst and
+    length (self-loops skipped; +inf where no path reaches t).  The terms of
+    nonzero weight are added in target order.  Lengths must be >= 0.  Each
+    d(., t) is _label_setting's V from V = +inf but V_t = 0, with const the
+    lengths and surv 1; distance_mix() of march.c, its C twin, finds the
+    in-edges once for all targets when the native library can be built,
+    with the same result bit for bit."""
+    indptr, dst, length, ones, targets = _rows(
+        indptr, dst, length, np.ones(np.size(length)), targets)
+    weights = np.ascontiguousarray(weights, np.float64)
+    if weights.shape != targets.shape:
+        raise ValueError("distance_mix needs one weight per target")
+    if not np.all(length >= 0.0):  # nan too
+        raise ValueError("path lengths must be >= 0")
+    n = indptr.size - 1
+    q = np.zeros(n)
+    lib = native.library()
+    if lib is not None:
+        if lib.distance_mix(n, indptr, dst, length, ones, targets, weights,
+                            targets.size, q) < 0:
+            raise MemoryError("out of memory for the label-setting heap")
+        return q
+    for t, w in zip(targets.tolist(), weights.tolist()):
+        if w != 0.0:
+            start = np.full(n, np.inf)
+            start[t] = 0.0
+            q += w * _label_setting(indptr, dst, length, ones, start, [t])[0]
+    return q
+
+
 def _label_solve(problem, seeds, base=0.0, delta=0.0):
     """_label_setting from V = q over the edge arrays, then the policy."""
     const, surv = _terms(problem)
-    V, order, ops = _label_setting(problem, const, surv, seeds, base, delta)
+    V, order, ops = _label_setting(problem.indptr, problem.dst, const, surv,
+                                   problem.q, seeds, base, delta)
     return _solution(problem, V, const, surv, heap_operations=ops,
                      acceptance_order=order)
 
@@ -412,7 +457,8 @@ def solve_v0(problem):
     """
     _require_valid(problem)
     # the p_ij = 0 limit of the edge terms: const K_ij, surv 1
-    return _label_setting(problem, problem.K, np.ones_like(problem.K),
+    return _label_setting(problem.indptr, problem.dst, problem.K,
+                          np.ones_like(problem.K), problem.q,
                           np.arange(problem.node_count))[0]
 
 

@@ -8,7 +8,8 @@ the edge, so a call arriving mid-edge waits for the remainder:
     K_ij = (exp(-lam tau_ij) - (1 - lam tau_ij)) / lam     (expected extra wait)
     p_ij = 1 - exp(-lam tau_ij)                            (call during the edge)
 
-and the terminal cost q(x) is the expected travel time from x to the caller.
+and the terminal cost q(x) is the expected travel time from x to the caller,
+found by the label-setting loop of the graph solvers (graph.distance_mix).
 Solving the resulting problem yields the minimal expected wait time.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eikonal import check_call_probabilities
-from .graph import GraphProblem
+from .graph import GraphProblem, distance_mix
 
 # placeholder only: self-loops are free and motionless nodes pay q directly,
 # so no solver ever reads the self-loop probability
@@ -50,6 +51,19 @@ class IdleScenario:
         if not 0 < self.lam < math.inf:  # nan too
             raise ValueError("call rate must be positive and finite")
         check_call_probabilities(self.call_probs)
+        if not (self.src.shape == self.dst.shape == self.tau.shape
+                and self.call_nodes.shape == self.call_probs.shape):
+            raise ValueError("src, dst and tau need one entry per edge, and "
+                             "call_nodes and call_probs one per call")
+        for name in ("call_nodes", "src", "dst"):
+            nodes = getattr(self, name)
+            for k in np.flatnonzero((nodes < 0)
+                                    | (nodes >= self.node_count))[:1].tolist():
+                raise ValueError("%s[%d] = %d outside [0, %d)"
+                                 % (name, k, nodes[k], self.node_count))
+        for k in np.flatnonzero(np.diff(self.src) < 0)[:1].tolist():
+            raise ValueError("src must be nondecreasing: src[%d] = %d after %d"
+                             % (k + 1, self.src[k + 1], self.src[k]))
         for e in np.flatnonzero((self.src != self.dst)
                                 & ~(self.tau > 0))[:1].tolist():
             raise ValueError("tau must be positive on edge (%d,%d)"
@@ -86,27 +100,15 @@ def all_pairs_times(scenario):
 
 
 def expected_response_times(scenario):
-    """q(x) = sum over call nodes of P * d(x, call node).
-
-    One scipy.sparse.csgraph Dijkstra call on the reversed travel-time graph
-    gives d(., c) for every call node c of nonzero probability; the terms
-    are added in call order.
+    """q(x) = sum over call nodes of P * d(x, call node): graph.distance_mix
+    over the moves (the label-setting loop of the solvers, run from each
+    call node of nonzero probability), which adds the terms in call order.
     """
-    # imported here so that importing randterm does not load csgraph
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    M = scenario.node_count
     moves = scenario.src != scenario.dst
-    reversed_tau = csr_matrix((scenario.tau[moves], (scenario.dst[moves],
-                                                     scenario.src[moves])),
-                              shape=(M, M))
-    called = scenario.call_probs != 0
-    dist = dijkstra(reversed_tau, indices=scenario.call_nodes[called])
-    q = np.zeros(M)
-    for prob, d in zip(scenario.call_probs[called].tolist(), dist):
-        q += prob * d
-    return q
+    counts = np.bincount(scenario.src[moves], minlength=scenario.node_count)
+    return distance_mix(np.append(0, np.cumsum(counts)), scenario.dst[moves],
+                        scenario.tau[moves], scenario.call_nodes,
+                        scenario.call_probs)
 
 
 def build_problem(scenario):

@@ -4,8 +4,10 @@
  * the update of fmm_solve (grid.quadrant_update) or, when eikonal is set,
  * that of eikonal_solve (grid.travel_update, which reads f only).
  *
- * label() is the label-setting loop of randterm.graph._label_setting (for
- * dijkstra_solve, dial_solve and solve_v0), on the same (key, index) heap.
+ * settle() is the label-setting loop of randterm.graph._label_setting, on
+ * the same (key, index) heap.  label() runs it once, for dijkstra_solve,
+ * dial_solve and solve_v0; distance_mix() runs it once per target over
+ * in-edges found once, for graph.distance_mix and the idle travel times.
  *
  * Every floating-point operation is the one the Python code performs, in the
  * same order, so the results are bit-identical to it.  That holds only when
@@ -20,11 +22,11 @@
  * less(), which has no branch, so the walk down costs no mispredictions.
  * Where no value is NaN the pop order cannot differ from heapq's, nor from
  * any other heap's: a node is pushed again only when its value drops, so no
- * two entries of march() share a (value, index) key, and entries of label()
+ * two entries of march() share a (value, index) key, and entries of settle()
  * that share one (a value drop within Dial's bucket) are equal.
  *
- * Both return the number of pushes (every push is popped), or -1 when their
- * memory cannot be allocated.
+ * march() and label() return the number of pushes (every push is popped),
+ * distance_mix() 0, and each -1 when its memory cannot be allocated.
  */
 #include <math.h>
 #include <stdint.h>
@@ -167,70 +169,116 @@ done:
     return rc;
 }
 
+/* What settle() works on, as in_edges() makes it for the n forward rows
+ * indptr, dst, cnst and surv: the in-edges i -> j, i != j, those of j at
+ * in[ptr[j]:ptr[j + 1]] in the order of the rows (by one counting pass), a
+ * state byte per node, all 0 (far), and an empty heap.  in_edges() returns
+ * 0, or -1; release() frees w either way. */
+typedef struct { int64_t i; double cnst, surv; } edge;
+typedef struct { int64_t *ptr; edge *in; uint8_t *state; heap h; } work;
+
+static int in_edges(int64_t n, const int64_t *indptr, const int64_t *dst,
+                    const double *cnst, const double *surv, work *w)
+{
+    w->ptr = calloc(n + 2, sizeof(int64_t));
+    w->in = malloc((indptr[n] + 1) * sizeof(edge)); /* + 1: never size 0 */
+    w->state = calloc(n + 1, 1);
+    w->h = (heap){malloc(64 * sizeof(entry)), 0, 64};
+    if (!w->ptr || !w->in || !w->state || !w->h.a) return -1;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++)
+            if (dst[e] != i) w->ptr[dst[e] + 2]++;
+    for (int64_t j = 2; j <= n + 1; j++) w->ptr[j] += w->ptr[j - 1];
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++)
+            if (dst[e] != i)
+                w->in[w->ptr[dst[e] + 1]++] = (edge){i, cnst[e], surv[e]};
+    return 0;
+}
+
+static void release(work *w)
+{
+    free(w->ptr);
+    free(w->in);
+    free(w->state);
+    free(w->h.a);
+}
+
 /* Accept nodes in (key, index) order from the seeds, relaxing the in-edges
- * i -> j, i != j, of each accepted j in edge order: V_i drops to
- * const + surv * V_j when that is lower, and a node is pushed when first
- * reached or when its value drops.  key() is V when delta == 0 and
- * trunc((V - base) / delta) otherwise, which orders as Python's int() of the
- * same quotient wherever it is finite.  The forward rows indptr, dst, const
- * and surv give the in-edge lists by one counting pass.  V (n values, the
- * start values) is lowered in place and order gets the accepted nodes in
- * turn, then -1.  Returns the number of pushes, or -1. */
+ * of each accepted j in edge order: V_i drops to cnst + surv * V_j when that
+ * is lower, and a node is pushed when first reached or when its value drops.
+ * key() is V when delta == 0 and trunc((V - base) / delta) otherwise, which
+ * orders as Python's int() of the same quotient wherever it is finite.  V is
+ * lowered in place from the start values and order gets the accepted nodes
+ * in turn; every node ends far or accepted, and the heap empty.  Returns the
+ * number of pushes, or -1. */
+static int64_t settle(work *w, const int64_t *seeds, int64_t nseeds,
+                      double base, double delta, double *V, int64_t *order)
+{
+    uint8_t *state = w->state; /* 0 far, 1 considered, 2 accepted */
+    int64_t pushes = nseeds, accepted = 0;
+    for (int64_t k = 0; k < nseeds; k++) {
+        state[seeds[k]] = 1;
+        if (push(&w->h, key(V[seeds[k]], base, delta), seeds[k])) return -1;
+    }
+    while (w->h.n) {
+        int64_t j = pop(&w->h).i;
+        if (state[j] == 2) continue; /* stale: accepted at an earlier entry */
+        state[j] = 2;
+        order[accepted++] = j;
+        double vj = V[j];
+        for (edge *e = w->in + w->ptr[j]; e < w->in + w->ptr[j + 1]; e++) {
+            int64_t i = e->i;
+            if (state[i] == 2) continue;
+            double cand = e->cnst + e->surv * vj;
+            if (cand < V[i]) V[i] = cand;
+            else if (state[i]) continue;
+            state[i] = 1;
+            if (push(&w->h, key(V[i], base, delta), i)) return -1;
+            pushes++;
+        }
+    }
+    return pushes;
+}
+
+/* settle() over the n forward rows from the seeds; order gets the accepted
+ * nodes, then -1.  Returns the number of pushes, or -1. */
 int64_t label(int64_t n, const int64_t *indptr, const int64_t *dst,
               const double *cnst, const double *surv, const int64_t *seeds,
               int64_t nseeds, double base, double delta, double *V,
               int64_t *order)
 {
-    int64_t m = indptr[n], pushes = nseeds, accepted = 0, rc = -1;
-    int64_t *ptr = calloc(n + 2, sizeof(int64_t));
-    int64_t *rsrc = malloc((m + 1) * sizeof(int64_t)); /* + 1: never size 0 */
-    double *rcnst = malloc((m + 1) * sizeof(double));
-    double *rsurv = malloc((m + 1) * sizeof(double));
-    uint8_t *state = calloc(n + 1, 1); /* 0 far, 1 considered, 2 accepted */
-    heap hp = {malloc(64 * sizeof(entry)), 0, 64};
-    if (!ptr || !rsrc || !rcnst || !rsurv || !state || !hp.a) goto done;
-    /* in-edges of j at ptr[j]:ptr[j + 1], in the order of the forward rows */
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++)
-            if (dst[e] != i) ptr[dst[e] + 2]++;
-    for (int64_t j = 2; j <= n + 1; j++) ptr[j] += ptr[j - 1];
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++)
-            if (dst[e] != i) {
-                int64_t k = ptr[dst[e] + 1]++;
-                rsrc[k] = i;
-                rcnst[k] = cnst[e];
-                rsurv[k] = surv[e];
-            }
+    work w;
     for (int64_t k = 0; k < n; k++) order[k] = -1;
-    for (int64_t k = 0; k < nseeds; k++) {
-        state[seeds[k]] = 1;
-        if (push(&hp, key(V[seeds[k]], base, delta), seeds[k])) goto done;
+    int64_t rc = in_edges(n, indptr, dst, cnst, surv, &w) ? -1
+                 : settle(&w, seeds, nseeds, base, delta, V, order);
+    release(&w);
+    return rc;
+}
+
+/* q += w_t * V for each target t of nonzero weight w_t, in turn, with V the
+ * settle() values from V = +inf but V_t = 0: with lengths in cnst and surv
+ * all 1, V_i is the least length of a path from i to t.  The in-edges are
+ * found once for all targets.  Returns 0, or -1. */
+int64_t distance_mix(int64_t n, const int64_t *indptr, const int64_t *dst,
+                     const double *cnst, const double *surv,
+                     const int64_t *targets, const double *weights,
+                     int64_t ntargets, double *q)
+{
+    work w;
+    double *V = malloc((n + 1) * sizeof(double));
+    int64_t *order = malloc((n + 1) * sizeof(int64_t));
+    int64_t rc = in_edges(n, indptr, dst, cnst, surv, &w) || !V || !order
+                 ? -1 : 0;
+    for (int64_t t = 0; t < ntargets && rc == 0; t++) {
+        if (weights[t] == 0.0) continue;
+        for (int64_t k = 0; k < n; k++) V[k] = INFINITY, w.state[k] = 0;
+        V[targets[t]] = 0.0;
+        if (settle(&w, targets + t, 1, 0.0, 0.0, V, order) < 0) rc = -1;
+        else for (int64_t k = 0; k < n; k++) q[k] += weights[t] * V[k];
     }
-    while (hp.n) {
-        int64_t j = pop(&hp).i;
-        if (state[j] == 2) continue; /* stale: accepted at an earlier entry */
-        state[j] = 2;
-        order[accepted++] = j;
-        double vj = V[j];
-        for (int64_t k = ptr[j]; k < ptr[j + 1]; k++) {
-            int64_t i = rsrc[k];
-            if (state[i] == 2) continue;
-            double cand = rcnst[k] + rsurv[k] * vj;
-            if (cand < V[i]) V[i] = cand;
-            else if (state[i]) continue;
-            state[i] = 1;
-            if (push(&hp, key(V[i], base, delta), i)) goto done;
-            pushes++;
-        }
-    }
-    rc = pushes;
-done:
-    free(ptr);
-    free(rsrc);
-    free(rcnst);
-    free(rsurv);
-    free(state);
-    free(hp.a);
+    release(&w);
+    free(V);
+    free(order);
     return rc;
 }

@@ -71,6 +71,23 @@ class TestFreeBoundaryRadius:
         rs = [analytic.free_boundary_radius(l) for l in lams]
         assert np.all(np.diff(rs) < 0)
 
+    def test_matches_brentq(self):
+        # scipy's root finder as an outside oracle; the two differ by at
+        # most 1.3e-12 (at lam = 1e-3), where rounding blurs the root
+        from scipy.optimize import brentq
+
+        for lam in np.geomspace(1e-3, 1e3, 13).tolist():
+            r = brentq(lambda r: (lam + 1.0) / lam * float(
+                analytic.edge_wait_cost(r, lam)) - r, 0.5, 2.5,
+                xtol=1e-13, rtol=8.9e-16)
+            assert analytic.free_boundary_radius(lam) == pytest.approx(
+                r, abs=1e-11)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_rate_rejected(self, lam):
+        with pytest.raises(ValueError, match="positive and finite"):
+            analytic.free_boundary_radius(lam)
+
     def test_limits(self):
         assert analytic.free_boundary_radius(1e-3) == pytest.approx(2.0, abs=2e-3)
         assert analytic.free_boundary_radius(1e3) == pytest.approx(1.0, abs=2e-3)

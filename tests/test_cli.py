@@ -537,21 +537,30 @@ class TestRunConvergence:
 
 class TestImport:
     @staticmethod
-    def after_import(expr, **env):
-        """expr printed by a fresh interpreter that imported the package."""
+    def after_import(expr, then="pass", **env):
+        """expr printed by a fresh interpreter that imported the package and
+        then ran the statement then (the last line it printed)."""
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         return subprocess.run(
             [sys.executable, "-c", "import sys, randterm, randterm.cli; "
-             "print(%s)" % expr],
-            env=env, capture_output=True, text=True, check=True).stdout.strip()
+             "%s; print(%s)" % (then, expr)], env=env, capture_output=True,
+            text=True, check=True).stdout.strip().splitlines()[-1]
 
     def test_import_loads_no_scipy(self):
         # scipy is imported inside the functions that need it, which keeps
         # the start-up of every command short
         assert self.after_import("sorted(m for m in sys.modules "
                                  "if m.split('.')[0] == 'scipy')") == "[]"
+
+    def test_idle_run_loads_no_scipy(self, tmp_path):
+        # the idle travel times come from the package's own label setting
+        argv = ["run-graph", scenario("idle_ring.txt"), "--out", str(tmp_path)]
+        assert self.after_import(
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            then="assert randterm.cli.main(%r) == 0" % argv) == "[]"
+        assert (tmp_path / "solution.csv").exists()
 
     def test_import_leaves_the_compiled_march_alone(self, tmp_path):
         # the native library (the compiled march and scanner) is looked for,

@@ -542,18 +542,58 @@ class TestCompiledLabelSetting:
     def test_bad_arrays_raise(self):
         pb = make_graph([1.0, 0.0], [(0, 1, 1.0)], 0.5)
         const, surv = graph._terms(pb)
+
+        def run(seeds, dst=pb.dst, V=pb.q):
+            return graph._label_setting(pb.indptr, dst, const, surv, V, seeds)
+
         for seeds in ([2], [-1]):
             with pytest.raises(ValueError, match="CSR rows over 2 nodes"):
-                graph._label_setting(pb, const, surv, seeds)
-        pb.dst[1] = 5
+                run(seeds)
         with pytest.raises(ValueError, match="CSR rows over 2 nodes"):
-            graph._label_setting(pb, const, surv, [0])
+            run([0], dst=[0, 5, 1])
+        with pytest.raises(ValueError, match="one start value per node"):
+            run([0], V=[1.0])
 
     def test_allocation_failure_is_memory_error(self, monkeypatch):
         monkeypatch.setattr(native, "library", lambda: types.SimpleNamespace(
-            label=lambda *args: -1))
+            label=lambda *args: -1, distance_mix=lambda *args: -1))
         with pytest.raises(MemoryError):
             graph.dijkstra_solve(fig2(0.5))
+        with pytest.raises(MemoryError):
+            graph.distance_mix([0, 1, 1], [1], [1.0], [1], [1.0])
+
+
+class TestDistanceMix:
+    """graph.distance_mix, through distance_mix() of march.c and through
+    the Python loop."""
+
+    # 0 -> 1 (2), 1 -> 2 (3) and a self-loop at 0, which is never taken
+    CHAIN = ([0, 2, 3, 3], [0, 1, 2], [5.0, 2.0, 3.0])
+
+    def test_weighted_distances(self):
+        # d(., 2) = (5, 3, 0) and d(., 1) = (2, 0, inf)
+        for q in both_paths(lambda: graph.distance_mix(
+                *self.CHAIN, [2, 1], [0.5, 0.5])):
+            assert q.tolist() == [3.5, 1.5, math.inf]
+
+    def test_zero_weight_is_skipped(self):
+        # 0 * inf would be nan at node 2
+        for q in both_paths(lambda: graph.distance_mix(
+                *self.CHAIN, [2, 1], [1.0, 0.0])):
+            assert q.tolist() == [5.0, 3.0, 0.0]
+
+    @pytest.mark.parametrize("case, match", [
+        (dict(length=[5.0, -2.0, 3.0]), ">= 0"),
+        (dict(length=[5.0, math.nan, 3.0]), ">= 0"),
+        (dict(targets=[3]), "CSR rows over 3 nodes"),
+        (dict(targets=[-1]), "CSR rows over 3 nodes"),
+        (dict(weights=[1.0, 0.0]), "one weight per target")])
+    def test_bad_arguments_raise(self, case, match):
+        # checked before either path runs
+        args = dict(zip(("indptr", "dst", "length"), self.CHAIN),
+                    targets=[2], weights=[1.0])
+        with pytest.raises(ValueError, match=match):
+            graph.distance_mix(**{**args, **case})
 
 
 class TestLimits:

@@ -5,7 +5,7 @@ import pytest
 
 from randterm import graph, idle
 
-from conftest import bit_equal, scenario
+from conftest import bit_equal, both_paths, scenario
 from randterm.io import load_idle
 
 
@@ -19,6 +19,44 @@ def idle_scenario(n, tau, lam=1.0, calls=((0, 1.0),)):
                              tau=[tau[e] for e in keys], lam=lam,
                              call_nodes=[c[0] for c in calls],
                              call_probs=[c[1] for c in calls])
+
+
+def random_idle(seed, n=40, whole=False):
+    """Random travel times over a ring of nodes 0..n-4 and random edges out
+    of them; the last three nodes have no out-edges, so they reach no call
+    node.  Two of the six calls have probability 0.  whole: integer times,
+    which make many equal distances."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return float(rng.integers(1, 4) if whole else rng.uniform(0.1, 3.0))
+
+    tau = {(i, (i + 1) % (n - 3)): draw() for i in range(n - 3)}
+    for i, j in zip(rng.integers(0, n - 3, 2 * n).tolist(),
+                    rng.integers(0, n, 2 * n).tolist()):
+        if i != j:
+            tau[(i, j)] = draw()
+    w = rng.uniform(0.5, 1.5, size=6)
+    w[[1, 4]] = 0.0
+    nodes = rng.choice(n - 3, size=6, replace=False).tolist()
+    return idle_scenario(n, tau, calls=list(zip(nodes, w / w.sum())))
+
+
+def csgraph_q(sc):
+    """q by scipy.sparse.csgraph's Dijkstra on the reversed travel-time
+    graph, added in call order: an oracle outside the package."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    moves, M = sc.src != sc.dst, sc.node_count
+    rev = csr_matrix((sc.tau[moves], (sc.dst[moves], sc.src[moves])),
+                     shape=(M, M))
+    called = sc.call_probs != 0
+    q = np.zeros(M)
+    for prob, d in zip(sc.call_probs[called].tolist(),
+                       dijkstra(rev, indices=sc.call_nodes[called])):
+        q += prob * d
+    return q
 
 
 def ring(n=6, tau=1.0, lam=1.0, calls=((0, 0.5), (3, 0.5))):
@@ -49,6 +87,24 @@ class TestScenario:
         for lam in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 ring(lam=lam)
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(call_nodes=[-1]), r"call_nodes\[0\] = -1 outside \[0, 2\)"),
+        (dict(call_nodes=[2]), r"call_nodes\[0\] = 2 outside \[0, 2\)"),
+        (dict(src=[0, 0, 1, 2]), r"src\[3\] = 2 outside"),
+        (dict(dst=[0, 1, -3, 1]), r"dst\[2\] = -3 outside"),
+        (dict(src=[0, 1, 0, 1]), r"nondecreasing: src\[2\] = 0 after 1"),
+        (dict(tau=[0.0, 1.0, 1.0]), "one entry per edge"),
+        (dict(call_probs=[0.5, 0.5]), "one per call")])
+    def test_indices_checked(self, change, match):
+        # out-of-range nodes and unsorted rows are refused before any
+        # travel time is computed
+        good = dict(node_count=2, src=[0, 0, 1, 1], dst=[0, 1, 0, 1],
+                    tau=[0.0, 1.0, 1.0, 0.0], lam=1.0, call_nodes=[1],
+                    call_probs=[1.0])
+        idle.IdleScenario(**good)
+        with pytest.raises(ValueError, match=match):
+            idle.IdleScenario(**{**good, **change})
 
 
 class TestEdgeWaitCost:
@@ -92,7 +148,7 @@ class TestEdgeWaitCost:
 
 class TestTravelTimes:
     def test_single_edge(self):
-        sc = ring(n=2)
+        sc = ring(n=2, calls=((0, 1.0),))
         d = idle.all_pairs_times(sc)
         assert d[0, 1] == 1.0 and d[1, 0] == 1.0
 
@@ -122,6 +178,25 @@ class TestTravelTimes:
             ref = sum(pr * d[:, c] for c, pr in zip(nodes, sc.call_probs))
             q = idle.expected_response_times(sc)
             assert np.allclose(q, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compiled_matches_python_and_csgraph(self, seed):
+        # the compiled and the Python path of graph.distance_mix, and
+        # csgraph's Dijkstra, bit for bit, with unreachable nodes and calls
+        # of probability 0
+        sc = random_idle(seed, whole=seed % 2 == 1)
+        compiled, python = both_paths(
+            lambda: idle.expected_response_times(sc))
+        assert bit_equal(compiled, python)
+        assert bit_equal(compiled, csgraph_q(sc))
+        assert np.isinf(compiled).any() and np.isfinite(compiled).any()
+
+    def test_ring_file_compiled_matches_python(self):
+        sc = load_idle(scenario("idle_ring.txt"))
+        compiled, python = both_paths(
+            lambda: idle.expected_response_times(sc))
+        assert bit_equal(compiled, python)
+        assert bit_equal(compiled, csgraph_q(sc))
 
     def test_unreachable_is_inf(self):
         sc = idle_scenario(2, {(0, 1): 1.0}, calls=((1, 1.0),))

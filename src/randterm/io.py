@@ -19,16 +19,11 @@ In both, M must lie in [1, MAX_NODES] (ten million); a larger count is
 rejected before anything is allocated.  Both are read from the file's bytes
 by the compiled scanner scan.c (see native), which accepts a strict subset
 of this format, or else by a Python loop; the two read the same arrays.
-scan.c reads the bytes in one pass, each line's numbers where they stand,
-into arrays sized by the file's byte count (see _scan).  It reads numbers
-by exact integer arithmetic: a float w 10^e with at most 19 significant
-digits in w and -19 <= e <= 19 (every repr from 1e-3 to 1e19) becomes the
-double float() gives by one correctly rounded operation on exact operands,
-128-bit integers or doubles, and any other float goes through strtod,
-which rounds as float() does (see scan.c for why).  load_scenario takes
-either kind of file: a file that scan.c reads under the graph grammar,
-which has no 'lambda' line, is a graph file, and only the others are
-searched for one.
+scan.c reads the bytes in one pass, each line's numbers where they stand
+and as float() reads them (see scan.c for how), into arrays sized by the
+file's byte count (see _scan).  load_scenario takes either kind of file: a
+file that scan.c reads under the graph grammar, which has no 'lambda'
+line, is a graph file, and only the others are searched for one.
 
 Grid scenarios are JSON descriptors: a grid block (an extent of four finite
 numbers and integer point counts, made a grid by Grid2D.spanning, which
@@ -54,7 +49,6 @@ import csv
 import json
 import math
 import os
-import re
 from array import array
 from io import BytesIO, TextIOWrapper
 from itertools import chain
@@ -143,26 +137,21 @@ def _parse(path, data, scalar, point, edge_sizes):
 def _scan(data, scalar, point, edge_sizes):
     """What _parse returns, from scan.c; None when the native library is
     unavailable or the file lies outside the grammar scan.c accepts (then
-    _parse decides, with its own messages).  scan.c reads the bytes in one
+    _parse reads it, with its own messages).  scan.c reads the bytes in one
     pass into arrays sized by their count, a row for every _ROW_BYTES bytes,
-    never by a number written in the file; a file with more rows than that
-    is scanned once more, into arrays of its row count.  The arrays are
-    then shrunk in place to the rows read: views would keep the unused
-    tail, whose last touched huge page costs up to 2 MB of RSS an array."""
+    never by a number written in the file, and refuses a file with more
+    rows than that.  The arrays are then shrunk in place to the rows read:
+    views would keep the unused tail, whose last touched huge page costs up
+    to 2 MB of RSS an array."""
     lib = native.library()
     if lib is None:
         return None
-    grammar = (scalar.encode(), point.encode(), max(edge_sizes))
-    meta, value = np.empty(2, np.int64), np.empty(1)
     cap = len(data) // _ROW_BYTES + 1
-    while True:
-        out = [np.empty(cap, t) for t in (np.int64,) * 3 + (np.float64,) * 2
-               + (np.uint8,)]
-        rows = lib.scan(data, len(data), *grammar, MAX_NODES, cap, *out, meta,
-                        value)
-        if rows <= cap:
-            break
-        cap, out = rows, None  # the first arrays freed before the second
+    out = [np.empty(cap, t) for t in (np.int64,) * 3 + (np.float64,) * 2
+           + (np.uint8,)]
+    meta, value = np.empty(2, np.int64), np.empty(1)
+    rows = lib.scan(data, len(data), scalar.encode(), point.encode(),
+                    max(edge_sizes), MAX_NODES, cap, *out, meta, value)
     if rows < 0:  # refused
         return None
     for a in out:
@@ -171,9 +160,9 @@ def _scan(data, scalar, point, edge_sizes):
             float(value[0]) if meta[1] else None, *out)
 
 
-# the first capacity of _scan's arrays, in file bytes a row: 41 bytes of
-# arrays a row, so about 5 for each byte of the file, where the shortest
-# row, `q 0 0\n`, has 6 bytes and a row of repr floats some 30 to 60
+# the capacity of _scan's arrays, in file bytes a row: 41 bytes of arrays a
+# row, so about 5 for each byte of the file, where the shortest row,
+# `q 0 0\n`, has 6 bytes and a row of repr floats some 30 to 60
 _ROW_BYTES = 8
 
 
@@ -275,18 +264,13 @@ def load_idle(path, data=None):
 
 
 def is_idle_scenario(path, data=None):
-    """True when the file has a 'lambda' line, lines ending at \\n or \\r as
-    universal newlines end them; only the lines that contain the word are
-    decoded and tokenized.  data as for load_idle."""
-    data, hi = _read(path, data), 0
-    while (at := data.find(b"lambda", hi)) >= 0:
-        lo = 1 + max(data.rfind(b"\n", hi, at), data.rfind(b"\r", hi, at))
-        end = re.compile(rb"[\r\n]").search(data, at)
-        hi = end.start() if end else len(data)
-        line = _text(data[lo:hi]).read()
-        if line.split("#", 1)[0].split()[:1] == ["lambda"]:
-            return True
-    return False
+    """True when the file has a 'lambda' line, its lines split as universal
+    newlines split them; the search stops at the first.  data as for
+    load_idle."""
+    data = _read(path, data)
+    return b"lambda" in data and any(
+        line.split("#", 1)[0].split()[:1] == ["lambda"]
+        for line in TextIOWrapper(BytesIO(data), errors="surrogateescape"))
 
 
 def _write_csv(path, rows):
@@ -412,13 +396,22 @@ def _build_field(spec, grid, base_dir):
     raise FormatError("bad field spec %r" % (spec,))
 
 
+# what reading a malformed 'lambda', field spec, CSV field or 'calls' list
+# raises
+_MALFORMED = (ArithmeticError, AttributeError, LookupError, TypeError,
+              ValueError, csv.Error)
+
+
 def load_grid_scenario(path, lam=None, n=None, data=None):
     """Parse a JSON grid scenario into a GridProblem.
 
     lam and n override the file's termination rate and per-axis point count
     (the latter only for square grids); data as for load_idle.
     """
-    doc = json.load(_text(_read(path, data)))
+    try:
+        doc = json.load(_text(_read(path, data)))
+    except RecursionError as exc:  # nested deeper than the decoder goes
+        raise FormatError("%s: %s" % (path, exc)) from None
     base_dir = os.path.dirname(os.path.abspath(path))
     gspec = doc.get("grid") if isinstance(doc, dict) else None
     if not isinstance(gspec, dict):
@@ -450,7 +443,7 @@ def load_grid_scenario(path, lam=None, n=None, data=None):
         raise FormatError("%s: %s" % (path, exc)) from None
     try:
         lam = _float(doc.get("lambda") if lam is None else lam)
-    except (OverflowError, TypeError, ValueError):
+    except _MALFORMED:
         raise FormatError("%s: needs a number 'lambda'" % path) from None
     if "q" in doc and "calls" in doc:
         raise FormatError("%s: give either 'q' or 'calls', not both" % path)
@@ -460,8 +453,7 @@ def load_grid_scenario(path, lam=None, n=None, data=None):
     def field(key, default=None):
         try:
             return _build_field(doc.get(key, default), grid, base_dir)
-        except (ArithmeticError, AttributeError, LookupError, TypeError,
-                ValueError) as exc:
+        except _MALFORMED as exc:
             raise FormatError("%s: ill-formed field '%s' (%s)"
                               % (path, key, _reason(exc))) from None
 
@@ -489,7 +481,7 @@ def _call_spec(path, calls):
             x, y = call["location"]
             locations.append((_float(x), _float(y)))
             probabilities.append(_float(call["prob"]))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise FormatError("%s: 'calls' needs a list of {\"location\": [x, y], "
                           "\"prob\": p} (%s)" % (path, _reason(exc))) from None
     return CallSpec(locations=locations, probabilities=probabilities)

@@ -2,15 +2,14 @@
  * io._read_lines for graph and idle files.  It exports scan(), which reads
  * a file's bytes in one walk: it classifies each line by its first token
  * and reads that line's numbers where they stand, each byte looked at once.
- * It fills arrays of a capacity the caller chooses; past it, it goes on
- * reading and counting rows (edge and point lines) without storing them,
- * and returns the count, so that the caller can size the arrays exactly
- * and scan again.  The byte after the file must be a NUL, as a Python
- * bytes object ends in one: the loops stop at it as at any other byte
- * outside the grammar, with no bound check of their own.
+ * It fills arrays of a capacity the caller chooses, and refuses a file
+ * with more rows (edge and point lines) than that.  The byte after the
+ * file must be a NUL, as a Python bytes object ends in one: the loops stop
+ * at it as at any other byte outside the grammar, with no bound check of
+ * their own.
  *
  * It accepts only a strict grammar, and refuses anything else (returns -1)
- * so that the Python loop decides, with its own messages:
+ * so that the Python loop reads it, with its own messages:
  *   - bytes: printable ASCII, space, tab and \n only
  *   - tokens split by spaces and tabs, a line ending at # or \n
  *   - lines `nodes M` (1 <= M <= max_nodes), `<scalar> V`, `<point> I V` and
@@ -170,10 +169,10 @@ static const char *to_float(const char *p, const char *end, double *out)
 
 /* The rows of the file buf[0, len) in file order: for each its line
  * number, i, j (= i on a point line), X, Y (NaN when not given) and token
- * count.  The first cap rows are stored, and later ones only counted.
- * meta gets M (-1 without a nodes line) and whether a scalar line was
- * read, value the last scalar.  Returns the row count, or -1 to refuse the
- * file.  buf[len] must be a NUL (see the head of this file). */
+ * count, at most cap of them: a file with more rows is refused.  meta gets
+ * M (-1 without a nodes line) and whether a scalar line was read, value the
+ * last scalar.  Returns the row count, or -1 to refuse the file.  buf[len]
+ * must be a NUL (see the head of this file). */
 int64_t scan(const char *buf, int64_t len, const char *scalar, const char *point,
              int edge_max, int64_t max_nodes, int64_t cap, int64_t *lines,
              int64_t *src, int64_t *dst, double *x, double *y, uint8_t *size,
@@ -224,15 +223,16 @@ int64_t scan(const char *buf, int64_t len, const char *scalar, const char *point
             for (; p < end && *p != '\n'; p++)
                 if ((unsigned char)*p - 0x20u >= 0x5fu && *p != '\t') return -1;
         if (p < end && *p != '\n') return -1;
-        if (tokens && rows < cap) {
+        if (tokens) {
+            if (rows == cap) return -1;
             lines[rows] = lineno;
             src[rows] = i;
             dst[rows] = j;
             x[rows] = a;
             y[rows] = b;
             size[rows] = (uint8_t)tokens;
+            rows++;
         }
-        rows += tokens != 0;
     }
     return rows;
 }

@@ -459,6 +459,26 @@ class TestRunGrid:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    DEEP = "[" * 100000 + "]" * 100000
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"grid": {"n": 2, "extent": [0, 1, 0, 1]}, "lambda": 0.5, '
+         '"q": {"csv": "q.csv"}}',
+         "ill-formed field 'q' (field larger than field limit"),
+        (DEEP, "bad.json: maximum recursion depth exceeded"),
+        ('{"grid": {"n": 2, "extent": [0, 1, 0, 1]}, "lambda": 0.5, "q": %s}'
+         % DEEP, "bad.json: maximum recursion depth exceeded"),
+    ], ids=["csv-cell-past-limit", "deep-document", "deep-q"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, text, message):
+        # a CSV cell longer than the csv module's field limit, and JSON
+        # nested deeper than the decoder recurses
+        (tmp_path / "q.csv").write_text("1," + "9" * 200000 + "\n1,1\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_q_and_calls_rejected_before_solving(self, tmp_path, capsys,
                                                  monkeypatch):
         def unexpected(*args, **kwargs):

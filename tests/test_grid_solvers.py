@@ -1,7 +1,9 @@
+import ctypes
 import glob
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import types
@@ -453,6 +455,44 @@ class TestKernelLoading:
                               "-Werror", "-o", str(tmp_path / "lib.so"), path,
                               "-lm"], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
+
+    @pytest.mark.usefixtures("compiled_march")
+    def test_declarations_match_the_c_definitions(self):
+        # ctypes checks no arity: a declaration that drifts from its C
+        # definition passes wrong arguments without an error.  Each
+        # non-static function must be declared with its C return type and,
+        # parameter by parameter, its scalar type or pointer element type.
+        scalars = {"int64_t": ctypes.c_int64, "int": ctypes.c_int,
+                   "double": ctypes.c_double}
+        elements = {"int64_t": np.int64, "double": np.float64,
+                    "uint8_t": np.uint8, "char": np.uint8}
+        lib, defined, drift = native.library(), [], []
+        for source in native._SOURCES:
+            with open(os.path.join(os.path.dirname(native.__file__),
+                                   source)) as fh:
+                text = fh.read()
+            for restype, name, params in re.findall(
+                    r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)\s*\{", text, re.M):
+                defined.append(name)
+                fn, params = getattr(lib, name), params.split(",")
+                if (fn.restype is not scalars[restype] or fn.argtypes is None
+                        or len(fn.argtypes) != len(params)):
+                    drift.append(name)
+                    continue
+                for param, argtype in zip(params, fn.argtypes):
+                    ctype = param.replace("const", "").split("*")[0].split()[0]
+                    if "*" not in param:
+                        same = argtype is scalars[ctype]
+                    elif argtype is ctypes.c_char_p:
+                        same = ctype == "char"
+                    else:
+                        same = (getattr(argtype, "_dtype_", None)
+                                == np.dtype(elements[ctype]))
+                    if not same:
+                        drift.append("%s: %s" % (name, param.strip()))
+        assert sorted(defined) == ["csv_rows", "distance_mix", "label", "march",
+                                   "scan"]
+        assert drift == []
 
     def test_allocation_failure_is_memory_error(self, monkeypatch):
         monkeypatch.setattr(native, "library", lambda: types.SimpleNamespace(

@@ -363,6 +363,14 @@ class TestScanner:
         assert (M, value, lines.tolist()) == (2, None, [100002])
         assert [a.size for a in arrays] == [1] * 5
 
+    @pytest.mark.parametrize("rows, read", [(8, True), (9, False)])
+    def test_rows_up_to_the_capacity(self, rows, read):
+        # a nodes line of 8 bytes and rows of 6: 8 or 9 rows make 56 or 62
+        # bytes, a capacity of 8 rows either way
+        text = "nodes 1\n" + "q 0 0\n" * rows
+        assert len(text) // io._ROW_BYTES + 1 == 8
+        assert (scan(text) is not None) == read
+
     @pytest.fixture
     def caps(self, monkeypatch):
         """The row capacity of each call of scan.c's scan()."""
@@ -384,12 +392,13 @@ class TestScanner:
         assert len(caps) == 1 and 41 * caps[0] <= 6 * len(text)
 
     def test_more_rows_than_the_first_capacity(self, caps):
-        # rows of 6 bytes, fewer than io._ROW_BYTES a row: the first arrays
-        # are too short, and scan.c reads the file once more into arrays of
-        # its row count
+        # rows of 6 bytes, fewer than io._ROW_BYTES a row: scan.c is called
+        # once, refuses the file past the capacity of its arrays, and the
+        # Python loop reads it
         text = "nodes 3\n" + "q 1 5\nq 2 0\nq 0 -0\n" * 5000
-        M, value, *arrays = scan(text)
-        assert caps == [len(text) // io._ROW_BYTES + 1, 15000]
+        M, value, *arrays = io._rows("g.txt", text.encode(), io._GRAPH)
+        assert caps == [len(text) // io._ROW_BYTES + 1]
+        assert scan(text) is None
         M_py, value_py, *arrays_py = io._parse("g.txt", text.encode(),
                                               *io._GRAPH)
         assert (M, value) == (M_py, value_py) == (3, None)

@@ -14,6 +14,12 @@ problems bit for bit, on the compiled library and on the Python twins.
 - Transposing or mirroring every field of a grid problem transposes or
   mirrors fmm_solve's V: the stencil and the quadrant update treat the two
   axes and both directions alike.
+- sweep_oracle, which runs in Python only, gives 2V under the same scaling
+  in the same number of sweeps, and V.T when every field is transposed.  It
+  too stops on an absolute change, but on the four JSON scenarios at 41^2
+  (and 81^2) its last sweep changes nothing, so the tolerance never
+  decides.  Transposing swaps the roles of the sweep orders, which may
+  take a sweep more to the same V (maze: 8 against 7).
 
 These guard the index arithmetic of both twins on graphs and grid sizes
 that no golden digest pins.
@@ -28,7 +34,7 @@ from randterm import graph, io
 from randterm.cli import random_graph_problem
 from randterm.eikonal import eikonal_solve
 from randterm.graph import GraphProblem
-from randterm.grid import GridProblem, fmm_solve
+from randterm.grid import GridProblem, fmm_solve, sweep_oracle
 
 from conftest import bit_equal, both_paths, scenario
 
@@ -55,6 +61,17 @@ def relabelled(pb, perm):
                                    pb.p[order], q)
 
 
+def mapped(pb, fn, scale=1.0):
+    """The grid problem pb with fn applied to every field, and K and q
+    multiplied by scale."""
+    return GridProblem(grid=pb.grid, f=fn(pb.f), K=scale * fn(pb.K),
+                       q=scale * fn(pb.q), lam=fn(pb.lam))
+
+
+JSON_SCENARIOS = ["maze.json", "radial_circular.json",
+                  "radial_trivial.json", "slow_disk.json"]
+
+
 @pytest.mark.parametrize("value", [
     lambda pb: graph.dijkstra_solve(pb).V, lambda pb: graph.dial_solve(pb).V,
     graph.solve_v0, lambda pb: graph.value_iteration(pb).V],
@@ -78,22 +95,29 @@ def test_dijkstra_relabelling(seed):
         graph.dijkstra_solve(pb).V)) == (True, True)
 
 
-@pytest.mark.parametrize("name", ["maze.json", "radial_circular.json",
-                                  "radial_trivial.json", "slow_disk.json"])
+@pytest.mark.parametrize("name", JSON_SCENARIOS)
 def test_grid_scaling_transpose_mirror(name):
     pb = io.load_grid_scenario(scenario(name), n=201)
     centre = (100, 100)
 
-    def each(fn, scale=1.0):
-        return GridProblem(grid=pb.grid, f=fn(pb.f), K=scale * fn(pb.K),
-                           q=scale * fn(pb.q), lam=fn(pb.lam))
-
     def relations():
         V = fmm_solve(pb).V
-        return [bit_equal(fmm_solve(each(np.asarray, 2.0)).V, 2.0 * V),
-                bit_equal(fmm_solve(each(np.transpose)).V, V.T),
-                bit_equal(fmm_solve(each(np.fliplr)).V, np.fliplr(V)),
+        return [bit_equal(fmm_solve(mapped(pb, np.asarray, 2.0)).V, 2.0 * V),
+                bit_equal(fmm_solve(mapped(pb, np.transpose)).V, V.T),
+                bit_equal(fmm_solve(mapped(pb, np.fliplr)).V, np.fliplr(V)),
                 bit_equal(eikonal_solve(pb.grid, pb.f / 2.0, centre),
                           2.0 * eikonal_solve(pb.grid, pb.f, centre))]
 
     assert both_paths(relations) == ([True] * 4,) * 2
+
+
+@pytest.mark.parametrize("name", JSON_SCENARIOS)
+def test_sweep_oracle_scaling_transpose(name):
+    pb = io.load_grid_scenario(scenario(name), n=41)
+    solution = sweep_oracle(pb)
+    doubled = sweep_oracle(mapped(pb, np.asarray, 2.0))
+    transposed = sweep_oracle(mapped(pb, np.transpose))
+    assert solution.status == doubled.status == transposed.status == "ok"
+    assert bit_equal(doubled.V, 2.0 * solution.V)
+    assert doubled.iterations == solution.iterations
+    assert bit_equal(transposed.V, solution.V.T)

@@ -123,9 +123,10 @@ class GridProblem:
             if not np.all((ok & np.isfinite(field))[live]):
                 raise ValueError(what + " finite off the mask")
 
-    def mask(self):
-        """True on out-of-domain points (q = +inf); never accepted by solvers."""
-        return self.q == np.inf
+    def mask(self, cells=...):
+        """True on out-of-domain points (q = +inf); never accepted by solvers.
+        cells, an index of q, restricts it to those points."""
+        return self.q[cells] == np.inf
 
 
 @dataclass
@@ -366,15 +367,22 @@ def fmm_solve(problem):
                         heap_operations=ops)
 
 
+def free_boundary(motionless, blocked):
+    """Motionless points with at least one moving 4-neighbour; blocked
+    (masked) points and points beyond the edges do not count as moving."""
+    w, e, s, n = neighbours(motionless | blocked, True)
+    return motionless & ~(w & e & s & n)
+
+
 def motionless_set(solution, problem):
-    """The free boundary of solution.motionless: motionless points with at
-    least one moving 4-neighbor."""
-    mask = solution.motionless
-    w, e, s, n = neighbours(mask | problem.mask(), True)
-    boundary = mask & ~(w & e & s & n)  # a moving 4-neighbour
-    X, Y = problem.grid.meshgrid()
-    pts = np.column_stack([X[boundary], Y[boundary]])
-    return MotionlessSet(boundary_mask=boundary, boundary_points=pts)
+    """The free boundary of solution.motionless, as a mask and as its (x, y)
+    points in row-major order."""
+    boundary = free_boundary(solution.motionless, problem.mask())
+    j, i = np.nonzero(boundary)
+    g = problem.grid
+    return MotionlessSet(boundary_mask=boundary,
+                         boundary_points=np.column_stack([g.xs()[i],
+                                                          g.ys()[j]]))
 
 
 def sweep_oracle(problem, tol=1e-12, max_iters=2000):

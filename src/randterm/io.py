@@ -91,6 +91,28 @@ def _text(data):
     return TextIOWrapper(BytesIO(data))
 
 
+def _undecodable(path, data):
+    """FormatError for bytes data that _text cannot decode: the path, the
+    line (as universal newlines count them) and the codec's message, whose
+    position counts from the start of the file."""
+    try:
+        data.decode(_text(b"").encoding)
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return FormatError("%s:%d: %s" % (path, line + 1, exc))
+    raise AssertionError("%s decodes" % path)
+
+
+def _lines(path, data):
+    """The lines of _text(data); FormatError (_undecodable) where the bytes
+    do not decode."""
+    try:
+        yield from _text(data)
+    except UnicodeDecodeError:
+        raise _undecodable(path, data) from None
+
+
 def _parse(path, data, scalar, point, edge_sizes):
     """The per-line loop of _read_lines in Python: M, the last scalar (or
     None), and each row's line number, i, j, X, Y (NaN when not given) and
@@ -98,7 +120,7 @@ def _parse(path, data, scalar, point, edge_sizes):
     M = value = None
     lines, src, dst = array("q"), array("q"), array("q")
     x, y, size = array("d"), array("d"), array("B")
-    for lineno, raw in enumerate(_text(data), 1):
+    for lineno, raw in enumerate(_lines(path, data), 1):
         tok = raw.split("#", 1)[0].split()
         if not tok:
             continue
@@ -408,9 +430,13 @@ def load_grid_scenario(path, lam=None, n=None, data=None):
     lam and n override the file's termination rate and per-axis point count
     (the latter only for square grids); data as for load_idle.
     """
+    data = _read(path, data)
     try:
-        doc = json.load(_text(_read(path, data)))
-    except RecursionError as exc:  # nested deeper than the decoder goes
+        doc = json.load(_text(data))
+    except UnicodeDecodeError:
+        raise _undecodable(path, data) from None
+    except (RecursionError,  # nested deeper than the decoder goes
+            json.JSONDecodeError) as exc:
         raise FormatError("%s: %s" % (path, exc)) from None
     base_dir = os.path.dirname(os.path.abspath(path))
     gspec = doc.get("grid") if isinstance(doc, dict) else None

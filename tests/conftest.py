@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from randterm import grid, io, native
+from randterm.trajectory import SNAP_CELLS, TrajectoryPath, gradient_field
 from randterm.cli import random_graph_problem
 from randterm.graph import GraphProblem
 
@@ -120,3 +121,73 @@ def read_lines(path):
         return str(exc)
     return repr((M, value)), [(a.dtype.str, a.tobytes())
                               for a in (*points, *edges, rows)]
+
+
+def _bilinear(field, g, x, y):
+    fx = (x - g.origin[0]) / g.h
+    fy = (y - g.origin[1]) / g.h
+    i = min(max(int(math.floor(fx)), 0), g.nx - 2)
+    j = min(max(int(math.floor(fy)), 0), g.ny - 2)
+    tx = min(max(fx - i, 0.0), 1.0)
+    ty = min(max(fy - j, 0.0), 1.0)
+    f00 = field[j, i]
+    f01 = field[j, i + 1]
+    f10 = field[j + 1, i]
+    f11 = field[j + 1, i + 1]
+    return ((1 - ty) * ((1 - tx) * f00 + tx * f01)
+            + ty * ((1 - tx) * f10 + tx * f11))
+
+
+def trace_oracle(solution, problem, start, step=None):
+    """trajectory.trace on whole-grid arrays, its bit-identity oracle: the
+    gradient and V of every point, and every free-boundary point scanned at
+    each step."""
+    g = problem.grid
+    h = g.h
+    step = h / 2 if step is None else min(step, h / 2)
+    mset = grid.motionless_set(solution, problem)
+    boundary = mset.boundary_points
+    boundary_vals = solution.V[mset.boundary_mask]
+    mask = problem.mask()
+    Vsafe = np.where(mask, 0.0, solution.V)
+    Gx, Gy = map(np.nan_to_num,
+                 gradient_field(np.where(mask, np.nan, solution.V), mask, h))
+    snap_dist = SNAP_CELLS * h
+
+    x, y = float(start[0]), float(start[1])
+    pts = [(x, y)]
+    j0, i0 = g.nearest_index((x, y))
+    if solution.motionless[j0, i0]:
+        return TrajectoryPath(np.array(pts),
+                              np.array([_bilinear(Vsafe, g, x, y)]))
+
+    max_steps = 10 * (g.nx + g.ny)
+    status = "max_steps"
+    for _ in range(max_steps):
+        if boundary.size:
+            d2 = (boundary[:, 0] - x) ** 2 + (boundary[:, 1] - y) ** 2
+            vcur = _bilinear(Vsafe, g, x, y)
+            near = (d2 <= snap_dist ** 2) & (boundary_vals <= vcur + h)
+            if np.any(near):
+                k = int(np.flatnonzero(near)[np.argmin(d2[near])])
+                pts.append((float(boundary[k, 0]), float(boundary[k, 1])))
+                status = "ok"
+                break
+        gx = _bilinear(Gx, g, x, y)
+        gy = _bilinear(Gy, g, x, y)
+        norm = math.hypot(gx, gy)
+        if norm < 1e-14:
+            status = "stalled"
+            break
+        x -= step * gx / norm
+        y -= step * gy / norm
+        x = min(max(x, g.origin[0]), g.origin[0] + h * (g.nx - 1))
+        y = min(max(y, g.origin[1]), g.origin[1] + h * (g.ny - 1))
+        pts.append((x, y))
+        j0, i0 = g.nearest_index((x, y))
+        if solution.motionless[j0, i0]:
+            status = "ok"
+            break
+    pts_arr = np.array(pts)
+    vals = np.array([_bilinear(Vsafe, g, px, py) for px, py in pts_arr])
+    return TrajectoryPath(pts_arr, vals, status=status)

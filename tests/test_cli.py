@@ -1,4 +1,5 @@
 import json
+import locale
 import math
 import os
 import subprocess
@@ -30,6 +31,15 @@ def opened(monkeypatch):
 
     monkeypatch.setattr("builtins.open", counting_open)
     return files
+
+
+def undecodable(data):
+    """Skip the test where the locale's encoding decodes data."""
+    try:
+        data.decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError:
+        return
+    pytest.skip("the locale's encoding decodes every byte")
 
 
 # summary.json keys of every run-graph and run-grid solve
@@ -207,6 +217,21 @@ class TestRunGraph:
         bad = tmp_path / "bad.txt"
         bad.write_bytes(data)
         assert run("run-graph", str(bad), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("data, line", [
+        (b"nodes 2\n# caf\xe9\nq 0 1.0\nq 1 2.0\nedge 0 1 1.0 0.5\n", 2),
+        # past the first block the decoder reads, with \r\n and \r lines
+        (b"nodes 3\r\n" + b"# pad\r\n" * 3000 + b"\r# \xff\n", 3003),
+    ], ids=["comment", "far-line"])
+    def test_undecodable_byte_names_the_line(self, tmp_path, capsys, data,
+                                             line):
+        undecodable(data)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        assert run("run-graph", str(bad), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s:%d: " % (bad, line))
+        assert "can't decode byte" in err
 
     def test_missing_file_exit_4(self, tmp_path):
         assert run("run-graph", str(tmp_path / "nope.txt"), "--p", "0.5",
@@ -468,7 +493,8 @@ class TestRunGrid:
         (DEEP, "bad.json: maximum recursion depth exceeded"),
         ('{"grid": {"n": 2, "extent": [0, 1, 0, 1]}, "lambda": 0.5, "q": %s}'
          % DEEP, "bad.json: maximum recursion depth exceeded"),
-    ], ids=["csv-cell-past-limit", "deep-document", "deep-q"])
+        ('{"grid": ', "bad.json: Expecting value: line 1 column 10 (char 9)"),
+    ], ids=["csv-cell-past-limit", "deep-document", "deep-q", "truncated"])
     def test_unreadable_input_exit_2(self, tmp_path, capsys, text, message):
         # a CSV cell longer than the csv module's field limit, and JSON
         # nested deeper than the decoder recurses
@@ -478,6 +504,16 @@ class TestRunGrid:
         assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_undecodable_byte_names_the_file(self, tmp_path, capsys):
+        data = b'{"comment":\n "caf\xe9"}'
+        undecodable(data)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert run("run-grid", str(bad), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s:2: " % bad)
+        assert "can't decode byte 0xe9" in err
 
     def test_q_and_calls_rejected_before_solving(self, tmp_path, capsys,
                                                  monkeypatch):

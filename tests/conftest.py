@@ -10,6 +10,8 @@ from randterm.cli import random_graph_problem
 from randterm.graph import GraphProblem
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+JSON_SCENARIOS = ["maze.json", "radial_circular.json", "radial_trivial.json",
+                  "slow_disk.json"]
 
 
 def scenario(name):

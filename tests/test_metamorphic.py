@@ -36,7 +36,7 @@ from randterm.eikonal import eikonal_solve
 from randterm.graph import GraphProblem
 from randterm.grid import GridProblem, fmm_solve, sweep_oracle
 
-from conftest import bit_equal, both_paths, scenario
+from conftest import JSON_SCENARIOS, bit_equal, both_paths, scenario
 
 GRAPHS = settings(max_examples=20, deadline=None, derandomize=True,
                   database=None)
@@ -66,10 +66,6 @@ def mapped(pb, fn, scale=1.0):
     multiplied by scale."""
     return GridProblem(grid=pb.grid, f=fn(pb.f), K=scale * fn(pb.K),
                        q=scale * fn(pb.q), lam=fn(pb.lam))
-
-
-JSON_SCENARIOS = ["maze.json", "radial_circular.json",
-                  "radial_trivial.json", "slow_disk.json"]
 
 
 @pytest.mark.parametrize("value", [

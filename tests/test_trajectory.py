@@ -7,10 +7,7 @@ import pytest
 from randterm import analytic, grid, io, native, trajectory
 from randterm.analytic import RadialCase, radial_grid
 
-from conftest import scenario, trace_oracle
-
-JSON_SCENARIOS = ["maze.json", "radial_circular.json", "radial_trivial.json",
-                  "slow_disk.json"]
+from conftest import JSON_SCENARIOS, scenario, trace_oracle
 
 
 class TestGradientField:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -89,15 +90,22 @@ def _parse_emit(values):
     return out
 
 
+def _grid_size(value):
+    """n of a --grid value N or NxN (ASCII digits); FormatError for any
+    other value."""
+    size = re.fullmatch(r"([0-9]+)(?:x([0-9]+))?", value)
+    if size is None:
+        raise io.FormatError("--grid %r: expected N or NxN" % value)
+    nx, ny = size.groups()
+    if ny is not None and int(ny) != int(nx):
+        raise io.FormatError("--grid override must be square (NxN)")
+    return int(nx)
+
+
 def cmd_run_grid(args):
     emits = args.emit or ["value"]
     kinds = _parse_emit(emits)  # before the load, so a typo costs no solve
-    n = None
-    if args.grid:
-        nx, _, ny = args.grid.partition("x")
-        if ny and ny != nx:
-            raise io.FormatError("--grid override must be square (NxN)")
-        n = int(nx)
+    n = None if args.grid is None else _grid_size(args.grid)
     with open(args.scenario, "rb") as fh:
         data = fh.read()
     problem = io.load_grid_scenario(args.scenario, args.lam, n, data)

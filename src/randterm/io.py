@@ -204,9 +204,9 @@ def _read_lines(path, scanned, point):
     """The arrays of a graph or idle file from what _rows returns for it,
     for lines `nodes M`, `<scalar> V`, `<point> I V` and `edge I J X [Y]`.
     Returns M, the last scalar (or None), the points' (indices, values), the
-    edges' (src, dst, X, Y, no Y given) in file order and then a self-loop
-    (X = 0, no Y) at every node, and rows: their stable (i, j) order, each
-    pair once.  FormatError names the line of a repeated edge or an index
+    edges' (src, dst, X, Y, no Y given, line number) in file order and then
+    a self-loop (X = 0, no Y, line 0) at every node, and rows: their stable
+    (i, j) order, each pair once.  FormatError names the line of a repeated edge or an index
     outside [0, M), or says that the nodes line is missing; _parse has
     refused malformed lines and node counts outside [1, MAX_NODES]."""
     M, value, lines, src, dst, x, y, size = scanned
@@ -225,48 +225,89 @@ def _read_lines(path, scanned, point):
                             src[e], dst[e])
     zeros = np.zeros(M)
     edges = (es, ed, np.append(x[edge], zeros), np.append(y[edge], zeros),
-             np.append(size[edge] < 5, np.ones(M, bool)))
+             np.append(size[edge] < 5, np.ones(M, bool)),
+             np.append(lines[edge], np.zeros(M, lines.dtype)))
     # again holds only implicit loops now
     return M, value, (src[~edge], x[~edge]), edges, np.delete(order, again)
 
 
 def load_graph(path, default_p=None):
-    """Parse a graph scenario file into a GraphProblem: the edges in file
-    order, then the implicit self-loops, sorted stably by (i, j).  A 'p'
-    line replaces default_p."""
-    return _graph_problem(path, _read_lines(
-        path, _rows(path, _read(path, None), _GRAPH), "q"), default_p)
+    """Parse a graph scenario file into a GraphProblem: each row's edges
+    sorted by j, the implicit self-loops among them.  A 'p' line replaces
+    default_p."""
+    return _graph(path, _rows(path, _read(path, None), _GRAPH), default_p)
 
 
 def load_scenario(path, default_p, sha256):
     """The problem of a graph or idle scenario file (see is_idle_scenario):
     load_graph's GraphProblem, or idle.build_problem of load_idle's
-    IdleScenario.  sha256, a hashlib object, is updated with the file's
-    bytes, which are read once and dropped once scanned.  The graph grammar
-    of scan.c has no 'lambda' line, so a file that scan.c reads under it is
-    a graph file, and only the others are searched for one."""
+    IdleScenario.  default_p is the default p of a graph file; FormatError
+    when it is given with an idle file, whose p come from lambda.  sha256, a
+    hashlib object, is updated with the file's bytes, which are read once
+    and dropped once scanned, before the problem's arrays are built.  The
+    graph grammar of scan.c has no 'lambda' line, so a file that scan.c
+    reads under it is a graph file, and only the others are searched for
+    one."""
     data = _read(path, None)
     sha256.update(data)
     scanned = _scan(data, *_GRAPH)
     if scanned is None:
         if is_idle_scenario(path, data):
+            if default_p is not None:
+                raise FormatError("%s: an idle file takes p from 'lambda'; "
+                                  "a default p (--p) does not apply" % path)
             return idle.build_problem(load_idle(path, data))
         scanned = _parse(path, data, *_GRAPH)
     del data
-    lines = _read_lines(path, scanned, "q")
-    del scanned  # _read_lines copied what it keeps
-    return _graph_problem(path, lines, default_p)
+    return _graph(path, scanned, default_p)
+
+
+def _graph(path, scanned, default_p):
+    """The GraphProblem of what _rows returns for a graph file: _assemble's,
+    or where it gives none, _graph_problem's of _read_lines', its twin,
+    which names the fault of a file that assemble() refuses."""
+    p_line = scanned[1]
+    return (_assemble(scanned, default_p if p_line is None else p_line)
+            or _graph_problem(path, _read_lines(path, scanned, "q"),
+                              default_p))
+
+
+def _assemble(scanned, default_p):
+    """The GraphProblem of what _rows returns for a graph file, with
+    default_p the p of edges without one (None: no default), from
+    assemble() of scan.c in one pass over the rows; None when the native
+    library is unavailable or assemble() refuses the file (see scan.c).
+    The edge arrays, sized for the rows and a loop a node, are then shrunk
+    in place to the edges, as _scan's are."""
+    lib = native.library()
+    M, _, _, src, dst, x, y, size = scanned
+    if lib is None or M is None:
+        return None
+    cap = len(src) + M
+    indptr, to = np.empty(M + 1, np.int64), np.empty(cap, np.int64)
+    K, p, q = np.empty(cap), np.empty(cap), np.empty(M)
+    edges = lib.assemble(M, len(src), src, dst, x, y, size,
+                         default_p is not None,
+                         math.nan if default_p is None else default_p,
+                         indptr, to, K, p, q)
+    if edges < 0:  # refused
+        return None
+    for a in (to, K, p):
+        a.resize(edges, refcheck=False)  # no view of a exists
+    return GraphProblem(M, indptr, to, K, p, q)
 
 
 def _graph_problem(path, lines, default_p):
     """The GraphProblem of what _read_lines returns for a graph file."""
-    M, p_line, (qi, qv), (src, dst, K, p, no_p), rows = lines
+    M, p_line, (qi, qv), (src, dst, K, p, no_p, at), rows = lines
     default_p = default_p if p_line is None else p_line
-    src, dst, K, p = (a[rows] for a in (src, dst, K, p))
+    src, dst, K, p, at = (a[rows] for a in (src, dst, K, p, at))
     unset = np.flatnonzero(no_p[rows])
-    if unset.size and default_p is None:
-        raise FormatError("%s: edge (%d,%d) has no p and no default"
-                          % (path, src[unset[0]], dst[unset[0]]))
+    for e in unset[:1].tolist() if default_p is None else ():
+        where = ("%s:%d: edge" % (path, at[e]) if at[e]
+                 else "%s: implicit self-loop" % path)
+        raise FormatError("%s (%d,%d) has no p and no default"
+                          % (where, src[e], dst[e]))
     p[unset] = default_p
     q = np.zeros(M)
     q[qi] = qv  # the last q line of a node counts
@@ -276,7 +317,7 @@ def _graph_problem(path, lines, default_p):
 def load_idle(path, data=None):
     """Parse an idle-time scenario file into an IdleScenario.  data, when
     given, is the file's bytes, so that the file is not read again."""
-    M, lam, (calls, probs), (src, dst, tau, _, _), rows = _read_lines(
+    M, lam, (calls, probs), (src, dst, tau, *_), rows = _read_lines(
         path, _rows(path, _read(path, data), _IDLE), "call")
     if lam is None or not calls.size:
         raise FormatError("%s: needs 'lambda' and 'call' lines" % path)

@@ -114,6 +114,10 @@ def library():
               ctypes.c_int, i64, i64, *[arr(np.int64)] * 3,
               *[arr(np.float64)] * 2, arr(np.uint8), arr(np.int64),
               arr(np.float64)]),
+            ("assemble", i64,
+             [i64, i64, *[arr(np.int64)] * 2, *[arr(np.float64)] * 2,
+              arr(np.uint8), ctypes.c_int, f64, *[arr(np.int64)] * 2,
+              *[arr(np.float64)] * 3]),
             ("csv_rows", i64,
              [arr(np.float64), i64, i64, arr(np.uint8), ctypes.c_char_p,
               arr(np.int64), i64, arr(np.uint8)])):

@@ -236,3 +236,97 @@ int64_t scan(const char *buf, int64_t len, const char *scalar, const char *point
     }
     return rows;
 }
+
+/* Moves the edge at e of the row that starts at first to its place among
+ * the edges before it, which are sorted by j; returns the edges it passed,
+ * or -1 when one of them has its j. */
+static int64_t insert(int64_t *to, double *K, double *p, int64_t first,
+                      int64_t e)
+{
+    int64_t j = to[e], k = e;
+    double Ke = K[e], pe = p[e];
+    for (; k > first && to[k - 1] > j; k--) {
+        to[k] = to[k - 1];
+        K[k] = K[k - 1];
+        p[k] = p[k - 1];
+    }
+    if (k > first && to[k - 1] == j) return -1;
+    to[k] = j;
+    K[k] = Ke;
+    p[k] = pe;
+    return e - k;
+}
+
+/* The CSR problem of a graph file with m nodes from its rows in file order
+ * (scan()'s arrays: src, dst, X = K or a q value, Y = p or NaN, and the
+ * token count, 3 on a q line): row i of indptr, to, K and p holds the edges
+ * (i, j), sorted by j, and the self-loop (i, i) with K = 0 and
+ * p = default_p unless the file states it; q holds the last q line of each
+ * node, else 0.  An edge without Y takes default_p.  to, K and p hold rows
+ * + m edges, indptr m + 1 and q m.  Returns the edge count, or -1 to leave
+ * the file to io's twin, which names its fault: m < 1 (no nodes line), an
+ * index outside [0, m), an (i, j) stated twice, or an edge without p when
+ * has_default is 0; and also when sorting the rows would move edges more
+ * than 8 times an edge on average, as files far from (i, j) order need.
+ *
+ * A counting pass by i puts each row's edges in file order, one free slot
+ * after each row.  Row by row the edges then move down to their final
+ * place and are sorted there by insertion, the implicit loop appended and
+ * inserted last: one comparison an edge on a file written in (i, j) order. */
+int64_t assemble(int64_t m, int64_t rows, const int64_t *src,
+                 const int64_t *dst, const double *x, const double *y,
+                 const uint8_t *size, int has_default, double default_p,
+                 int64_t *indptr, int64_t *to, double *K, double *p,
+                 double *q)
+{
+    if (m < 1) return -1;
+    int64_t edges = 0;
+    memset(indptr, 0, (size_t)(m + 1) * sizeof *indptr);
+    memset(q, 0, (size_t)m * sizeof *q);
+    for (int64_t r = 0; r < rows; r++) {
+        if (src[r] < 0 || src[r] >= m || dst[r] < 0 || dst[r] >= m) return -1;
+        if (size[r] == 3) {
+            q[src[r]] = x[r];
+        } else {
+            if (size[r] < 5 && !has_default) return -1;
+            indptr[src[r] + 1]++;
+            edges++;
+        }
+    }
+    for (int64_t i = 0; i < m; i++) indptr[i + 1] += indptr[i] + 1;
+    for (int64_t r = 0; r < rows; r++)
+        if (size[r] != 3) {
+            int64_t e = indptr[src[r]]++;  /* now the end of row src[r] */
+            to[e] = dst[r];
+            K[e] = x[r];
+            p[e] = size[r] == 5 ? y[r] : default_p;
+        }
+    int64_t out = 0, lo = 0, budget = 8 * (edges + m);
+    for (int64_t i = 0; i < m; i++) {
+        int64_t hi = indptr[i], n = hi - lo, moved;
+        int loop = 0;
+        indptr[i] = out;
+        if (out < lo) {
+            memmove(to + out, to + lo, (size_t)n * sizeof *to);
+            memmove(K + out, K + lo, (size_t)n * sizeof *K);
+            memmove(p + out, p + lo, (size_t)n * sizeof *p);
+        }
+        for (int64_t e = out; e < out + n; e++) {
+            loop |= to[e] == i;
+            if ((moved = insert(to, K, p, out, e)) < 0
+                || (budget -= moved) < 0) return -1;
+        }
+        if (!loop) {  /* into the free slot: out + n <= hi */
+            if (!has_default) return -1;
+            to[out + n] = i;
+            K[out + n] = 0.0;
+            p[out + n] = default_p;
+            if ((budget -= insert(to, K, p, out, out + n)) < 0) return -1;
+            n++;
+        }
+        out += n;
+        lo = hi + 1;
+    }
+    indptr[m] = out;
+    return out;
+}

@@ -125,6 +125,23 @@ def read_lines(path):
                               for a in (*points, *edges, rows)]
 
 
+def graph_problem(path, default_p=None):
+    """What io.load_graph makes of a graph file, comparable with ==: the
+    node count and each array's dtype and bytes, or the FormatError
+    message."""
+    try:
+        return problem_bytes(io.load_graph(path, default_p))
+    except io.FormatError as exc:
+        return str(exc)
+
+
+def problem_bytes(pb):
+    """A GraphProblem comparable with ==: the node count and each array's
+    dtype and bytes."""
+    return pb.node_count, [(a.dtype.str, a.tobytes())
+                           for a in (pb.indptr, pb.dst, pb.K, pb.p, pb.q)]
+
+
 def _bilinear(field, g, x, y):
     fx = (x - g.origin[0]) / g.h
     fy = (y - g.origin[1]) / g.h

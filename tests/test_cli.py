@@ -95,7 +95,8 @@ class TestRunGraph:
     @pytest.mark.parametrize("name", ["three_node_chain.txt", "idle_ring.txt"])
     def test_scenario_read_once(self, tmp_path, opened, name):
         path = scenario(name)
-        assert run("run-graph", path, "--p", "0.1", "--out", str(tmp_path)) == 0
+        p = [] if name == "idle_ring.txt" else ["--p", "0.1"]  # idle: lambda's
+        assert run("run-graph", path, *p, "--out", str(tmp_path)) == 0
         assert opened.count(path) == 1
 
     def test_dial_matches_dijkstra(self, tmp_path):
@@ -285,6 +286,17 @@ class TestRunGraph:
         assert ("bad.txt:1: nodes %s outside [1, %d]"
                 % (text.split()[1], io.MAX_NODES)) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["0.5", "nan"])
+    def test_idle_file_refuses_p(self, tmp_path, capsys, p):
+        # an idle file's p come from lambda and tau; a default p would
+        # leave K of the idle model with p of another
+        assert run("run-graph", scenario("idle_ring.txt"), "--p", p,
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: %s: an idle file takes p from 'lambda'; a default p "
+            "(--p) does not apply\n" % scenario("idle_ring.txt"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_idle_scenario_detected(self, tmp_path):
         out = tmp_path / "out"
         assert run("run-graph", scenario("idle_ring.txt"),
@@ -388,6 +400,38 @@ class TestRunGrid:
             assert run("run-grid", scenario("radial_trivial.json"),
                        "--grid", "21x21", "--emit", "value", "--emit", emit,
                        "--out", str(tmp_path)) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value, n", [("21", 21), ("21x21", 21),
+                                          ("021x21", 21)])
+    def test_grid_values(self, tmp_path, value, n):
+        assert run("run-grid", scenario("radial_trivial.json"), "--grid",
+                   value, "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["grid"] == [n, n]
+
+    @pytest.mark.parametrize("value, message", [
+        ("5x", "--grid '5x': expected N or NxN"),
+        ("x5", "--grid 'x5': expected N or NxN"),
+        ("abc", "--grid 'abc': expected N or NxN"),
+        ("", "--grid '': expected N or NxN"),
+        ("5x5x5", "--grid '5x5x5': expected N or NxN"),
+        (" 21", "--grid ' 21': expected N or NxN"),
+        ("+21", "--grid '+21': expected N or NxN"),
+        ("2_1", "--grid '2_1': expected N or NxN"),
+        ("21X21", "--grid '21X21': expected N or NxN"),
+        ("21x31", "--grid override must be square (NxN)"),
+    ])
+    def test_malformed_grid_exit_2(self, tmp_path, capsys, monkeypatch,
+                                   value, message):
+        # refused before the scenario is loaded
+        def unexpected(*args, **kwargs):
+            raise AssertionError("scenario loaded before the --grid check")
+
+        monkeypatch.setattr(io, "load_grid_scenario", unexpected)
+        assert run("run-grid", scenario("radial_trivial.json"), "--grid",
+                   value, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("start", ["1e400,0.5", "nan,0"])

@@ -24,16 +24,13 @@ from conftest import SCENARIOS, both_paths, scenario
 RUN_GRAPH = [
     ('idle_ring.txt', 'dijkstra', None, 0,
      '10ba5412f1e0e209ab142cf92faa48df9df0c2364baaefbba15f33e36d051ec3'),
-    ('idle_ring.txt', 'dijkstra', '0.3', 0,
-     '10ba5412f1e0e209ab142cf92faa48df9df0c2364baaefbba15f33e36d051ec3'),
+    ('idle_ring.txt', 'dijkstra', '0.3', 2, None),  # p comes from lambda
     ('idle_ring.txt', 'dial', None, 0,
      '10ba5412f1e0e209ab142cf92faa48df9df0c2364baaefbba15f33e36d051ec3'),
-    ('idle_ring.txt', 'dial', '0.3', 0,
-     '10ba5412f1e0e209ab142cf92faa48df9df0c2364baaefbba15f33e36d051ec3'),
+    ('idle_ring.txt', 'dial', '0.3', 2, None),  # p comes from lambda
     ('idle_ring.txt', 'vi', None, 0,
      '10ba5412f1e0e209ab142cf92faa48df9df0c2364baaefbba15f33e36d051ec3'),
-    ('idle_ring.txt', 'vi', '0.3', 0,
-     'c394959bc4c2b4fab03d9743efb0a5e8068b5701a00877a7bec7caf0bc72b195'),
+    ('idle_ring.txt', 'vi', '0.3', 2, None),  # p comes from lambda
     ('subtle_motionless.txt', 'dijkstra', None, 2, None),
     ('subtle_motionless.txt', 'dijkstra', '0.3', 0,
      '6f07a885269b936107c56284987ecb9d4039b10ebcf61dad038606f106f63b5b'),

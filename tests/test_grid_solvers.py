@@ -490,8 +490,8 @@ class TestKernelLoading:
                                 == np.dtype(elements[ctype]))
                     if not same:
                         drift.append("%s: %s" % (name, param.strip()))
-        assert sorted(defined) == ["csv_rows", "distance_mix", "label", "march",
-                                   "scan"]
+        assert sorted(defined) == ["assemble", "csv_rows", "distance_mix",
+                                   "label", "march", "scan"]
         assert drift == []
 
     def test_allocation_failure_is_memory_error(self, monkeypatch):

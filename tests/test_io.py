@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 import types
@@ -15,7 +16,8 @@ from randterm.cli import main, random_graph_problem
 from randterm.grid import fmm_solve, motionless_set
 from randterm.trajectory import TrajectoryPath, trace
 
-from conftest import bit_equal, both_paths, read_lines, scenario
+from conftest import (SCENARIOS, bit_equal, both_paths, graph_problem,
+                      problem_bytes, read_lines, scenario)
 
 
 class TestLoadGraph:
@@ -89,9 +91,17 @@ class TestLoadGraph:
         ("nodes 2\nq 3 1.0\nedge 0 5 1\n", "bad.txt:2: q index 3 out of range"),
         ("nodes 2\nedge 0 5 1\nedge 0 1 1\n",
          "bad.txt:2: edge (0,5) out of range"),
-        ("nodes 3\nedge 2 0 1\nedge 0 2 1\n", "edge (0,0) has no p"),
+        # the first edge without p in row order is an implicit loop, or a
+        # stated edge, whose line is named
+        ("nodes 3\nedge 2 0 1\nedge 0 2 1\n",
+         "bad.txt: implicit self-loop (0,0) has no p and no default"),
+        ("nodes 2\nedge 1 1 0 0.5\nedge 0 1 1\nedge 0 0 0\n",
+         "bad.txt:4: edge (0,0) has no p and no default"),
+        ("nodes 2\nedge 1 1 0 0.5\nedge 0 0 0 0.5\nedge 0 1 1\n",
+         "bad.txt:4: edge (0,1) has no p and no default"),
     ], ids=["self-loop", "before-nodes", "past-int64", "q-first",
-            "edge-range", "first-without-p"])
+            "edge-range", "first-without-p", "stated-loop-without-p",
+            "stated-edge-without-p"])
     def test_load_errors(self, tmp_path, text, message):
         f = tmp_path / "bad.txt"
         f.write_text(text)
@@ -246,7 +256,7 @@ class TestScenarioLoad:
         assert main(["random-graph", "--nodes", "200", "--out",
                      str(path)]) == 0
         size, held = path.stat().st_size, []
-        read_lines = io._read_lines
+        assemble = io._assemble
 
         def spy(*args):
             frame = sys._getframe(1)
@@ -255,12 +265,164 @@ class TestScenarioLoad:
                             for v in frame.f_locals.values()
                             if isinstance(v, bytes) and len(v) == size)
                 frame = frame.f_back
-            return read_lines(*args)
+            return assemble(*args)
 
-        monkeypatch.setattr(io, "_read_lines", spy)
+        monkeypatch.setattr(io, "_assemble", spy)
         assert main(["run-graph", str(path), "--out",
                      str(tmp_path / "out")]) == 0
         assert held == []
+
+
+def twin_and_pass(text, default_p):
+    """(twin, pass): what io._graph_problem of io._read_lines, the Python
+    twin, and io._assemble, the compiled pass, make of a graph file's rows,
+    as problem_bytes compares them; the twin's FormatError message, and the
+    pass's None when it refuses the file."""
+    scanned = io._rows("g.txt", text.encode(), io._GRAPH)
+    try:
+        twin = problem_bytes(io._graph_problem(
+            "g.txt", io._read_lines("g.txt", scanned, "q"), default_p))
+    except io.FormatError as exc:
+        twin = str(exc)
+    made = io._assemble(scanned, default_p if scanned[1] is None
+                        else scanned[1])
+    return twin, None if made is None else problem_bytes(made)
+
+
+@st.composite
+def graph_files(draw):
+    """The text of a graph file of at most 12 nodes: q lines (a node's
+    repeated at times), edge lines with and without p, self-loops stated or
+    not, a p line at times, all in any order; now and then a missing nodes
+    line, an index out of range or a repeated edge.  At most 12 nodes, so
+    no row is far enough from (i, j) order for assemble() to refuse it on
+    that ground alone (see scan.c)."""
+    M = draw(st.integers(1, 12))
+    index = st.integers(0, M - 1)
+    # scan.c reads the files without nan and inf; _parse the others
+    value = st.sampled_from(["0", "-0.0", "1.5", "0.1", "7e-3", "2.5e300",
+                             "0.30000000000000004"] + draw(st.sampled_from(
+                                 [[], ["nan", "inf"]])))
+    pairs = draw(st.lists(st.tuples(index, index), unique=True, max_size=30))
+    if pairs and draw(st.integers(0, 9)) == 9:
+        pairs.append(draw(st.sampled_from(pairs)))  # repeated (i, j)
+    lines = ["edge %d %d %s%s" % (i, j, draw(value), draw(
+        st.sampled_from(["", " 0.25", " 0.5", " " + draw(value)])))
+        for i, j in pairs]
+    lines += ["q %d %s" % (i, draw(value))
+              for i in draw(st.lists(index, max_size=2 * M))]
+    lines += ["p %s" % v for v in draw(st.lists(
+        st.sampled_from(["0.75", "nan", "1e-9"]), max_size=2))]
+    if draw(st.integers(0, 9)) < 9:
+        lines.append("nodes %d" % M)
+    if lines and draw(st.integers(0, 9)) == 9:
+        at = draw(st.integers(0, len(lines) - 1))
+        if lines[at].startswith(("edge", "q")):  # an index out of range
+            tok = lines[at].split()
+            tok[1] = str(draw(st.sampled_from([-1, M, M + 5, 2 ** 62])))
+            lines[at] = " ".join(tok)
+    return "".join("%s\n" % line for line in draw(st.permutations(lines)))
+
+
+@pytest.mark.usefixtures("compiled_march")
+class TestAssemble:
+    """assemble() of scan.c builds the CSR arrays of a graph file bit for
+    bit as io._read_lines and io._graph_problem, its Python twin, do, or
+    refuses the file, which the twin then reads or names the fault of."""
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name in os.listdir(SCENARIOS) if name.endswith(".txt")))
+    @pytest.mark.parametrize("default_p", [None, 0.3, math.nan])
+    def test_scenarios(self, name, default_p):
+        path = scenario(name)
+        compiled, python = both_paths(lambda: graph_problem(path, default_p))
+        assert compiled == python
+        with open(path) as fh:
+            text = fh.read()
+        if not io.is_idle_scenario(path):
+            twin, made = twin_and_pass(text, default_p)
+            assert made == (None if isinstance(twin, str) else twin)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(graph_files(), st.sampled_from([None, 0.5, math.nan]))
+    @example("nodes 3\nedge 2 0 1\nedge 0 2 1 0.5\nedge 1 1 0 0.5\n", 0.5)
+    @example("nodes 2\nq 1 1\nq 1 2\nq 0 3\nq 1 -0.0\n", 0.5)
+    @example("nodes 2\np 0.75\nedge 1 0 2\nedge 0 1 1\n", None)
+    def test_equals_the_twin(self, tmp_path_factory, text, default_p):
+        twin, made = twin_and_pass(text, default_p)
+        # the pass refuses just the files that the twin names a fault of
+        assert made == (None if isinstance(twin, str) else twin)
+        path = tmp_path_factory.getbasetemp() / "g.txt"
+        path.write_text(text)
+        compiled, python = both_paths(lambda: graph_problem(str(path),
+                                                            default_p))
+        assert compiled == python
+
+    @pytest.mark.parametrize("text, default_p, message", [
+        ("q 0 1\nedge 0 0 0 0.5\n", 0.5, "g.txt: missing 'nodes' line"),
+        ("nodes 2\nedge 0 2 1 0.5\n", 0.5, "g.txt:2: edge (0,2) out of range"),
+        ("nodes 2\nedge -1 0 1 0.5\n", 0.5,
+         "g.txt:2: edge (-1,0) out of range"),
+        ("nodes 2\nq 0 1\nq 2 1\n", 0.5, "g.txt:3: q index 2 out of range"),
+        ("nodes 2\nedge 1 0 1\nedge 0 1 1\nedge 1 0 2\n", 0.5,
+         "g.txt:4: duplicate edge (1,0)"),
+        ("nodes 2\nedge 1 1 0\nedge 1 1 0\n", 0.5,
+         "g.txt:3: duplicate edge (1,1)"),
+        ("nodes 2\nedge 0 0 0 0.5\nedge 1 1 0 0.5\nedge 1 0 1\n", None,
+         "g.txt:4: edge (1,0) has no p and no default"),
+        ("nodes 2\nedge 0 0 0 0.5\nedge 1 0 1 0.5\n", None,
+         "g.txt: implicit self-loop (1,1) has no p and no default"),
+    ], ids=["no-nodes", "edge-range", "negative", "q-range", "duplicate",
+            "duplicate-loop", "stated-without-p", "implicit-without-p"])
+    def test_refused_with_the_twins_message(self, tmp_path, text, default_p,
+                                            message):
+        assert twin_and_pass(text, default_p) == (message, None)
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        compiled, python = both_paths(lambda: graph_problem(str(path),
+                                                            default_p))
+        assert compiled == python and compiled.endswith(message)
+
+    def test_p_line_or_nan_default(self):
+        # a p line replaces the default; --p nan is a default p, which
+        # validate then reports
+        text = "nodes 2\nedge 1 0 2\nedge 0 1 1 0.25\n"
+        _, made = twin_and_pass(text + "p 0.75\n", None)
+        assert made[1][3] == ("<f8", np.array([0.75, 0.25, 0.75, 0.75])
+                              .tobytes())
+        twin, made = twin_and_pass(text, math.nan)
+        assert made == twin and np.isnan(
+            np.frombuffer(made[1][3][1])).tolist() == [True, False, True, True]
+
+    def test_rows_far_from_order_are_left_to_the_twin(self, tmp_path):
+        # row 0 written backwards: 4,851 moves to sort it by insertion,
+        # past the 8 an edge on average that assemble() allows
+        M = 100
+        text = "nodes %d\n%s" % (M, "".join(
+            "edge 0 %d 1.0 0.5\n" % j for j in range(M - 1, 0, -1)))
+        twin, made = twin_and_pass(text, 0.5)
+        assert made is None and not isinstance(twin, str)
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        compiled, python = both_paths(lambda: graph_problem(str(path), 0.5))
+        assert compiled == python == twin
+        # every row's loop written first, as perfbench writes them, and
+        # short rows in any order are taken
+        text = "nodes %d\n%s" % (M, "".join(
+            "edge %d %d 0.0 0.5\nedge %d %d 1 0.5\nedge %d %d 2 0.5\n"
+            % (i, i, i, (i + 7) % M, i, (i + 3) % M) for i in range(M)))
+        twin, made = twin_and_pass(text, None)
+        assert made == twin and not isinstance(twin, str)
+
+    def test_random_graph_file(self, tmp_path):
+        path = str(tmp_path / "random.txt")
+        assert main(["random-graph", "--seed", "4", "--nodes", "300",
+                     "--out", path]) == 0
+        with open(path) as fh:
+            twin, made = twin_and_pass(fh.read(), None)
+        assert made == twin and twin[0] == 300
+        assert twin == problem_bytes(random_graph_problem(4, nodes=300))
 
 
 GRAMMARS = {"graph": ("p", "q", (4, 5)), "idle": ("lambda", "call", (4,))}

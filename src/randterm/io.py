@@ -25,6 +25,16 @@ file's byte count (see _scan).  load_scenario takes either kind of file: a
 file that scan.c reads under the graph grammar, which has no 'lambda'
 line, is a graph file, and only the others are searched for one.
 
+A graph file's rows become its GraphProblem in one compiled pass,
+assemble() of scan.c: a counting pass by node, each row sorted by j by
+insertion (one comparison an edge on a file written in (i, j) order), the
+implicit self-loop merged in at its place.  _read_lines and _graph_problem
+are its Python twin, which builds the same arrays bit for bit.  The twin
+runs without the native library and for each file that assemble() refuses:
+every file with a fault to name (the twin names it), and rows too far from
+(i, j) order to sort by insertion.  Idle files, which are small, always
+take _read_lines.
+
 Grid scenarios are JSON descriptors: a grid block (an extent of four finite
 numbers and integer point counts, made a grid by Grid2D.spanning, which
 bounds the counts first), a number lambda, and per-field specs (constant
@@ -206,9 +216,10 @@ def _read_lines(path, scanned, point):
     Returns M, the last scalar (or None), the points' (indices, values), the
     edges' (src, dst, X, Y, no Y given, line number) in file order and then
     a self-loop (X = 0, no Y, line 0) at every node, and rows: their stable
-    (i, j) order, each pair once.  FormatError names the line of a repeated edge or an index
-    outside [0, M), or says that the nodes line is missing; _parse has
-    refused malformed lines and node counts outside [1, MAX_NODES]."""
+    (i, j) order, each pair once.  FormatError names the line of a repeated
+    edge or an index outside [0, M), or says that the nodes line is
+    missing; _parse has refused malformed lines and node counts outside
+    [1, MAX_NODES]."""
     M, value, lines, src, dst, x, y, size = scanned
     edge, loops = size != 3, np.arange(M or 0)
     es, ed = np.append(src[edge], loops), np.append(dst[edge], loops)
@@ -264,8 +275,8 @@ def load_scenario(path, default_p, sha256):
 
 def _graph(path, scanned, default_p):
     """The GraphProblem of what _rows returns for a graph file: _assemble's,
-    or where it gives none, _graph_problem's of _read_lines', its twin,
-    which names the fault of a file that assemble() refuses."""
+    else the one that _read_lines and _graph_problem, its Python twin,
+    build, naming the fault of each file that assemble() refuses."""
     p_line = scanned[1]
     return (_assemble(scanned, default_p if p_line is None else p_line)
             or _graph_problem(path, _read_lines(path, scanned, "q"),
@@ -299,12 +310,13 @@ def _assemble(scanned, default_p):
 
 def _graph_problem(path, lines, default_p):
     """The GraphProblem of what _read_lines returns for a graph file."""
-    M, p_line, (qi, qv), (src, dst, K, p, no_p, at), rows = lines
+    M, p_line, (qi, qv), (src, dst, K, p, no_p, line), rows = lines
     default_p = default_p if p_line is None else p_line
-    src, dst, K, p, at = (a[rows] for a in (src, dst, K, p, at))
+    src, dst, K, p, line = (a[rows] for a in (src, dst, K, p, line))
     unset = np.flatnonzero(no_p[rows])
-    for e in unset[:1].tolist() if default_p is None else ():
-        where = ("%s:%d: edge" % (path, at[e]) if at[e]
+    if unset.size and default_p is None:
+        e = unset[0]
+        where = ("%s:%d: edge" % (path, line[e]) if line[e]
                  else "%s: implicit self-loop" % path)
         raise FormatError("%s (%d,%d) has no p and no default"
                           % (where, src[e], dst[e]))

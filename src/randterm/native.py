@@ -5,19 +5,21 @@ compiler into one library.  march.c holds the two heap loops: march() of
 grid.march (the Fast-Marching pass), and the label-setting loop of
 graph._label_setting, which label() runs for dijkstra_solve, dial_solve and
 solve_v0, and distance_mix() once per call node for graph.distance_mix (the
-travel times of idle.expected_response_times).  scan.c holds the
-graph-file scanner of io, which reads a file in one pass, its numbers where
-they stand, a decimal of at most 19 significant digits and an exponent
-within +-19 into the nearest double by exact integer arithmetic, and csv.c
-the CSV writer of io's numeric tables, which finds repr's shortest digits
-the same way.  Both use unsigned __int128 (gcc or clang on a 64-bit target;
-elsewhere the build fails and everything falls back as below).  The
-library is cached under $XDG_CACHE_HOME (default
-~/.cache)/randterm/<sha256 of the sources and flags>/native.so.  Nothing is
-built or loaded at import.  Without a compiler, when a source cannot be
-read, when the build fails or when the cache is not writable, library()
-returns None and logs one warning on the "randterm" logger; the callers
-then run their Python twins, which give the same results.
+travel times of idle.expected_response_times).  scan.c holds the two
+graph-file passes of io: scan(), which reads a file in one pass, its
+numbers where they stand, a decimal of at most 19 significant digits and an
+exponent within +-19 into the nearest double by exact integer arithmetic,
+and assemble(), which turns a graph file's rows into its CSR problem.
+csv.c holds csv_rows(), the CSV writer of io's numeric tables, which finds
+repr's shortest digits the same way.  scan.c and csv.c use unsigned
+__int128 (gcc or clang on a 64-bit target; elsewhere the build fails and
+everything falls back as below).  The library is cached under
+$XDG_CACHE_HOME (default ~/.cache)/randterm/<sha256 of the sources and
+flags>/native.so.  Nothing is built or loaded at import.  Without a
+compiler, when a source cannot be read, when the build fails or when the
+cache is not writable, library() returns None and logs one warning on the
+"randterm" logger; the callers then run their Python twins, which give the
+same results.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
-/* The compiled scanner of randterm.io, twin of the per-line loop of
- * io._read_lines for graph and idle files.  It exports scan(), which reads
- * a file's bytes in one walk: it classifies each line by its first token
- * and reads that line's numbers where they stand, each byte looked at once.
- * It fills arrays of a capacity the caller chooses, and refuses a file
- * with more rows (edge and point lines) than that.  The byte after the
- * file must be a NUL, as a Python bytes object ends in one: the loops stop
- * at it as at any other byte outside the grammar, with no bound check of
- * their own.
+/* The compiled graph-file passes of randterm.io.  scan() is the twin of
+ * io._parse, the per-line loop of graph and idle files, and assemble() of
+ * io._read_lines and io._graph_problem, which turn a graph file's rows into
+ * its CSR problem (see assemble's comment).  scan() reads a file's bytes
+ * in one walk: it classifies each line by its first token and reads that
+ * line's numbers where they stand, each byte looked at once.  It fills
+ * arrays of a capacity the caller chooses, and refuses a file with more
+ * rows (edge and point lines) than that.  The byte after the file must be
+ * a NUL, as a Python bytes object ends in one: the loops stop at it as at
+ * any other byte outside the grammar, with no bound check of their own.
  *
- * It accepts only a strict grammar, and refuses anything else (returns -1)
- * so that the Python loop reads it, with its own messages:
+ * scan() accepts only a strict grammar, and refuses anything else
+ * (returns -1) so that the Python loop reads it, with its own messages:
  *   - bytes: printable ASCII, space, tab and \n only
  *   - tokens split by spaces and tabs, a line ending at # or \n
  *   - lines `nodes M` (1 <= M <= max_nodes), `<scalar> V`, `<point> I V` and
@@ -266,8 +267,10 @@ static int64_t insert(int64_t *to, double *K, double *p, int64_t first,
  * + m edges, indptr m + 1 and q m.  Returns the edge count, or -1 to leave
  * the file to io's twin, which names its fault: m < 1 (no nodes line), an
  * index outside [0, m), an (i, j) stated twice, or an edge without p when
- * has_default is 0; and also when sorting the rows would move edges more
- * than 8 times an edge on average, as files far from (i, j) order need.
+ * has_default is 0 (a flag, not a NaN: a NaN default_p is a default, which
+ * graph.validate reports).  It also refuses rows so far from (i, j) order
+ * that sorting them would move edges more than 8 times an edge on average,
+ * which keeps the pass linear in the rows; the twin sorts those.
  *
  * A counting pass by i puts each row's edges in file order, one free slot
  * after each row.  Row by row the edges then move down to their final

@@ -337,10 +337,9 @@ class TestAssemble:
         path = scenario(name)
         compiled, python = both_paths(lambda: graph_problem(path, default_p))
         assert compiled == python
-        with open(path) as fh:
-            text = fh.read()
         if not io.is_idle_scenario(path):
-            twin, made = twin_and_pass(text, default_p)
+            with open(path) as fh:
+                twin, made = twin_and_pass(fh.read(), default_p)
             assert made == (None if isinstance(twin, str) else twin)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -361,7 +360,8 @@ class TestAssemble:
 
     @pytest.mark.parametrize("text, default_p, message", [
         ("q 0 1\nedge 0 0 0 0.5\n", 0.5, "g.txt: missing 'nodes' line"),
-        ("nodes 2\nedge 0 2 1 0.5\n", 0.5, "g.txt:2: edge (0,2) out of range"),
+        ("nodes 2\nedge 0 2 1 0.5\n", 0.5,
+         "g.txt:2: edge (0,2) out of range"),
         ("nodes 2\nedge -1 0 1 0.5\n", 0.5,
          "g.txt:2: edge (-1,0) out of range"),
         ("nodes 2\nq 0 1\nq 2 1\n", 0.5, "g.txt:3: q index 2 out of range"),

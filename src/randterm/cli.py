@@ -72,39 +72,40 @@ def cmd_run_graph(args):
 
 
 def _parse_emit(values):
-    """(kind, start point or None) of each --emit value; FormatError for an
-    unknown kind or a malformed trajectory start."""
+    """(kind, start point or None) of each --emit value; FormatError, naming
+    the value, for an unknown kind or a malformed trajectory start."""
     out = []
-    for item in values:
-        item = item.strip()
-        if item.startswith("trajectory:"):
-            coords = item.split(":", 1)[1].split(",")
-            if len(coords) != 2:
-                raise io.FormatError(
-                    "trajectory emit needs a start point: trajectory:X,Y")
-            out.append(("trajectory", (float(coords[0]), float(coords[1]))))
-        elif item in ("value", "mask", "boundary"):
-            out.append((item, None))
-        elif item:
-            raise io.FormatError("unknown emit kind %r" % item)
+    for item in map(str.strip, values):
+        kind, colon, start = item.partition(":")
+        try:
+            if kind == "trajectory" and colon:
+                x, y = map(float, start.split(","))  # ValueError unless two
+                out.append((kind, (x, y)))
+            elif item in ("value", "mask", "boundary"):
+                out.append((item, None))
+            elif item:
+                raise ValueError
+        except ValueError:
+            raise io.FormatError("--emit %r: expected value, mask, boundary "
+                                 "or trajectory:X,Y" % item) from None
     return out
 
 
-def _grid_size(value):
-    """n of a --grid value N or NxN (ASCII digits); FormatError for any
-    other value."""
+def _grid_size(value, option="--grid"):
+    """n of a grid size N or NxN (ASCII digits) given to option;
+    FormatError for any other value."""
     size = re.fullmatch(r"([0-9]+)(?:x([0-9]+))?", value)
     if size is None:
-        raise io.FormatError("--grid %r: expected N or NxN" % value)
+        raise io.FormatError("%s %r: expected N or NxN" % (option, value))
     nx, ny = size.groups()
     if ny is not None and int(ny) != int(nx):
-        raise io.FormatError("--grid override must be square (NxN)")
+        raise io.FormatError("%s override must be square (NxN)" % option)
     return int(nx)
 
 
 def cmd_run_grid(args):
-    emits = args.emit or ["value"]
-    kinds = _parse_emit(emits)  # before the load, so a typo costs no solve
+    # before the load, so a typo costs no solve
+    kinds = _parse_emit(args.emit or ["value"])
     n = None if args.grid is None else _grid_size(args.grid)
     with open(args.scenario, "rb") as fh:
         data = fh.read()
@@ -133,7 +134,10 @@ def cmd_run_grid(args):
                 keys["trajectory_status"] = traj.status
         return keys
 
-    flags = {"lambda": args.lam, "grid": args.grid, "emit": sorted(emits)}
+    # the parsed settings, so that every spelling of a run hashes alike
+    emit = sorted(kind if start is None else "%s:%r,%r" % (kind, *start)
+                  for kind, start in kinds)
+    flags = {"lambda": args.lam, "grid": n, "emit": emit}
     return _run(args, scenario, flags, lambda: solvers[args.solver](problem),
                 write, grid=[problem.grid.nx, problem.grid.ny])
 
@@ -142,7 +146,8 @@ def cmd_run_convergence(args):
     os.makedirs(args.out, exist_ok=True)
     case = analytic.RadialCase(case=args.case, lam=args.lam)
     # every size is refused or accepted before the first solve
-    grids = [analytic.radial_grid(int(t)) for t in args.grids.split(",")]
+    grids = [analytic.radial_grid(_grid_size(t, "--grids"))
+             for t in args.grids.split(",")]
     rows = []
     prev_linf = None
     for g in grids:

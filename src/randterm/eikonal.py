@@ -67,12 +67,13 @@ def eikonal_solve(grid, f, source, mask=None):
     return u.reshape(ny, nx)
 
 
-def response_cost(grid, f, calls):
-    """Probability-weighted sum of per-call travel-time fields on one grid."""
-    q = np.zeros((grid.ny, grid.nx))
-    for loc, prob in zip(calls.locations, calls.probabilities):
-        if prob == 0.0:
-            continue
-        src = grid.nearest_index(loc)
-        q += prob * eikonal_solve(grid, f, src)
+def response_cost(grid, f, calls, q=None):
+    """Probability-weighted sum of per-call travel-time fields, added into q
+    (new zeros when None) and returned.  Every call is placed on the grid
+    (ValueError outside it) before the first march."""
+    sources = [grid.nearest_index(loc) for loc in calls.locations]
+    q = np.zeros((grid.ny, grid.nx)) if q is None else q
+    for src, prob in zip(sources, calls.probabilities):
+        if prob != 0.0:
+            q += prob * eikonal_solve(grid, f, src)
     return q

@@ -36,21 +36,23 @@ every file with a fault to name (the twin names it), and rows too far from
 take _read_lines.
 
 Grid scenarios are JSON descriptors: a grid block (an extent of four finite
-numbers and integer point counts, made a grid by Grid2D.spanning, which
-bounds the counts first), a number lambda, and per-field specs (constant
-value, radial piecewise, rectangles over a default, or a CSV of cell
-values).  The terminal cost may instead be derived from call locations via
-the travel-time mix.  Any key other than comment, grid, lambda, f, K, q and
-calls, or grid.extent, n, nx and ny, is rejected.
+numbers and integer point counts, n or else nx and ny, made a grid by
+Grid2D.spanning, which bounds the counts first), a number lambda, and
+per-field specs (constant value, radial piecewise, rectangles over a
+default, or a CSV of cell values).  The terminal cost may instead be
+derived from call locations via the travel-time mix, every call placed on
+the grid before the first solve.  Any key other than comment, grid,
+lambda, f, K, q and calls, or grid.extent, n, nx and ny, is rejected.  A
+scenario becomes one GridProblem, which checks every field.
 
 All CSV output uses shortest round-trip decimals, the bytes
 ",".join(map(str, row)) + "\r\n" gives for each row (a float's str is its
-repr), so identical runs are byte-identical.  The numeric tables (fields,
-masks, points, trajectories and graph solutions) are written by the
-compiled writer csv.c (see native) where it builds, in blocks of rows
-through one buffer, and else by the Python loop _write_csv, its twin; the
-two write the same bytes.  The convergence table, with its blank cells,
-always takes the Python loop.
+repr; a bool is written as the int 0 or 1), so identical runs are
+byte-identical.  The numeric tables (fields, masks, points, trajectories
+and graph solutions) are written by the compiled writer csv.c (see native)
+where it builds, in blocks of rows through one buffer, and else by the
+Python loop _write_csv, its twin; the two write the same bytes.  The
+convergence table, with its blank cells, always takes the Python loop.
 """
 
 from __future__ import annotations
@@ -276,9 +278,10 @@ def load_scenario(path, default_p, sha256):
 def _graph(path, scanned, default_p):
     """The GraphProblem of what _rows returns for a graph file: _assemble's,
     else the one that _read_lines and _graph_problem, its Python twin,
-    build, naming the fault of each file that assemble() refuses."""
-    p_line = scanned[1]
-    return (_assemble(scanned, default_p if p_line is None else p_line)
+    build, naming the fault of each file that assemble() refuses.  The
+    file's p line, where it has one, replaces default_p for both."""
+    default_p = default_p if scanned[1] is None else scanned[1]
+    return (_assemble(scanned, default_p)
             or _graph_problem(path, _read_lines(path, scanned, "q"),
                               default_p))
 
@@ -310,8 +313,7 @@ def _assemble(scanned, default_p):
 
 def _graph_problem(path, lines, default_p):
     """The GraphProblem of what _read_lines returns for a graph file."""
-    M, p_line, (qi, qv), (src, dst, K, p, no_p, line), rows = lines
-    default_p = default_p if p_line is None else p_line
+    M, _, (qi, qv), (src, dst, K, p, no_p, line), rows = lines
     src, dst, K, p, line = (a[rows] for a in (src, dst, K, p, line))
     unset = np.flatnonzero(no_p[rows])
     if unset.size and default_p is None:
@@ -363,12 +365,13 @@ def _write_table(path, header, columns):
     """A numeric table: the header (a tuple of names; none when empty),
     then one line per row of columns (1-D arrays and 2-D blocks of one
     length, as np.column_stack joins them), where int columns hold ints
-    below 2^53 and are written as ints, float columns as floats.
-    csv_rows of csv.c writes the cells, but for the floats outside its range
-    (see csv.c), whose repr it is handed; without the native library
-    _write_csv writes the same bytes.
+    below 2^53 and are written as ints, bool columns as 0 and 1 (a uint8
+    view), float columns as floats.  csv_rows of csv.c writes the cells,
+    but for the floats outside its range (see csv.c), whose repr it is
+    handed; without the native library _write_csv writes the same bytes.
     """
-    columns = [np.asarray(c) for c in columns]
+    columns = [c.view(np.uint8) if c.dtype == bool else c
+               for c in map(np.asarray, columns)]
     lib = native.library()
     if lib is None:
         cells = [(c[:, None] if c.ndim == 1 else c).tolist() for c in columns]
@@ -404,7 +407,7 @@ def _write_table(path, header, columns):
 def write_graph_solution(path, problem, solution):
     header = ("node", "V", "q", "motionless", "policy_successor")
     columns = (np.arange(problem.node_count), solution.V, problem.q,
-               solution.motionless.astype(int), solution.policy)
+               solution.motionless, solution.policy)
     _write_table(path, header, columns)
 
 
@@ -478,10 +481,14 @@ _MALFORMED = (ArithmeticError, AttributeError, LookupError, TypeError,
 
 
 def load_grid_scenario(path, lam=None, n=None, data=None):
-    """Parse a JSON grid scenario into a GridProblem.
+    """Parse a JSON grid scenario into a GridProblem, built once.
 
     lam and n override the file's termination rate and per-axis point count
-    (the latter only for square grids); data as for load_idle.
+    (the latter only for square grids); data as for load_idle.  The grid
+    gives 'n', or 'nx' and 'ny', never both.  A 'calls' scenario's problem
+    is built with q = 0, so that f, K and lambda are checked on the whole
+    grid, and response_cost then adds the travel-time mix into its q; it
+    places every call on the grid before the first eikonal solve.
     """
     data = _read(path, data)
     try:
@@ -507,6 +514,8 @@ def load_grid_scenario(path, lam=None, n=None, data=None):
             and all(type(v) in (int, float) for v in extent)):  # bool aside
         raise FormatError("%s: 'grid.extent' must be four numbers "
                           "[x0, x1, y0, y1]" % path)
+    if "n" in gspec and ("nx" in gspec or "ny" in gspec):
+        raise FormatError("%s: 'grid' gives 'n' and also 'nx' or 'ny'" % path)
     nx, ny = (gspec.get(k) for k in (("n", "n") if "n" in gspec
                                      else ("nx", "ny")))
     if not (type(nx) is int and type(ny) is int):  # bool aside
@@ -536,16 +545,15 @@ def load_grid_scenario(path, lam=None, n=None, data=None):
             raise FormatError("%s: ill-formed field '%s' (%s)"
                               % (path, key, _reason(exc))) from None
 
-    f, K = field("f", 1.0), field("K", 0.0)
-    if "calls" in doc:
-        calls = _call_spec(path, doc["calls"])
-        # travel times are finite everywhere, so no point is masked: check
-        # f, K and lambda on the whole grid before any eikonal solve
-        GridProblem(grid=grid, f=f, K=K, q=0.0, lam=lam)
-        q = response_cost(grid, f, calls)
-    else:
-        q = field("q")
-    return GridProblem(grid=grid, f=f, K=K, q=q, lam=lam)
+    calls = _call_spec(path, doc["calls"]) if "calls" in doc else None
+    problem = GridProblem(grid=grid, f=field("f", 1.0), K=field("K", 0.0),
+                          q=field("q") if calls is None else 0.0, lam=lam)
+    if calls is not None:
+        try:
+            response_cost(grid, problem.f, calls, problem.q)
+        except ValueError as exc:  # a call outside the grid
+            raise FormatError("%s: 'calls': %s" % (path, exc)) from None
+    return problem
 
 
 def _reason(exc):
@@ -579,8 +587,7 @@ def write_field_csv(path, field):
 
 
 def write_mask_csv(path, mask):
-    mask = np.asarray(mask).astype(int)
-    _write_table(path, (), [mask])
+    _write_table(path, (), [np.asarray(mask, bool)])
 
 
 def write_points_csv(path, points):
@@ -589,9 +596,8 @@ def write_points_csv(path, points):
 
 
 def write_trajectory_csv(path, traj):
-    rows = np.column_stack((np.reshape(traj.points, (-1, 2)),
-                            traj.values)).astype(float)
-    _write_table(path, ("x", "y", "V"), [rows])
+    _write_table(path, ("x", "y", "V"),
+                 [np.reshape(traj.points, (-1, 2)), traj.values])
 
 
 def write_convergence_csv(path, rows):

@@ -83,7 +83,7 @@ class TestRunGraph:
         (["run-graph", "idle_ring.txt", "--solver", "dial"],
          "0cd3c0f34d0ab988"),
         (["run-grid", "radial_trivial.json", "--grid", "21x21", "--emit",
-          "mask"], "582b16dedeb3fdc9"),
+          "mask"], "26dc96ed2c6c4fbc"),
     ])
     def test_config_hash_pinned(self, tmp_path, argv, config_hash):
         # the sha256 of the scenario file's bytes and of the flags
@@ -390,18 +390,43 @@ class TestRunGrid:
                        "--out", str(tmp_path)) == 2
             assert "tol must be finite and >= 0" in capsys.readouterr().err
 
-    def test_bad_emit_exit_2(self, tmp_path, monkeypatch):
+    def test_bad_emit_exit_2(self, tmp_path, capsys, monkeypatch):
         # every --emit is checked before the scenario is loaded: no solve
         # and no file
         def unexpected(*args, **kwargs):
             raise AssertionError("scenario loaded before the emit check")
 
         monkeypatch.setattr(io, "load_grid_scenario", unexpected)
-        for emit in ("bogus", "trajectory", "trajectory:1", "trajectory:a,b"):
+        for emit in ("bogus", "trajectory", "trajectory:1", "trajectory:a,b",
+                     "trajectory:", "trajectory:1,2,3"):
             assert run("run-grid", scenario("radial_trivial.json"),
                        "--grid", "21x21", "--emit", "value", "--emit", emit,
                        "--out", str(tmp_path)) == 2
+            assert capsys.readouterr().err == (
+                "error: --emit %r: expected value, mask, boundary or "
+                "trajectory:X,Y\n" % emit)
         assert list(tmp_path.iterdir()) == []
+
+    def test_config_hash_of_the_parsed_settings(self, tmp_path):
+        # every spelling of one run hashes alike; another run does not
+        def config_hash(*flags):
+            out = tmp_path / "out"
+            assert run("run-grid", scenario("radial_trivial.json"), *flags,
+                       "--out", str(out)) == 0
+            return json.loads((out / "summary.json").read_text())[
+                "config_hash"]
+
+        for spellings in (
+                [["--grid", g] for g in ("21", "21x21", "021x21")],
+                [["--grid", "21"], ["--grid", "21", "--emit", "value"],
+                 ["--grid", "21", "--emit", " value"]],
+                [["--grid", "21", "--emit", e] for e in (
+                    "trajectory:1,0.5", "trajectory:1.0,0.5",
+                    " trajectory:1e0,.5")],
+                [["--grid", "21", "--emit", a, "--emit", b]
+                 for a, b in (("mask", "value"), ("value", "mask"))]):
+            assert len({config_hash(*flags) for flags in spellings}) == 1
+        assert config_hash("--grid", "21") != config_hash("--grid", "23")
 
     @pytest.mark.parametrize("value", ["21", "21x21", "021x21"])
     def test_grid_values(self, tmp_path, value):
@@ -477,6 +502,16 @@ class TestRunGrid:
           "q": 1.0}, "'grid.extent'"),
         ({"grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": True,
           "q": 1.0}, "'lambda'"),
+        # n, or nx and ny, never both
+        *(({"grid": {"n": 11, **counts, "extent": [0, 1, 0, 1]},
+            "lambda": 0.5, "q": 1.0},
+           "bad.json: 'grid' gives 'n' and also 'nx' or 'ny'")
+          for counts in ({"nx": 21, "ny": 21}, {"nx": 11}, {"ny": 11})),
+        # every call lies on the grid, one of probability 0 too
+        ({"grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": 0.5,
+          "calls": [{"location": [0.5, 0.5], "prob": 1.0},
+                    {"location": [5, 5], "prob": 0.0}]},
+         "bad.json: 'calls': point (5.0, 5.0) outside the grid"),
     ])
     def test_grid_schema_exit_2(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"
@@ -579,7 +614,13 @@ class TestRunGrid:
          "speed must be positive and finite off the mask"),
         ("K", -1.0, "running cost must be nonnegative and finite"),
         ("lambda", 0.0, "termination rate must be positive and finite"),
-    ], ids=["infinite-speed", "negative-cost", "zero-rate"])
+        # the first three calls lie inside the grid
+        ("calls", [{"location": [1.5, 1.5], "prob": 0.2},
+                   {"location": [8.5, 1.5], "prob": 0.2},
+                   {"location": [8.5, 8.5], "prob": 0.2},
+                   {"location": [50, 0.1], "prob": 0.4}],
+         "bad.json: 'calls': point (50.0, 0.1) outside the grid"),
+    ], ids=["infinite-speed", "negative-cost", "zero-rate", "call-outside"])
     def test_fields_checked_before_eikonal_solves(self, tmp_path, capsys,
                                                   monkeypatch, key, value,
                                                   message):
@@ -623,6 +664,33 @@ class TestRunConvergence:
                    "--out", str(tmp_path)) == 2
         assert "3163 x 3163" in capsys.readouterr().err
         assert not (tmp_path / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("grids, message", [
+        ("11,,21", "--grids '': expected N or NxN"),
+        ("11,abc", "--grids 'abc': expected N or NxN"),
+        ("11, 21", "--grids ' 21': expected N or NxN"),
+        ("11,+21", "--grids '+21': expected N or NxN"),
+        ("11,21x31", "--grids override must be square (NxN)"),
+    ], ids=["empty", "letters", "space", "sign", "rectangle"])
+    def test_grids_parsed_as_grid_sizes(self, tmp_path, capsys, monkeypatch,
+                                        grids, message):
+        # each entry is read as --grid reads its value, before any solve
+        def unexpected(*args, **kwargs):
+            raise AssertionError("solve before every grid size was parsed")
+
+        monkeypatch.setattr(grid, "fmm_solve", unexpected)
+        assert run("run-convergence", "circular", "--grids", grids,
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not (tmp_path / "convergence.csv").exists()
+
+    def test_grids_take_square_sizes(self, tmp_path):
+        tables = []
+        for grids in ("11,21", "11x11,021"):
+            assert run("run-convergence", "trivial", "--grids", grids,
+                       "--out", str(tmp_path)) == 0
+            tables.append((tmp_path / "convergence.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_table_and_csv(self, tmp_path, capsys):
         assert run("run-convergence", "trivial", "--lambda", "0.5",

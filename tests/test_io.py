@@ -4,6 +4,7 @@ import math
 import os
 import random
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 from randterm import eikonal, graph, idle, io, native
 from randterm.cli import main, random_graph_problem
-from randterm.grid import fmm_solve, motionless_set
+from randterm.grid import GridProblem, fmm_solve, motionless_set
 from randterm.trajectory import TrajectoryPath, trace
 
-from conftest import (SCENARIOS, bit_equal, both_paths, graph_problem,
-                      problem_bytes, read_lines, scenario)
+from conftest import (JSON_SCENARIOS, SCENARIOS, bit_equal, both_paths,
+                      graph_problem, problem_bytes, read_lines, scenario)
 
 
 class TestLoadGraph:
@@ -277,15 +278,16 @@ def twin_and_pass(text, default_p):
     """(twin, pass): what io._graph_problem of io._read_lines, the Python
     twin, and io._assemble, the compiled pass, make of a graph file's rows,
     as problem_bytes compares them; the twin's FormatError message, and the
-    pass's None when it refuses the file."""
+    pass's None when it refuses the file.  Both get the one default p that
+    io._graph chooses: the file's p line, else default_p."""
     scanned = io._rows("g.txt", text.encode(), io._GRAPH)
+    default_p = default_p if scanned[1] is None else scanned[1]
     try:
         twin = problem_bytes(io._graph_problem(
             "g.txt", io._read_lines("g.txt", scanned, "q"), default_p))
     except io.FormatError as exc:
         twin = str(exc)
-    made = io._assemble(scanned, default_p if scanned[1] is None
-                        else scanned[1])
+    made = io._assemble(scanned, default_p)
     return twin, None if made is None else problem_bytes(made)
 
 
@@ -688,6 +690,19 @@ class TestGridScenario:
         # q vanishes only if a single call sits at that point; here it is a mix
         assert pb.q.min() > 0.0
 
+    @pytest.mark.parametrize("name", JSON_SCENARIOS)
+    def test_one_problem_per_load(self, monkeypatch, name):
+        # a calls scenario too: its travel times go into the one problem's q
+        built, check = [], GridProblem.__post_init__
+
+        def spy(problem):
+            built.append(problem)
+            check(problem)
+
+        monkeypatch.setattr(GridProblem, "__post_init__", spy)
+        pb = io.load_grid_scenario(scenario(name))
+        assert len(built) == 1 and built[0] is pb
+
     def test_maze_scenario(self):
         pb = io.load_grid_scenario(scenario("maze.json"))
         # wall region is slow and expensive, not masked
@@ -869,6 +884,22 @@ class TestCompiledWriter:
                            (io.write_trajectory_csv, traj)):
             compiled, python = written(tmp_path, write, arg)
             assert compiled == python and python.count(b"\r\n") > 1
+
+    def test_radial_801_mask(self, tmp_path):
+        # the grid workload's mask: bool cells reach csv.c through a uint8
+        # view, so the write allocates less than one int64 copy of the mask
+        pb = io.load_grid_scenario(scenario("radial_circular.json"), None, 801)
+        mask = fmm_solve(pb).motionless
+        compiled, python = written(tmp_path, io.write_mask_csv, mask)
+        assert compiled == python
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            io.write_mask_csv(str(tmp_path / "mask.csv"), mask)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * mask.size
 
     @pytest.mark.parametrize("name", ["idle_ring.txt", "subtle_motionless.txt",
                                       "three_node_chain.txt",

@@ -134,10 +134,12 @@ def cmd_run_grid(args):
                 keys["trajectory_status"] = traj.status
         return keys
 
-    # the parsed settings, so that every spelling of a run hashes alike
+    # the settings that take effect, so that every spelling of a run hashes
+    # alike: the loaded grid size and lambda, and the parsed emits
     emit = sorted(kind if start is None else "%s:%r,%r" % (kind, *start)
                   for kind, start in kinds)
-    flags = {"lambda": args.lam, "grid": n, "emit": emit}
+    flags = {"lambda": float(problem.lam[0, 0]),
+             "grid": [problem.grid.nx, problem.grid.ny], "emit": emit}
     return _run(args, scenario, flags, lambda: solvers[args.solver](problem),
                 write, grid=[problem.grid.nx, problem.grid.ny])
 

@@ -53,12 +53,13 @@ def eikonal_solve(grid, f, source, mask=None):
     (grid.travel_update).
     """
     nx, ny = grid.nx, grid.ny
-    f = np.full((ny, nx), f, float).ravel()
-    blocked = (np.zeros(nx * ny, dtype=bool) if mask is None
-               else np.asarray(mask, dtype=bool).ravel())
-    if not np.all(f[~blocked] > 0):
+    f = np.broadcast_to(np.asarray(f, float), (ny, nx))  # a number stays one
+    blocked = (np.zeros((ny, nx), dtype=bool) if mask is None
+               else np.asarray(mask, dtype=bool).reshape(ny, nx))
+    if not np.all((f > 0) | blocked):
         raise ValueError("speed must be positive off the mask")
     sidx = int(np.ravel_multi_index(source, (ny, nx)))
+    blocked = blocked.ravel()
     if blocked[sidx]:
         raise ValueError("source lies on a masked point")
     u = np.full(nx * ny, INF)

@@ -233,12 +233,23 @@ def _row_min(indptr, values):
     return out
 
 
+# motionless works through V and q in flat blocks of at most this many
+# cells, so that its float temporaries stay small
+_MOTIONLESS_CELLS = 1 << 16
+
+
 def motionless(V, q):
     """Where V meets q: within 1e-12 max(1, |q|) of each point's own q, and
-    exactly where q is infinite (grid solvers leave out masked points)."""
+    exactly where q is infinite (grid solvers leave out masked points).  V
+    and q have one shape; q may be a constant field's stride-0 view."""
+    out = np.empty(np.shape(V), bool)
+    flat, V, q = (np.reshape(a, -1) for a in (out, V, q))
     with np.errstate(invalid="ignore", over="ignore"):
-        return (V == q) | (np.isfinite(q) & (
-            np.abs(V - q) <= 1e-12 * np.maximum(1.0, abs(q))))
+        for lo in range(0, flat.size, _MOTIONLESS_CELLS):
+            v, w = (a[lo:lo + _MOTIONLESS_CELLS] for a in (V, q))
+            flat[lo:lo + _MOTIONLESS_CELLS] = (v == w) | (np.isfinite(w) & (
+                np.abs(v - w) <= 1e-12 * np.maximum(1.0, abs(w))))
+    return out
 
 
 def _solution(problem, V, const, surv, **stats):

@@ -88,6 +88,11 @@ class Grid2D:
         """X, Y arrays of shape (ny, nx); fields are indexed [j, i]."""
         return np.meshgrid(self.xs(), self.ys())
 
+    def axes(self):
+        """x as a (1, nx) row and y as an (ny, 1) column: what meshgrid
+        gives, without its copies, once broadcast against each other."""
+        return self.xs()[None, :], self.ys()[:, None]
+
     def nearest_index(self, point):
         """(j, i) index of the gridpoint closest to an (x, y) point."""
         i, j = (round(v) if math.isfinite(v) else -1 for v in (
@@ -101,7 +106,14 @@ class Grid2D:
 @dataclass
 class GridProblem:
     """Speed f > 0, running cost K >= 0, terminal cost q (+inf on masked
-    points), termination rate lambda > 0 (spatially varying allowed)."""
+    points), termination rate lambda > 0 (spatially varying allowed).
+
+    Each field is kept at its information size: a number becomes a
+    read-only (ny, nx) view of that one float (stride 0), a float64 array
+    of the grid's shape is kept as given, not copied, and anything else is
+    copied into a new float64 grid.  A writable array given for two fields
+    (or overlapping one given before it) is copied, so that no two
+    writable fields share memory."""
 
     grid: Grid2D
     f: np.ndarray
@@ -111,8 +123,19 @@ class GridProblem:
 
     def __post_init__(self):
         shape = (self.grid.ny, self.grid.nx)
-        self.f, self.K, self.q, self.lam = (np.full(shape, a, float) for a in (
-            self.f, self.K, self.q, self.lam))
+        kept = []
+        for name in ("f", "K", "q", "lam"):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.shape == shape
+                    and a.dtype == np.float64):
+                a = np.asarray(a, float)
+                a = (np.broadcast_to(a, shape) if a.ndim == 0
+                     else np.full(shape, a, float))
+            elif any(np.may_share_memory(a, b) for b in kept):
+                a = a.copy()
+            if a.flags.writeable:
+                kept.append(a)
+            setattr(self, name, a)
         live = ~self.mask()
         for what, field, ok in (
                 ("speed must be positive and", self.f, self.f > 0),
@@ -257,12 +280,14 @@ def local_minima_mask(q):
     return m
 
 
-def _march(g, V, seeds, blocked, eikonal, f, K, q, lam):
+def _march(g, V, seeds, blocked, eikonal, fields, steps):
     """The Python march, the reference for march.c; see march."""
     nx, ny, h = g.nx, g.ny, g.h
-    # flat python lists are noticeably faster than ndarray scalar access
-    Vl, seeds, blocked, f, K, q, lam = (a.tolist() for a in (
-        V, seeds, blocked, f, K, q, lam))
+    # flat python lists are noticeably faster than ndarray scalar access; a
+    # field of step 0 repeats its one value at every point
+    Vl, seeds, blocked = (a.tolist() for a in (V, seeds, blocked))
+    f, K, q, lam = (a.tolist() * (nx * ny if s == 0 else 1)
+                    for a, s in zip(fields, steps))
     state = [0] * (nx * ny)  # 0 far, 1 considered, 2 accepted
     order = [-1] * (nx * ny)
     heap = [(Vl[idx], idx) for idx in seeds]
@@ -308,10 +333,23 @@ def _march(g, V, seeds, blocked, eikonal, f, K, q, lam):
     return np.array(order), 2 * pushes
 
 
+def _field(a):
+    """(values, step) of a march field of the grid's size: its one value
+    and step 0 where every stride is 0 (a field broadcast from one number),
+    else its values as one contiguous float64 row (a copy only where a is
+    not one already) and step 1."""
+    a = np.asarray(a, dtype=np.float64)
+    if not any(a.strides):
+        return np.full(1, a.flat[0]), 0
+    return np.ascontiguousarray(a).ravel(), 1
+
+
 def march(grid, V, seeds, blocked, *fields):
     """Fast-Marching pass (Sethian 1996) of fmm_solve, with fields f, K, q,
     lam and quadrant_update, or of eikonal_solve, with field f and
-    travel_update at step time h / f.
+    travel_update at step time h / f.  A field of the grid's shape whose
+    strides are all 0 (a GridProblem constant) is passed on as its one
+    value with step 0; march.c reads point n of a field at n * step.
 
     V (flat float64) is lowered in place; blocked is a flat boolean array of
     points never accepted.  Points are accepted in (value, index) order from
@@ -326,22 +364,22 @@ def march(grid, V, seeds, blocked, *fields):
     npts = grid.nx * grid.ny
     seeds = np.asarray(seeds, dtype=np.int64)
     blocked = np.ascontiguousarray(blocked)
-    fields = [np.ascontiguousarray(a, dtype=np.float64).ravel()
-              for a in fields]
     if (V.dtype != np.float64 or blocked.dtype != bool
-            or any(a.size != npts for a in (V, blocked, *fields))
+            or any(np.size(a) != npts for a in (V, blocked, *fields))
             or not np.all((seeds >= 0) & (seeds < npts))):
         raise ValueError("march arrays must have nx * ny = %d points and "
                          "seeds lie in range" % npts)
+    fields, steps = zip(*map(_field, fields))
     eikonal = len(fields) == 1
-    f, K, q, lam = fields * 4 if eikonal else fields  # eikonal reads f only
+    if eikonal:  # eikonal reads f only
+        fields, steps = fields * 4, steps * 4
     lib = native.library()
     if lib is None:
-        return _march(grid, V, seeds, blocked, eikonal, f, K, q, lam)
+        return _march(grid, V, seeds, blocked, eikonal, fields, steps)
     order = np.empty(npts, dtype=np.int64)
     pushes = lib.march(grid.nx, grid.ny, V, seeds, seeds.size,
-                       blocked.view(np.uint8), order, eikonal, grid.h, f, K, q,
-                       lam)
+                       blocked.view(np.uint8), order, eikonal, grid.h,
+                       *(x for pair in zip(fields, steps) for x in pair))
     if pushes < 0:
         raise MemoryError("out of memory for the march heap")
     return order, 2 * pushes
@@ -356,7 +394,7 @@ def fmm_solve(problem):
     Heap ties break on row-major index.  O(M log M) for M gridpoints.
     """
     g = problem.grid
-    V = problem.q.ravel().copy()
+    V = problem.q.flatten()
     seeds = np.flatnonzero(local_minima_mask(problem.q))
     blocked = problem.mask().ravel()
     order, ops = march(g, V, seeds, blocked, problem.f, problem.K, problem.q,

@@ -422,36 +422,43 @@ def _float(v):
 
 
 def _build_field(spec, grid, base_dir):
-    """Evaluate one field spec to an (ny, nx) array.
+    """Evaluate one field spec: its number for a constant, else an (ny, nx)
+    array.
 
     Forms: number, {"constant": v}, {"radial": {"pieces": [{"range": [a, b],
     "value": v-or-"r"}], "default": v-or-"r"}}, {"rects": {"default": v,
     "rects": [{"x": [a, b], "y": [c, d], "value": v}]}}, {"disk": {"center":
-    [x, y], "radius": r, "value": v, "default": v}}, {"csv": path}.
+    [x, y], "radius": r, "value": v, "default": v}}, {"csv": path}.  The
+    geometric forms fill one output array from the grid's axes, broadcast
+    against each other (Grid2D.axes).
     """
     if type(spec) in (int, float):  # bool aside
-        return np.full((grid.ny, grid.nx), float(spec))
+        return float(spec)
     if not isinstance(spec, dict):
         raise FormatError("bad field spec %r" % (spec,))
     if "constant" in spec:
-        return np.full((grid.ny, grid.nx), _float(spec["constant"]))
+        return _float(spec["constant"])
+    shape = (grid.ny, grid.nx)
+    X, Y = grid.axes()
     if "radial" in spec:
-        X, Y = grid.meshgrid()
         R = np.hypot(X, Y)
 
         def val(v):
             return R if v == "r" else _float(v)
 
-        out = np.empty_like(R)
-        out[:] = val(spec["radial"].get("default", 0.0))
-        for piece in spec["radial"].get("pieces", []):
+        default = val(spec["radial"].get("default", 0.0))
+        pieces = spec["radial"].get("pieces", [])
+        if not pieces:
+            return default
+        out = np.empty(shape)
+        out[:] = default
+        for piece in pieces:
             a, b = piece["range"]
             sel = (R >= _float(a)) & (R <= _float(b))
-            out[sel] = np.broadcast_to(val(piece["value"]), R.shape)[sel]
+            out[sel] = np.broadcast_to(val(piece["value"]), shape)[sel]
         return out
     if "rects" in spec:
-        X, Y = grid.meshgrid()
-        out = np.full((grid.ny, grid.nx), _float(spec["rects"]["default"]))
+        out = np.full(shape, _float(spec["rects"]["default"]))
         for rect in spec["rects"].get("rects", []):
             xa, xb = map(_float, rect["x"])
             ya, yb = map(_float, rect["y"])
@@ -459,12 +466,11 @@ def _build_field(spec, grid, base_dir):
             out[sel] = _float(rect["value"])
         return out
     if "disk" in spec:
-        X, Y = grid.meshgrid()
         d = spec["disk"]
-        out = np.full((grid.ny, grid.nx), _float(d.get("default", 0.0)))
+        out = np.full(shape, _float(d.get("default", 0.0)))
         cx, cy = map(_float, d["center"])
-        sel = np.hypot(X - cx, Y - cy) <= _float(d["radius"])
-        out[sel] = _float(d["value"])
+        out[np.hypot(X - cx, Y - cy) <= _float(d["radius"])] = _float(
+            d["value"])
         return out
     if "csv" in spec:
         arr = read_field_csv(os.path.join(base_dir, spec["csv"]))
@@ -488,7 +494,9 @@ def load_grid_scenario(path, lam=None, n=None, data=None):
     gives 'n', or 'nx' and 'ny', never both.  A 'calls' scenario's problem
     is built with q = 0, so that f, K and lambda are checked on the whole
     grid, and response_cost then adds the travel-time mix into its q; it
-    places every call on the grid before the first eikonal solve.
+    places every call on the grid before the first eikonal solve, and
+    a mix that overflows somewhere is refused.  A constant field stays one
+    number (see GridProblem).
     """
     data = _read(path, data)
     try:
@@ -547,12 +555,16 @@ def load_grid_scenario(path, lam=None, n=None, data=None):
 
     calls = _call_spec(path, doc["calls"]) if "calls" in doc else None
     problem = GridProblem(grid=grid, f=field("f", 1.0), K=field("K", 0.0),
-                          q=field("q") if calls is None else 0.0, lam=lam)
+                          q=(field("q") if calls is None
+                             else np.zeros((grid.ny, grid.nx))), lam=lam)
     if calls is not None:
         try:
             response_cost(grid, problem.f, calls, problem.q)
         except ValueError as exc:  # a call outside the grid
             raise FormatError("%s: 'calls': %s" % (path, exc)) from None
+        if not np.isfinite(problem.q).all():  # h / f past float range
+            raise FormatError("%s: 'calls': the travel-time mix is not "
+                              "finite at every grid point" % path)
     return problem
 
 

@@ -2,7 +2,10 @@
  *
  * march() is randterm.grid.march, twin of the Python grid._march.  It runs
  * the update of fmm_solve (grid.quadrant_update) or, when eikonal is set,
- * that of eikonal_solve (grid.travel_update, which reads f only).
+ * that of eikonal_solve (grid.travel_update, which reads f only).  It reads
+ * the fields f, K, q and lam at point n through their steps fs, Ks, qs and
+ * ls, as f[n * fs]: a step of 1 for a field of nx * ny values, and of 0 for
+ * a constant field held as its one value.
  *
  * settle() is the label-setting loop of randterm.graph._label_setting, on
  * the same (key, index) heap.  label() runs it once, for dijkstra_solve,
@@ -123,8 +126,9 @@ static double travel(double a, double b, double s)
 
 int64_t march(int64_t nx, int64_t ny, double *V, const int64_t *seeds,
               int64_t nseeds, const uint8_t *blocked, int64_t *order,
-              int eikonal, double h, const double *f, const double *K,
-              const double *q, const double *lam)
+              int eikonal, double h, const double *f, int64_t fs,
+              const double *K, int64_t Ks, const double *q, int64_t qs,
+              const double *lam, int64_t ls)
 {
     int64_t pushes = nseeds, accepted = 0, rc = -1;
     uint8_t *state = calloc(nx * ny, 1); /* 0 far, 1 considered, 2 accepted */
@@ -153,8 +157,9 @@ int64_t march(int64_t nx, int64_t ny, double *V, const int64_t *seeds,
             double vo = INFINITY;
             if (nb[k].lo && state[n - s] == 2) vo = V[n - s];
             if (nb[k].hi && state[n + s] == 2 && V[n + s] < vo) vo = V[n + s];
-            double cand = eikonal ? travel(e.v, vo, h / f[n])
-                                  : quadrant(e.v, vo, K[n], q[n], f[n], lam[n], h);
+            double cand = eikonal ? travel(e.v, vo, h / f[n * fs])
+                                  : quadrant(e.v, vo, K[n * Ks], q[n * qs],
+                                             f[n * fs], lam[n * ls], h);
             if (cand < V[n]) V[n] = cand;
             else if (state[n]) continue;
             state[n] = 1;

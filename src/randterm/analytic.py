@@ -41,7 +41,7 @@ class RadialCase:
 
     def problem(self, grid):
         """The case on grid: unit speed, q = |x| and K = 0 (trivial) or |x|
-        (circular), K and q each their own array."""
+        (circular); GridProblem gives K and q each their own array."""
         R = np.hypot(*grid.axes())
         K = 0.0 if self.case == "trivial" else R
         return GridProblem(grid=grid, f=1.0, K=K, q=R, lam=self.lam)

@@ -110,10 +110,11 @@ class GridProblem:
 
     Each field is kept at its information size: a number becomes a
     read-only (ny, nx) view of that one float (stride 0), a float64 array
-    of the grid's shape is kept as given, not copied, and anything else is
-    copied into a new float64 grid.  A writable array given for two fields
-    (or overlapping one given before it) is copied, so that no two
-    writable fields share memory."""
+    of the grid's shape is kept as given, not copied, as GraphProblem keeps
+    its arrays, and anything else is copied into a new float64 grid.  An
+    array that may share memory with a writable field before it (the same
+    array given for K and q, say) is copied, so that no two writable
+    fields share memory."""
 
     grid: Grid2D
     f: np.ndarray
@@ -130,7 +131,7 @@ class GridProblem:
                     and a.dtype == np.float64):
                 a = np.asarray(a, float)
                 a = (np.broadcast_to(a, shape) if a.ndim == 0
-                     else np.full(shape, a, float))
+                     else np.full(shape, a))
             elif any(np.may_share_memory(a, b) for b in kept):
                 a = a.copy()
             if a.flags.writeable:

@@ -469,8 +469,8 @@ def _build_field(spec, grid, base_dir):
         d = spec["disk"]
         out = np.full(shape, _float(d.get("default", 0.0)))
         cx, cy = map(_float, d["center"])
-        out[np.hypot(X - cx, Y - cy) <= _float(d["radius"])] = _float(
-            d["value"])
+        sel = np.hypot(X - cx, Y - cy) <= _float(d["radius"])
+        out[sel] = _float(d["value"])
         return out
     if "csv" in spec:
         arr = read_field_csv(os.path.join(base_dir, spec["csv"]))

@@ -83,7 +83,7 @@ class TestRunGraph:
         (["run-graph", "idle_ring.txt", "--solver", "dial"],
          "0cd3c0f34d0ab988"),
         (["run-grid", "radial_trivial.json", "--grid", "21x21", "--emit",
-          "mask"], "26dc96ed2c6c4fbc"),
+          "mask"], "b8e72d6faead0fb3"),
     ])
     def test_config_hash_pinned(self, tmp_path, argv, config_hash):
         # the sha256 of the scenario file's bytes and of the flags
@@ -427,6 +427,24 @@ class TestRunGrid:
                  for a, b in (("mask", "value"), ("value", "mask"))]):
             assert len({config_hash(*flags) for flags in spellings}) == 1
         assert config_hash("--grid", "21") != config_hash("--grid", "23")
+        # radial_trivial.json's own n and lambda, given or not
+        assert (config_hash() == config_hash("--grid", "101")
+                == config_hash("--lambda", "0.5")
+                == config_hash("--grid", "101", "--lambda", "0.50"))
+        assert config_hash() != config_hash("--lambda", "0.25")
+
+    def test_overflowing_travel_time_exit_2(self, tmp_path, capsys):
+        # h / f = inf made q = +inf, read as masked: V = inf but at the call
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({
+            "grid": {"extent": [0, 1, 0, 1], "n": 11}, "lambda": 1.0,
+            "f": 1e-310, "calls": [{"location": [0.5, 0.5], "prob": 1.0}]}))
+        out = tmp_path / "out"
+        assert run("run-grid", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: %s: 'calls': the travel-time mix is not finite at every "
+            "grid point\n" % path)
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["21", "21x21", "021x21"])
     def test_grid_values(self, tmp_path, value):

@@ -362,6 +362,89 @@ class TestCompiledMarch:
         self.check(random_problem(np.random.default_rng(seed), nx, ny))
 
 
+class TestFieldStorage:
+    """A constant field is one read-only float, an array of the grid's shape
+    is kept as given, and neither changes a bit of a solve."""
+
+    @staticmethod
+    def problems():
+        """Problems with a constant f and lambda, in pairs: as numbers, and
+        as full arrays of the same values."""
+        rng = np.random.default_rng(11)
+        g = grid.Grid2D(nx=37, ny=29, h=0.08)
+        q = np.round(rng.uniform(0.0, 3.0, (29, 37)), 1)
+        q[rng.random((29, 37)) < 0.1] = math.inf
+        K = rng.uniform(0.0, 2.0, (29, 37))
+        radial = RadialCase("circular", 0.5).problem(radial_grid(61))
+        for g, K, q, f, lam in ((g, K, q, 0.7, 1.3),
+                                (radial.grid, radial.K, radial.q, 1.0, 0.5)):
+            shape = (g.ny, g.nx)
+            yield [grid.GridProblem(grid=g, f=f1, K=K, q=q, lam=lam1)
+                   for f1, lam1 in ((f, lam), (np.full(shape, f),
+                                               np.full(shape, lam)))]
+
+    def test_numbers_and_arrays_solve_alike(self):
+        for numbers, arrays in self.problems():
+            assert numbers.f.strides == numbers.lam.strides == (0, 0)
+            assert arrays.f.strides != (0, 0)
+            runs = [*both_paths(lambda: grid.fmm_solve(numbers)),
+                    *both_paths(lambda: grid.fmm_solve(arrays))]
+            for sol in runs[1:]:
+                assert bit_equal(sol.V, runs[0].V)
+                assert np.array_equal(sol.order, runs[0].order)
+                assert sol.heap_operations == runs[0].heap_operations
+            times = [*both_paths(lambda: eikonal_solve(numbers.grid,
+                                                       numbers.f, (2, 3))),
+                     *both_paths(lambda: eikonal_solve(arrays.grid,
+                                                       arrays.f, (2, 3)))]
+            for u in times[1:]:
+                assert bit_equal(u, times[0])
+
+    def test_constant_is_read_only(self):
+        pb = grid.GridProblem(grid=grid.Grid2D(nx=5, ny=4, h=1.0), f=2.0,
+                              K=0.0, q=1.0, lam=0.5)
+        for field in (pb.f, pb.K, pb.q, pb.lam):
+            assert field.shape == (4, 5) and field.strides == (0, 0)
+            with pytest.raises(ValueError, match="read-only"):
+                field[1, 2] = 3.0
+        assert pb.f[3, 4] == 2.0 and pb.lam[0, 0] == 0.5
+
+    def test_array_kept_without_a_copy(self):
+        g = grid.Grid2D(nx=5, ny=4, h=1.0)
+        f, K, q = (np.full((4, 5), v) for v in (1.0, 2.0, 3.0))
+        lam = np.full((4, 5), 1)  # ints: copied into a new float64 grid
+        pb = grid.GridProblem(grid=g, f=f, K=K, q=q, lam=lam)
+        assert pb.f is f and pb.K is K and pb.q is q
+        assert pb.lam.dtype == np.float64 and not np.shares_memory(pb.lam,
+                                                                   lam)
+
+    def test_no_two_writable_fields_alias(self):
+        # the circular case gives K and q the same radii
+        pb = RadialCase("circular", 0.5).problem(radial_grid(21))
+        assert np.array_equal(pb.K, pb.q) and not np.shares_memory(pb.K, pb.q)
+        a = np.full((4, 5), 2.0)
+        pb = grid.GridProblem(grid=grid.Grid2D(nx=5, ny=4, h=1.0), f=a,
+                              K=a, q=a[::-1], lam=a)
+        fields = (pb.f, pb.K, pb.q, pb.lam)
+        assert pb.f is a and all(x.flags.writeable for x in fields)
+        assert not any(np.shares_memory(x, y) for k, x in enumerate(fields)
+                       for y in fields[k + 1:])
+
+    def test_motionless_in_blocks(self):
+        # more cells than a block, V on, near and off q, and a constant q
+        rng = np.random.default_rng(2)
+        q = rng.uniform(-5.0, 5.0, (300, 301))
+        q[rng.random(q.shape) < 0.05] = math.inf
+        step = rng.choice([0.0, 1e-13, -4e-12, 1e-3], q.shape)
+        for q in (q, np.broadcast_to(2.5, q.shape)):
+            with np.errstate(invalid="ignore"):
+                V = q + step
+            with np.errstate(invalid="ignore", over="ignore"):
+                whole = (V == q) | (np.isfinite(q) & (
+                    np.abs(V - q) <= 1e-12 * np.maximum(1.0, abs(q))))
+            assert np.array_equal(graph.motionless(V, q), whole)
+
+
 class TestKernelLoading:
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tracemalloc
 import types
@@ -702,6 +703,58 @@ class TestGridScenario:
         monkeypatch.setattr(GridProblem, "__post_init__", spy)
         pb = io.load_grid_scenario(scenario(name))
         assert len(built) == 1 and built[0] is pb
+
+    def test_fields_at_their_information_size(self):
+        # radial_circular: f and lambda constants, K and q the radii, each
+        # its own writable grid; a calls scenario's q one writable grid
+        pb = io.load_grid_scenario(scenario("radial_circular.json"))
+        assert pb.f.strides == pb.lam.strides == (0, 0)
+        assert pb.K.flags.writeable and pb.q.flags.writeable
+        assert not np.shares_memory(pb.K, pb.q)
+        pb = io.load_grid_scenario(scenario("slow_disk.json"))
+        assert pb.K.strides == pb.lam.strides == (0, 0)
+        assert pb.q.flags.writeable and pb.q.strides == (8 * pb.grid.nx, 8)
+
+    def test_overflowing_travel_time_refused(self, tmp_path):
+        # h / f = inf: every travel time but the call's overflows
+        doc = {"grid": {"extent": [0, 1, 0, 1], "n": 11}, "lambda": 1.0,
+               "f": 1e-310, "calls": [{"location": [0.5, 0.5], "prob": 1.0}]}
+        f = tmp_path / "slow.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(io.FormatError, match="^%s: 'calls': .* not "
+                           "finite" % re.escape(str(f))):
+            io.load_grid_scenario(str(f))
+
+    # One float grid of the 801^2 radial case is 8 * 801^2 bytes (5.1 MB).
+    # load_grid_scenario keeps K and q, two grids, and peaked at 2.8 grids
+    # (7.7 when f and lambda were full grids and fields were meshgrid-built);
+    # fmm_solve peaked at 2.6 grids above its entry, V, the acceptance order
+    # and bool temporaries (5.4 when the motionless set was found at once).
+    GRID_BYTES = 8 * 801 ** 2
+
+    @staticmethod
+    def traced(run):
+        """(peak, kept) bytes that run() allocates, by tracemalloc."""
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            run()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - entry, kept - entry
+
+    def test_radial_801_load_memory(self):
+        peak, kept = self.traced(lambda: io.load_grid_scenario(
+            scenario("radial_circular.json"), None, 801))
+        assert peak < 3 * self.GRID_BYTES
+        assert kept < 2.1 * self.GRID_BYTES
+
+    @pytest.mark.usefixtures("compiled_march")
+    def test_radial_801_fmm_memory(self):
+        pb = io.load_grid_scenario(scenario("radial_circular.json"), None, 801)
+        peak, _ = self.traced(lambda: fmm_solve(pb))
+        assert peak < 3 * self.GRID_BYTES
 
     def test_maze_scenario(self):
         pb = io.load_grid_scenario(scenario("maze.json"))

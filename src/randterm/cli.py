@@ -53,7 +53,7 @@ def _run(args, scenario, flags, solve, write, **keys):
 
 def cmd_run_graph(args):
     scenario = hashlib.sha256()
-    problem = io.load_scenario(args.scenario, args.p, scenario)
+    problem = io.load_graph(args.scenario, args.p, scenario)
     if args.p is not None:
         problem.p[:] = args.p
     # the label-setting solvers check A1-A3 themselves (ValueError, exit 2);
@@ -107,10 +107,8 @@ def cmd_run_grid(args):
     # before the load, so a typo costs no solve
     kinds = _parse_emit(args.emit or ["value"])
     n = None if args.grid is None else _grid_size(args.grid)
-    with open(args.scenario, "rb") as fh:
-        data = fh.read()
-    problem = io.load_grid_scenario(args.scenario, args.lam, n, data)
-    scenario = hashlib.sha256(data)
+    scenario = hashlib.sha256()
+    problem = io.load_grid_scenario(args.scenario, args.lam, n, scenario)
     for kind, start in kinds:
         if kind == "trajectory":
             problem.grid.nearest_index(start)  # ValueError outside the grid

@@ -21,7 +21,7 @@ by the compiled scanner scan.c (see native), which accepts a strict subset
 of this format, or else by a Python loop; the two read the same arrays.
 scan.c reads the bytes in one pass, each line's numbers where they stand
 and as float() reads them (see scan.c for how), into arrays sized by the
-file's byte count (see _scan).  load_scenario takes either kind of file: a
+file's byte count (see _scan).  load_graph takes either kind of file: a
 file that scan.c reads under the graph grammar, which has no 'lambda'
 line, is a graph file, and only the others are searched for one.
 
@@ -89,11 +89,13 @@ def _out_of_range(path, lineno, key, i, j):
     return FormatError("%s:%d: %s out of range" % (path, lineno, what))
 
 
-def _read(path, data):
-    """data, or the bytes of the file at path when data is None."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+def _read(path, sha256=None):
+    """The bytes of the file at path; sha256, a hashlib object, is updated
+    with them when given."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if sha256 is not None:
+        sha256.update(data)
     return data
 
 
@@ -206,22 +208,16 @@ _GRAPH = ("p", "q", (4, 5))
 _IDLE = ("lambda", "call", (4,))
 
 
-def _rows(path, data, grammar):
-    """What _parse returns for the file's bytes data: from scan.c where it
-    reads them, else from _parse."""
-    return _scan(data, *grammar) or _parse(path, data, *grammar)
-
-
 def _read_lines(path, scanned, point):
-    """The arrays of a graph or idle file from what _rows returns for it,
-    for lines `nodes M`, `<scalar> V`, `<point> I V` and `edge I J X [Y]`.
-    Returns M, the last scalar (or None), the points' (indices, values), the
-    edges' (src, dst, X, Y, no Y given, line number) in file order and then
-    a self-loop (X = 0, no Y, line 0) at every node, and rows: their stable
-    (i, j) order, each pair once.  FormatError names the line of a repeated
-    edge or an index outside [0, M), or says that the nodes line is
-    missing; _parse has refused malformed lines and node counts outside
-    [1, MAX_NODES]."""
+    """The arrays of a graph or idle file from what _scan, else _parse,
+    returns for it, for lines `nodes M`, `<scalar> V`, `<point> I V` and
+    `edge I J X [Y]`.  Returns M, the last scalar (or None), the points'
+    (indices, values), the edges' (src, dst, X, Y, no Y given, line number)
+    in file order and then a self-loop (X = 0, no Y, line 0) at every node,
+    and rows: their stable (i, j) order, each pair once.  FormatError names
+    the line of a repeated edge or an index outside [0, M), or says that the
+    nodes line is missing; _parse has refused malformed lines and node
+    counts outside [1, MAX_NODES]."""
     M, value, lines, src, dst, x, y, size = scanned
     edge, loops = size != 3, np.arange(M or 0)
     es, ed = np.append(src[edge], loops), np.append(dst[edge], loops)
@@ -244,25 +240,15 @@ def _read_lines(path, scanned, point):
     return M, value, (src[~edge], x[~edge]), edges, np.delete(order, again)
 
 
-def load_graph(path, default_p=None):
-    """Parse a graph scenario file into a GraphProblem: each row's edges
-    sorted by j, the implicit self-loops among them.  A 'p' line replaces
-    default_p."""
-    return _graph(path, _rows(path, _read(path, None), _GRAPH), default_p)
-
-
-def load_scenario(path, default_p, sha256):
-    """The problem of a graph or idle scenario file (see is_idle_scenario):
-    load_graph's GraphProblem, or idle.build_problem of load_idle's
-    IdleScenario.  default_p is the default p of a graph file; FormatError
-    when it is given with an idle file, whose p come from lambda.  sha256, a
-    hashlib object, is updated with the file's bytes, which are read once
-    and dropped once scanned, before the problem's arrays are built.  The
-    graph grammar of scan.c has no 'lambda' line, so a file that scan.c
-    reads under it is a graph file, and only the others are searched for
-    one."""
-    data = _read(path, None)
-    sha256.update(data)
+def load_graph(path, default_p=None, sha256=None):
+    """The problem of a graph or idle scenario file: a graph file's
+    GraphProblem, each row's edges sorted by j, the implicit self-loops
+    among them, or idle.build_problem of load_idle's IdleScenario.
+    default_p is the p of a graph file's edges without one, replaced by the
+    file's 'p' line; FormatError when it is given with an idle file, whose p
+    come from lambda.  sha256 as for _read.  The bytes are read once and
+    dropped once scanned, before the problem's arrays are built."""
+    data = _read(path, sha256)
     scanned = _scan(data, *_GRAPH)
     if scanned is None:
         if is_idle_scenario(path, data):
@@ -272,14 +258,6 @@ def load_scenario(path, default_p, sha256):
             return idle.build_problem(load_idle(path, data))
         scanned = _parse(path, data, *_GRAPH)
     del data
-    return _graph(path, scanned, default_p)
-
-
-def _graph(path, scanned, default_p):
-    """The GraphProblem of what _rows returns for a graph file: _assemble's,
-    else the one that _read_lines and _graph_problem, its Python twin,
-    build, naming the fault of each file that assemble() refuses.  The
-    file's p line, where it has one, replaces default_p for both."""
     default_p = default_p if scanned[1] is None else scanned[1]
     return (_assemble(scanned, default_p)
             or _graph_problem(path, _read_lines(path, scanned, "q"),
@@ -287,8 +265,8 @@ def _graph(path, scanned, default_p):
 
 
 def _assemble(scanned, default_p):
-    """The GraphProblem of what _rows returns for a graph file, with
-    default_p the p of edges without one (None: no default), from
+    """The GraphProblem of what _scan or _parse returns for a graph file,
+    with default_p the p of edges without one (None: no default), from
     assemble() of scan.c in one pass over the rows; None when the native
     library is unavailable or assemble() refuses the file (see scan.c).
     The edge arrays, sized for the rows and a loop a node, are then shrunk
@@ -331,8 +309,9 @@ def _graph_problem(path, lines, default_p):
 def load_idle(path, data=None):
     """Parse an idle-time scenario file into an IdleScenario.  data, when
     given, is the file's bytes, so that the file is not read again."""
+    data = _read(path) if data is None else data
     M, lam, (calls, probs), (src, dst, tau, *_), rows = _read_lines(
-        path, _rows(path, _read(path, data), _IDLE), "call")
+        path, _scan(data, *_IDLE) or _parse(path, data, *_IDLE), "call")
     if lam is None or not calls.size:
         raise FormatError("%s: needs 'lambda' and 'call' lines" % path)
     return IdleScenario(node_count=M, src=src[rows], dst=dst[rows],
@@ -344,7 +323,7 @@ def is_idle_scenario(path, data=None):
     """True when the file has a 'lambda' line, its lines split as universal
     newlines split them; the search stops at the first.  data as for
     load_idle."""
-    data = _read(path, data)
+    data = _read(path) if data is None else data
     return b"lambda" in data and any(
         line.split("#", 1)[0].split()[:1] == ["lambda"]
         for line in TextIOWrapper(BytesIO(data), errors="surrogateescape"))
@@ -486,11 +465,11 @@ _MALFORMED = (ArithmeticError, AttributeError, LookupError, TypeError,
               ValueError, csv.Error)
 
 
-def load_grid_scenario(path, lam=None, n=None, data=None):
+def load_grid_scenario(path, lam=None, n=None, sha256=None):
     """Parse a JSON grid scenario into a GridProblem, built once.
 
     lam and n override the file's termination rate and per-axis point count
-    (the latter only for square grids); data as for load_idle.  The grid
+    (the latter only for square grids); sha256 as for _read.  The grid
     gives 'n', or 'nx' and 'ny', never both.  A 'calls' scenario's problem
     is built with q = 0, so that f, K and lambda are checked on the whole
     grid, and response_cost then adds the travel-time mix into its q; it
@@ -498,7 +477,7 @@ def load_grid_scenario(path, lam=None, n=None, data=None):
     a mix that overflows somewhere is refused.  A constant field stays one
     number (see GridProblem).
     """
-    data = _read(path, data)
+    data = _read(path, sha256)
     try:
         doc = json.load(_text(data))
     except UnicodeDecodeError:

@@ -118,7 +118,8 @@ def read_lines(path):
     grammar = io._IDLE if io.is_idle_scenario(path, data) else io._GRAPH
     try:
         M, value, points, edges, rows = io._read_lines(
-            path, io._rows(path, data, grammar), grammar[1])
+            path, io._scan(data, *grammar) or io._parse(path, data, *grammar),
+            grammar[1])
     except io.FormatError as exc:
         return str(exc)
     return repr((M, value)), [(a.dtype.str, a.tobytes())

@@ -357,11 +357,13 @@ class TestRunGrid:
         assert Vb.mean() > Va.mean()  # corners are motionless either way
 
     def test_scenario_read_once(self, tmp_path, opened):
-        # the config hash and the problem come from the same bytes
-        path = scenario("radial_trivial.json")
-        assert run("run-grid", path, "--grid", "21x21",
-                   "--out", str(tmp_path)) == 0
-        assert opened.count(path) == 1
+        # the config hash and the problem come from the same bytes, which
+        # the loader reads, for a field scenario and for a calls scenario
+        for name in ("radial_trivial.json", "slow_disk.json"):
+            path = scenario(name)
+            assert run("run-grid", path, "--grid", "21x21",
+                       "--out", str(tmp_path / name)) == 0
+            assert opened.count(path) == 1
 
     def test_sweep_solver_agrees_with_fmm(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

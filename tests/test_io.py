@@ -191,7 +191,7 @@ class TestIdleDetection:
 
 
 class TestScenarioLoad:
-    """load_scenario reads a graph or idle file once: it hashes the bytes,
+    """load_graph reads a graph or idle file once: it hashes the bytes,
     searches them for a lambda line only when scan.c refuses them under the
     graph grammar, and keeps no reference to them once they are scanned."""
 
@@ -205,7 +205,7 @@ class TestScenarioLoad:
 
     @staticmethod
     def load(path, default_p=None):
-        return io.load_scenario(path, default_p, hashlib.sha256())
+        return io.load_graph(path, default_p, hashlib.sha256())
 
     @staticmethod
     def same(a, b):
@@ -216,9 +216,8 @@ class TestScenarioLoad:
 
     @pytest.mark.usefixtures("compiled_march")
     def test_scanned_graph_file_is_not_searched(self, searches):
-        path = scenario("three_node_chain.txt")
-        pb = self.load(path, 0.1)
-        assert self.same(pb, io.load_graph(path, 0.1)) and searches == []
+        pb = self.load(scenario("three_node_chain.txt"), 0.1)
+        assert pb.q.tolist() == [1.0, 10.0, 0.0] and searches == []
 
     @pytest.mark.parametrize("text", ["nodes 2\r\nq 0 1.5\r\n",
                                       "nodes 2\nq 0 nan\n"])
@@ -230,14 +229,23 @@ class TestScenarioLoad:
 
     def test_idle_file_gives_its_problem(self, searches):
         path = scenario("idle_ring.txt")
-        compiled, python = both_paths(lambda: self.load(path))
-        for pb in compiled, python:
-            assert self.same(pb, idle.build_problem(io.load_idle(path)))
+        compiled, python = both_paths(lambda: (
+            io.load_graph(path), idle.build_problem(io.load_idle(path))))
+        for pb, expected in compiled, python:
+            assert self.same(pb, expected)
         assert searches == [path, path]
 
-    def test_load_graph_refuses_an_idle_file(self):
-        with pytest.raises(io.FormatError):
-            io.load_graph(scenario("idle_ring.txt"))
+    def test_idle_file_refuses_a_default_p(self):
+        path = scenario("idle_ring.txt")
+
+        def message():
+            with pytest.raises(io.FormatError) as err:
+                io.load_graph(path, 0.3)
+            return str(err.value)
+
+        assert both_paths(message) == (
+            "%s: an idle file takes p from 'lambda'; a default p (--p) does "
+            "not apply" % path,) * 2
 
     def test_no_library_searches_every_file(self, monkeypatch, searches):
         monkeypatch.setattr(native, "library", lambda: None)
@@ -245,11 +253,23 @@ class TestScenarioLoad:
         assert searches == [scenario("three_node_chain.txt")]
 
     def test_sha256_of_the_bytes(self):
-        path = scenario("three_node_chain.txt")
-        h = hashlib.sha256()
-        io.load_scenario(path, 0.1, h)
-        with open(path, "rb") as fh:
-            assert h.hexdigest() == hashlib.sha256(fh.read()).hexdigest()
+        # each loader hashes the bytes it reads, on both paths
+        loads = {"three_node_chain.txt": lambda path, h:
+                 io.load_graph(path, 0.1, h),
+                 "idle_ring.txt": lambda path, h: io.load_graph(path, None, h),
+                 "slow_disk.json": lambda path, h:
+                 io.load_grid_scenario(path, None, 21, h)}
+        for name, load in loads.items():
+            path = scenario(name)
+            with open(path, "rb") as fh:
+                expected = hashlib.sha256(fh.read()).hexdigest()
+
+            def digest():
+                h = hashlib.sha256()
+                load(path, h)
+                return h.hexdigest()
+
+            assert both_paths(digest) == (expected, expected)
 
     def test_bytes_freed_once_scanned(self, tmp_path, monkeypatch):
         # no frame of run-graph holds the file's bytes while the arrays are
@@ -280,8 +300,10 @@ def twin_and_pass(text, default_p):
     twin, and io._assemble, the compiled pass, make of a graph file's rows,
     as problem_bytes compares them; the twin's FormatError message, and the
     pass's None when it refuses the file.  Both get the one default p that
-    io._graph chooses: the file's p line, else default_p."""
-    scanned = io._rows("g.txt", text.encode(), io._GRAPH)
+    io.load_graph chooses: the file's p line, else default_p."""
+    data = text.encode()
+    scanned = io._scan(data, *io._GRAPH) or io._parse("g.txt", data,
+                                                      *io._GRAPH)
     default_p = default_p if scanned[1] is None else scanned[1]
     try:
         twin = problem_bytes(io._graph_problem(
@@ -561,14 +583,10 @@ class TestScanner:
         # once, refuses the file past the capacity of its arrays, and the
         # Python loop reads it
         text = "nodes 3\n" + "q 1 5\nq 2 0\nq 0 -0\n" * 5000
-        M, value, *arrays = io._rows("g.txt", text.encode(), io._GRAPH)
-        assert caps == [len(text) // io._ROW_BYTES + 1]
         assert scan(text) is None
-        M_py, value_py, *arrays_py = io._parse("g.txt", text.encode(),
-                                              *io._GRAPH)
-        assert (M, value) == (M_py, value_py) == (3, None)
-        assert [(a.dtype, a.tobytes()) for a in arrays] == \
-            [(a.dtype, a.tobytes()) for a in arrays_py]
+        assert caps == [len(text) // io._ROW_BYTES + 1]
+        M, value, lines, *_ = io._parse("g.txt", text.encode(), *io._GRAPH)
+        assert (M, value, lines.size) == (3, None, 15000)
 
     @pytest.mark.parametrize("text, read", [
         ("nodes 2\nq 0 1.5#c\nq 1\t-2e3\t# tab\n", True),

@@ -110,8 +110,8 @@ def cmd_run_grid(args):
     scenario = hashlib.sha256()
     problem = io.load_grid_scenario(args.scenario, args.lam, n, scenario)
     for kind, start in kinds:
-        if kind == "trajectory":
-            problem.grid.nearest_index(start)  # ValueError outside the grid
+        if kind == "trajectory":  # ValueError outside the grid or masked
+            trajectory.start_index(problem, start)
     solvers = {"fmm": grid.fmm_solve,
                "sweep": lambda pb: grid.sweep_oracle(pb, tol=args.tol)}
 

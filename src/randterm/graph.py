@@ -50,18 +50,11 @@ class GraphProblem:
                                   for a in (self.K, self.p, self.q))
 
     @classmethod
-    def from_dicts(cls, adjacency, K, q, p):
-        """Problem of out-neighbour lists (rows keep their order) and dicts
-        keyed by edge (i, j): KeyError for an edge without a K, nan for one
-        without a p (which validate reports)."""
-        keys = [(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs]
-        return cls(len(adjacency), np.cumsum([0] + list(map(len, adjacency))),
-                   [j for _, j in keys], [K[e] for e in keys],
-                   [p.get(e, math.nan) for e in keys], q)
-
-    @classmethod
     def from_edges(cls, node_count, src, dst, K, p, q):
-        """Problem of edges listed row by row (src nondecreasing)."""
+        """Problem of edges listed row by row (src nondecreasing, in range)."""
+        if len(src) and (src[0] < 0 or src[-1] >= node_count
+                         or np.any(np.diff(src) < 0)):
+            raise ValueError("src must be nondecreasing in [0, %d)" % node_count)
         counts = np.bincount(src, minlength=node_count)
         return cls(node_count=node_count, indptr=np.append(0, np.cumsum(counts)),
                    dst=dst, K=K, p=p, q=q)
@@ -183,31 +176,29 @@ def normalize_self_costs(problem):
                         K, problem.p.copy(), q)
 
 
-def from_infinite_horizon(Ktilde, adjacency, alpha):
+def from_infinite_horizon(indptr, dst, Ktilde, alpha):
     """The randomly-terminated problem whose V solves the discounted one,
-    V_i = min_j { Ktilde_ij + alpha V_j } with alpha in (0, 1): K = Ktilde,
-    q = 0 and p = 1 - alpha (adjacency and Ktilde as in from_dicts) through
-    normalize_self_costs, so q_i = Ktilde_ii / p, K_ij = Ktilde_ij - Ktilde_jj.
-    """
+    V_i = min_j { Ktilde_ij + alpha V_j } with alpha in (0, 1), over the CSR
+    rows indptr, dst and Ktilde (ValueError unless they fit, see _rows):
+    K = Ktilde, q = 0 and p = 1 - alpha through normalize_self_costs, so
+    q_i = Ktilde_ii / p and K_ij = Ktilde_ij - Ktilde_jj."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0,1)")
-    edges = ((i, j) for i, nbrs in enumerate(adjacency) for j in nbrs)
-    return normalize_self_costs(GraphProblem.from_dicts(
-        adjacency, Ktilde, np.zeros(len(adjacency)),
-        dict.fromkeys(edges, 1.0 - alpha)))
+    indptr, dst, Ktilde, _, _ = _rows(indptr, dst, Ktilde, Ktilde, [])
+    n = indptr.size - 1
+    return normalize_self_costs(GraphProblem(
+        n, indptr, dst, Ktilde, np.full(dst.size, 1.0 - alpha), np.zeros(n)))
 
 
 def to_infinite_horizon(problem):
     """The discounted problem of a randomly-terminated one with a uniform p,
-    as (Ktilde, alpha): Ktilde_ij = K_ij + p q_j on every edge, a dict keyed
-    by edge (i, j), and alpha = 1 - p.  Its equation
+    as (Ktilde, alpha): Ktilde_ij = K_ij + p q_j, one float per edge in the
+    problem's edge order, and alpha = 1 - p.  Its equation
     V_i = min_j { Ktilde_ij + alpha V_j } is the problem's own."""
     p = problem.uniform_p()
     if p is None:
         raise ValueError("conversion requires a uniform p")
-    Ktilde = problem.K + p * problem.q[problem.dst]
-    edges = zip(problem.src.tolist(), problem.dst.tolist())
-    return dict(zip(edges, Ktilde.tolist())), 1.0 - p
+    return _terms(problem)[0], 1.0 - p
 
 
 def check_tol(tol):
@@ -314,8 +305,8 @@ def _rows(indptr, dst, const, surv, seeds):
             or not indptr[-1] == dst.size == const.size == surv.size
             or not np.all((dst >= 0) & (dst < n))
             or not np.all((seeds >= 0) & (seeds < n))):
-        raise ValueError("label-setting arrays must form CSR rows over %d "
-                         "nodes and seeds lie in range" % max(n, 0))
+        raise ValueError("arrays must form CSR rows over %d nodes and "
+                         "seeds lie in range" % max(n, 0))
     return indptr, dst, const, surv, seeds
 
 

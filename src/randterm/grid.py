@@ -84,13 +84,9 @@ class Grid2D:
     def ys(self):
         return self.origin[1] + self.h * np.arange(self.ny)
 
-    def meshgrid(self):
-        """X, Y arrays of shape (ny, nx); fields are indexed [j, i]."""
-        return np.meshgrid(self.xs(), self.ys())
-
     def axes(self):
-        """x as a (1, nx) row and y as an (ny, 1) column: what meshgrid
-        gives, without its copies, once broadcast against each other."""
+        """x as a (1, nx) row and y as an (ny, 1) column: np.meshgrid of
+        xs() and ys(), without its copies, once broadcast together."""
         return self.xs()[None, :], self.ys()[:, None]
 
     def nearest_index(self, point):

@@ -138,12 +138,23 @@ class _Tiles:
         return None if best is None else best[2:]
 
 
+def start_index(problem, start):
+    """(j, i) of the grid point nearest to an (x, y) start; ValueError when
+    it lies outside the grid or on a masked point, where V is +inf."""
+    j, i = problem.grid.nearest_index(start)
+    if problem.mask((j, i)):
+        raise ValueError("trajectory start %r lies on a masked point"
+                         % (start,))
+    return j, i
+
+
 def trace(solution, problem, start, step=None):
     """Gradient-descent polyline from start to its motionless endpoint.
 
     Stops on entering the motionless set, or snaps straight to the nearest
     free-boundary point once within SNAP_CELLS * h of it.  Arclength per step
-    is at most h/2; ValueError unless a given step is positive and finite.
+    is at most h/2; ValueError unless a given step is positive and finite,
+    or for a start that start_index refuses.
     """
     grid = problem.grid
     h = grid.h
@@ -155,7 +166,7 @@ def trace(solution, problem, start, step=None):
     snap_dist = SNAP_CELLS * h
 
     x, y = float(start[0]), float(start[1])
-    j0, i0 = grid.nearest_index((x, y))
+    j0, i0 = start_index(problem, (x, y))
     v, gx, gy = tiles.sample(x, y)
     pts, vals = [(x, y)], [v]
     if solution.motionless[j0, i0]:

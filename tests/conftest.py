@@ -7,11 +7,16 @@ import pytest
 from randterm import grid, io, native
 from randterm.trajectory import SNAP_CELLS, TrajectoryPath, gradient_field
 from randterm.cli import random_graph_problem
-from randterm.graph import GraphProblem
+from randterm.graph import GraphProblem, sort_edges
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 JSON_SCENARIOS = ["maze.json", "radial_circular.json", "radial_trivial.json",
                   "slow_disk.json"]
+# 21 x 21 points on [-2, 2]^2, masked (q = +inf) over [0.8, 1.2]^2
+MASKED_RECT = {"grid": {"n": 21, "extent": [-2.0, 2.0, -2.0, 2.0]},
+               "lambda": 0.5, "f": 1.0, "K": 1.0,
+               "q": {"rects": {"default": 1.0, "rects": [
+                   {"x": [0.8, 1.2], "y": [0.8, 1.2], "value": math.inf}]}}}
 
 
 def scenario(name):
@@ -20,19 +25,14 @@ def scenario(name):
 
 def make_graph(q, edges, p, node_count=None):
     """Build a GraphProblem from terminal costs and (i, j, K) edges; self-loops
-    with K=0 are added automatically, p is uniform."""
+    with K=0 are added automatically, p is uniform.  Each row is sorted by j,
+    and of edges given twice the last K counts."""
     M = node_count or len(q)
-    adjacency = [[i] for i in range(M)]
-    K = {(i, i): 0.0 for i in range(M)}
-    pd = {(i, i): p for i in range(M)}
-    for i, j, kij in edges:
-        if j not in adjacency[i]:
-            adjacency[i].append(j)
-        K[(i, j)] = kij
-        pd[(i, j)] = p
-    for nbrs in adjacency:
-        nbrs.sort()
-    return GraphProblem.from_dicts(adjacency, K, np.asarray(q, float), pd)
+    src, dst, K = map(np.array, zip(*[(i, i, 0.0) for i in range(M)], *edges))
+    order, again = sort_edges(src, dst)
+    keep = np.delete(order, again - 1)  # the last of each run of equals
+    return GraphProblem.from_edges(M, src[keep], dst[keep], K[keep],
+                                   np.full(keep.size, p), q)
 
 
 def fig1b(p):

@@ -194,7 +194,7 @@ def test_criterion_7_property_suites():
     # grid obstacle bound and lambda-monotonicity / nesting, without and with
     # a wall (q = +inf) across the free boundary
     g = analytic.radial_grid(101)
-    X, Y = g.meshgrid()
+    X, Y = np.meshgrid(g.xs(), g.ys())
     wall = (np.abs(X - 1.0) <= 0.05) & (np.abs(Y) <= 1.0)
     eps = 1e-6 * 2 * math.sqrt(2.0)
     for name, masked in (("grid", False), ("masked grid", True)):

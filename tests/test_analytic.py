@@ -54,7 +54,7 @@ class TestExactValue:
         g = grid.Grid2D(nx=21, ny=21, h=0.2, origin=(-2.0, -2.0))
         case = analytic.RadialCase("circular", 2.0)
         F = analytic.exact_field(case, g)
-        X, Y = g.meshgrid()
+        X, Y = np.meshgrid(g.xs(), g.ys())
         assert F[7, 13] == pytest.approx(
             analytic.exact_value(case, (X[7, 13], Y[7, 13])), abs=1e-14)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from randterm import eikonal, graph, grid, io
 from randterm.cli import main, random_graph_problem
 
-from conftest import both_paths, read_lines, scenario
+from conftest import MASKED_RECT, both_paths, read_lines, scenario
 
 
 def run(*argv):
@@ -491,6 +491,21 @@ class TestRunGrid:
                    "--out", str(tmp_path)) == 2
         assert "outside the grid" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_masked_trajectory_start_exit_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("solve before the start was checked")
+
+        path = tmp_path / "masked.json"
+        path.write_text(json.dumps(MASKED_RECT))
+        monkeypatch.setattr(grid, "fmm_solve", unexpected)
+        out = tmp_path / "out"
+        assert run("run-grid", str(path), "--emit", "value", "--emit",
+                   "trajectory:1.0,1.0", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: trajectory start (1.0, 1.0) lies on a masked point\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc, key", [
         ({"lambda": 0.5, "q": 1.0}, "'grid'"),

@@ -36,7 +36,7 @@ class TestEikonalSolve:
         g = unit_grid(n=101)
         src = g.nearest_index((0.0, 0.0))
         u = eikonal.eikonal_solve(g, 1.0, src)
-        X, Y = g.meshgrid()
+        X, Y = np.meshgrid(g.xs(), g.ys())
         R = np.hypot(X, Y)
         err = np.abs(u - R)
         # first-order scheme; error on this grid is O(h) up to log factors

@@ -30,10 +30,11 @@ def drop_edge(pb, i, j):
 
 
 class TestGraphProblem:
-    def test_from_dicts_keeps_row_order(self):
-        pb = graph.GraphProblem.from_dicts(
-            [[1, 0], [], [2]], {(0, 1): 2.0, (0, 0): 0.0, (2, 2): 0.0},
-            [1.0, 2.0, 3.0], {(0, 1): 0.5, (0, 0): 0.25, (2, 2): 0.5})
+    def test_from_edges_rows(self):
+        # rows in the order given, a row without edges included
+        pb = graph.GraphProblem.from_edges(3, [0, 0, 2], [1, 0, 2],
+                                           [2.0, 0.0, 0.0], [0.5, 0.25, 0.5],
+                                           [1.0, 2.0, 3.0])
         assert pb.indptr.tolist() == [0, 2, 2, 3]
         assert pb.dst.tolist() == [1, 0, 2]
         assert pb.src.tolist() == [0, 0, 2]
@@ -42,13 +43,19 @@ class TestGraphProblem:
         assert pb.edge(0, 0) == 1 and pb.edge(2, 2) == 2
         assert pb.edge(1, 0) is None and pb.edge(0, 2) is None
 
-    def test_from_dicts_missing_entries(self):
-        with pytest.raises(KeyError):
-            graph.GraphProblem.from_dicts([[0, 1], [1]], {(0, 0): 0.0},
-                                          [0.0, 0.0], {})
-        pb = graph.GraphProblem.from_dicts([[0]], {(0, 0): 0.0}, [0.0], {})
-        assert math.isnan(pb.p[0])
-        assert graph.validate(pb) == ["p out of (0,1) on edge (0,0)"]
+    def test_from_edges_refuses_unsorted_or_outside_sources(self):
+        # edges (1,1) (0,0) (0,1) (1,0) with K 0, 0, 1, 1 would land as the
+        # rows (0,1,0) (0,0,0) | (1,1,1) (1,0,1): V = [1, 2], not [1, 0]
+        p, q = [0.5] * 4, [1.0, 0.0]
+        with pytest.raises(ValueError, match="nondecreasing"):
+            graph.GraphProblem.from_edges(2, [1, 0, 0, 1], [1, 0, 1, 0],
+                                          [0.0, 0.0, 1.0, 1.0], p, q)
+        pb = graph.GraphProblem.from_edges(2, [0, 0, 1, 1], [0, 1, 0, 1],
+                                           [0.0, 1.0, 1.0, 0.0], p, q)
+        assert graph.value_iteration(pb).V.tolist() == [1.0, 0.0]
+        for src in ([0, 0, 1, 5], [-1, 0, 1, 1]):
+            with pytest.raises(ValueError, match=r"in \[0, 2\)"):
+                graph.GraphProblem.from_edges(2, src, pb.dst, pb.K, p, q)
 
     def test_local_minima(self, random_problem):
         pb = random_problem
@@ -57,9 +64,8 @@ class TestGraphProblem:
                   if all(q[i] <= q[j] for j in dst[src == i])]
         assert pb.local_minima() == expect
         # no out-edges: vacuously minimal; a nan neighbour: not minimal
-        flat = graph.GraphProblem.from_dicts(
-            [[1], [], [0]], {(0, 1): 1.0, (2, 0): 1.0},
-            [1.0, math.nan, 0.0], {})
+        flat = graph.GraphProblem(3, [0, 1, 1, 2], [1, 0], [1.0, 1.0],
+                                  [0.5, 0.5], [1.0, math.nan, 0.0])
         assert flat.local_minima() == [1, 2]
 
     def test_uniform_p(self):
@@ -129,15 +135,13 @@ class TestValidate:
         assert any("A3" in m for m in graph.validate(pb))
 
     def test_all_violations_in_order(self):
-        # nodes first (A1 or A2), then per edge in adjacency order, A3
-        # before p, then q; row 1 is deliberately unsorted
-        K = {(0, 1): 1.0, (1, 2): -1.0, (1, 1): 3.0, (1, 0): math.nan,
-             (2, 0): 1.0, (2, 2): 0.0}
-        p = dict.fromkeys(K, 0.5)
-        p[(1, 0)] = 1.0
-        del p[(2, 0)]
-        pb = graph.GraphProblem.from_dicts([[1], [2, 1, 0], [0, 2]], K,
-                                           [0.0, 1.0, math.inf], p)
+        # nodes first (A1 or A2), then per edge in row order, A3
+        # before p, then q; row 1 is deliberately unsorted and edge (2,0)
+        # has no p
+        pb = graph.GraphProblem(
+            3, [0, 1, 4, 6], [1, 2, 1, 0, 0, 2],
+            [1.0, -1.0, 3.0, math.nan, 1.0, 0.0],
+            [0.5, 0.5, 0.5, 1.0, math.nan, 0.5], [0.0, 1.0, math.inf])
         assert math.isnan(pb.delta)
         assert graph.validate(pb) == [
             "A1 missing self-transition at node 0",
@@ -185,44 +189,48 @@ class TestNormalizeSelfCosts:
 
 
 class TestInfiniteHorizonConversion:
+    # two nodes, each row (i, 0) (i, 1)
+    indptr, dst = [0, 2, 4], [0, 1, 0, 1]
+
     def test_uniform_costs(self):
         # Ktilde_ii = c, Ktilde_ij = c + d, alpha = 0.5 -> q = 2c, K_ij = d
         c, d = 2.0, 1.5
-        adjacency = [[0, 1], [0, 1]]
-        Kt = {(0, 0): c, (1, 1): c, (0, 1): c + d, (1, 0): c + d}
-        pb = graph.from_infinite_horizon(Kt, adjacency, alpha=0.5)
+        pb = graph.from_infinite_horizon(self.indptr, self.dst,
+                                         [c, c + d, c + d, c], alpha=0.5)
         assert pb.uniform_p() == 0.5
         assert np.allclose(pb.q, 2 * c)
         assert pb.K[pb.edge(0, 1)] == pytest.approx(d)
 
     def test_diagonal_zero(self):
-        adjacency = [[0, 1], [0, 1]]
-        Kt = {(0, 0): 0.0, (1, 1): 0.0, (0, 1): 2.0, (1, 0): 3.0}
-        pb = graph.from_infinite_horizon(Kt, adjacency, alpha=0.5)
+        pb = graph.from_infinite_horizon(self.indptr, self.dst,
+                                         [0.0, 2.0, 3.0, 0.0], alpha=0.5)
         assert np.allclose(pb.q, 0.0)
         assert pb.K[pb.edge(0, 1)] == 2.0 and pb.K[pb.edge(1, 0)] == 3.0
 
     def test_round_trip(self):
-        adjacency = [[0, 1], [0, 1]]
-        Kt = {(0, 0): 1.0, (1, 1): 2.0, (0, 1): 4.0, (1, 0): 5.0}
-        pb = graph.from_infinite_horizon(Kt, adjacency, alpha=0.3)
+        Kt = [1.0, 4.0, 5.0, 2.0]
+        pb = graph.from_infinite_horizon(self.indptr, self.dst, Kt, alpha=0.3)
         back, alpha = graph.to_infinite_horizon(pb)
         assert alpha == pytest.approx(0.3)
-        for e, v in Kt.items():
-            assert back[e] == pytest.approx(v)
+        assert back == pytest.approx(Kt)
 
     def test_rejects_negative_cost(self):
-        adjacency = [[0, 1], [0, 1]]
-        Kt = {(0, 0): 0.0, (1, 1): 10.0, (0, 1): 0.1, (1, 0): 0.1}
         with pytest.raises(ValueError):
-            graph.from_infinite_horizon(Kt, adjacency, alpha=0.5)
+            graph.from_infinite_horizon(self.indptr, self.dst,
+                                        [0.0, 0.1, 0.1, 10.0], alpha=0.5)
+
+    @pytest.mark.parametrize("indptr, dst, Kt", [
+        ([0, 2], [0], [1.0]), ([0, 1], [0], [1.0, 2.0]),
+        ([0, 1, 2], [0, 5], [0.0, 0.0]), ([1, 2], [0], [0.0])])
+    def test_rejects_arrays_that_are_not_rows(self, indptr, dst, Kt):
+        with pytest.raises(ValueError, match="must form CSR rows over"):
+            graph.from_infinite_horizon(indptr, dst, Kt, alpha=0.5)
 
     @staticmethod
-    def discounted_values(Ktilde, node_count, alpha):
-        """V_i = min_j { Ktilde_ij + alpha V_j }, iterated from V = 0 until
-        it repeats: costs >= 0 make the iterates nondecreasing."""
-        src, dst = np.array(list(Ktilde)).T
-        cost = np.array(list(Ktilde.values()))
+    def discounted_values(src, dst, cost, node_count, alpha):
+        """V_i = min_j { cost_ij + alpha V_j } over the edges (src, dst),
+        iterated from V = 0 until it repeats: costs >= 0 make the iterates
+        nondecreasing."""
         V = np.zeros(node_count)
         for _ in range(100000):
             new = np.full(node_count, np.inf)
@@ -249,13 +257,11 @@ class TestInfiniteHorizonConversion:
             src, dst, alpha = pb.src, pb.dst, rng.uniform(0.02, 0.98)
             # Ktilde_ij = Ktilde_jj + K_ij >= Ktilde_jj, so A3 survives
             Ktilde = pb.K[src == dst][dst] + np.where(src == dst, 0.0, pb.K)
-            adjacency = [pb.dst[lo:hi].tolist()
-                         for lo, hi in zip(pb.indptr, pb.indptr[1:])]
-            Kt = dict(zip(zip(src.tolist(), dst.tolist()), Ktilde.tolist()))
-            sol = graph.value_iteration(
-                graph.from_infinite_horizon(Kt, adjacency, alpha), tol=0)
+            sol = graph.value_iteration(graph.from_infinite_horizon(
+                pb.indptr, dst, Ktilde, alpha), tol=0)
             assert sol.status == "ok"
-            ref = self.discounted_values(Kt, pb.node_count, alpha)
+            ref = self.discounted_values(src, dst, Ktilde, pb.node_count,
+                                         alpha)
             assert np.allclose(sol.V, ref, rtol=1e-13, atol=0)
 
     def test_to_infinite_horizon_keeps_values(self, rng):
@@ -264,15 +270,32 @@ class TestInfiniteHorizonConversion:
         pb = make_graph([3.0], [], 0.5)
         pb.K[0] = 2.0
         Kt, alpha = graph.to_infinite_horizon(pb)
-        assert Kt == {(0, 0): 3.5} and alpha == 0.5
+        assert Kt.tolist() == [3.5] and alpha == 0.5
         assert graph.value_iteration(pb).V[0] == pytest.approx(7.0)
         for seed in range(40):
             pb = self.costly_loops(seed, rng)
             Kt, alpha = graph.to_infinite_horizon(pb)
             sol = graph.value_iteration(pb, tol=0)
             assert sol.status == "ok"
-            ref = self.discounted_values(Kt, pb.node_count, alpha)
+            ref = self.discounted_values(pb.src, pb.dst, Kt, pb.node_count,
+                                         alpha)
             assert np.allclose(sol.V, ref, rtol=1e-13, atol=0)
+
+    def test_round_trips_keep_costs_and_values(self, rng):
+        # problem -> (Ktilde, alpha) -> problem gives back Ktilde and V,
+        # on the costly-loop problems whose shifted costs K_ij - K_jj stay
+        # >= 0 (normalize_self_costs refuses the others)
+        for seed in range(40):
+            pb = self.costly_loops(seed, rng)
+            moves = pb.src != pb.dst
+            pb.K[moves] += pb.K[~moves][pb.dst[moves]]
+            Kt, alpha = graph.to_infinite_horizon(pb)
+            back = graph.from_infinite_horizon(pb.indptr, pb.dst, Kt, alpha)
+            again, alpha_again = graph.to_infinite_horizon(back)
+            assert np.allclose(again, Kt, rtol=1e-13, atol=0)
+            assert alpha_again == pytest.approx(alpha, rel=1e-13)
+            V, ref = (graph.value_iteration(a, tol=0).V for a in (back, pb))
+            assert np.allclose(V, ref, rtol=1e-13, atol=0)
 
 
 class TestValueIteration:

@@ -262,7 +262,7 @@ class TestMotionlessSet:
         # with a live, moving 4-neighbour (a masked one does not count); the
         # circular case with a wall (q = +inf) across its free boundary
         case = RadialCase("circular", 1.0).problem(radial_grid(41))
-        X, Y = case.grid.meshgrid()
+        X, Y = np.meshgrid(case.grid.xs(), case.grid.ys())
         wall = (np.abs(X - 1.0) <= 0.1) & (np.abs(Y) <= 1.0)
         pb = grid.GridProblem(grid=case.grid, f=1.0, K=case.K, lam=1.0,
                               q=np.where(wall, math.inf, case.q))

@@ -233,27 +233,28 @@ class TestBuildProblem:
         assert sol.V[2] < pb.q[2]  # repositioning helps
 
     def test_matches_per_edge_reference(self, rng):
-        # the rows, K and p of build_problem against per-edge dict lookups
-        # and the per-edge scalar formulas, bit for bit
+        # the rows, K and p of build_problem against the per-edge scalar
+        # formulas over the edges in (i, j) order, bit for bit
         n, lam = 12, float(10.0 ** rng.uniform(-3.0, 2.0))
         tau = {(i, (i + 1) % n): 1.0 for i in range(n)}
         for i, j in rng.integers(0, n, size=(30, 2)).tolist():
             if i != j:  # lam tau on both sides of the series switch
                 tau[(i, j)] = float(10.0 ** rng.uniform(-6.0, 1.0) / lam)
         pb = idle.build_problem(idle_scenario(n, tau, lam=lam))
-        adjacency = [sorted({i} | {j for a, j in tau if a == i})
-                     for i in range(n)]
-        K = {(i, i): 0.0 for i in range(n)}
-        p = {(i, i): idle.SELF_LOOP_P for i in range(n)}
-        for e, t in tau.items():
+
+        def wait(t):
             x = lam * t
-            K[e] = ((math.exp(-x) - (1.0 - x)) / lam if x >= 1e-4 else
+            return ((math.exp(-x) - (1.0 - x)) / lam if x >= 1e-4 else
                     t * x / 2.0 * (1.0 - x / 3.0 + x * x / 12.0))
-            p[e] = 1.0 - math.exp(-lam * t)
-        ref = graph.GraphProblem.from_dicts(adjacency, K, pb.q, p)
+
+        rows = sorted([(i, i, 0.0, idle.SELF_LOOP_P) for i in range(n)]
+                      + [(i, j, wait(t), 1.0 - math.exp(-lam * t))
+                         for (i, j), t in tau.items()])
+        src, dst, K, p = map(np.array, zip(*rows))
+        ref = graph.GraphProblem.from_edges(n, src, dst, K, p, pb.q)
         for name in ("indptr", "dst", "K", "p"):
             assert bit_equal(getattr(pb, name), getattr(ref, name)), name
-        assert pb.delta == min(K[e] for e in tau)
+        assert pb.delta == K[src != dst].min()
 
     def test_unreachable_call_rejected(self):
         sc = idle_scenario(2, {(0, 1): 1.0})

@@ -684,7 +684,7 @@ class TestGridScenario:
         pb = io.load_grid_scenario(scenario("radial_trivial.json"))
         assert pb.grid.nx == pb.grid.ny == 101
         assert pb.grid.origin == (-2.0, -2.0)
-        X, Y = pb.grid.meshgrid()
+        X, Y = np.meshgrid(pb.grid.xs(), pb.grid.ys())
         assert np.allclose(pb.q, np.hypot(X, Y))
         assert np.allclose(pb.K, 0.0)
         pb2 = io.load_grid_scenario(scenario("radial_circular.json"))

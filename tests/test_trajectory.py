@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,13 +8,13 @@ import pytest
 from randterm import analytic, grid, io, native, trajectory
 from randterm.analytic import RadialCase, radial_grid
 
-from conftest import JSON_SCENARIOS, scenario, trace_oracle
+from conftest import JSON_SCENARIOS, MASKED_RECT, scenario, trace_oracle
 
 
 class TestGradientField:
     def test_linear_field_exact(self):
         g = grid.Grid2D(nx=21, ny=21, h=0.1)
-        X, Y = g.meshgrid()
+        X, Y = np.meshgrid(g.xs(), g.ys())
         V = 2.0 * X - 3.0 * Y
         mask = np.zeros_like(V, dtype=bool)
         Gx, Gy = trajectory.gradient_field(V, mask, g.h)
@@ -22,7 +23,7 @@ class TestGradientField:
 
     def test_one_sided_next_to_mask(self):
         g = grid.Grid2D(nx=5, ny=5, h=1.0)
-        X, _ = g.meshgrid()
+        X, _ = np.meshgrid(g.xs(), g.ys())
         V = X.copy()
         mask = np.zeros_like(V, dtype=bool)
         mask[2, 3] = True
@@ -87,6 +88,17 @@ class TestStepControl:
         sol = grid.fmm_solve(pb)
         with pytest.raises(ValueError, match="step must be positive"):
             trajectory.trace(sol, pb, (1.5, 0.0), step=step)
+
+    def test_masked_start_refused(self, tmp_path):
+        # V is +inf on a masked point: no path starts there
+        path = tmp_path / "masked.json"
+        path.write_text(json.dumps(MASKED_RECT))
+        pb = io.load_grid_scenario(str(path))
+        sol = grid.fmm_solve(pb)
+        for start in ((1.0, 1.0), (1.05, 0.95)):
+            with pytest.raises(ValueError, match="lies on a masked point"):
+                trajectory.trace(sol, pb, start)
+        assert trajectory.trace(sol, pb, (0.5, 0.5)).status == "ok"
 
     def test_max_steps_status(self):
         # a flat-but-not-motionless field cannot happen with these solvers, so
@@ -159,7 +171,7 @@ class TestTiledTrace:
         # q is the distance to the nearer of (10, 8) and (10, 12), both
         # motionless; the start is sqrt(5) from each, within the snap radius
         g = grid.Grid2D(nx=21, ny=21, h=1.0)
-        X, Y = g.meshgrid()
+        X, Y = np.meshgrid(g.xs(), g.ys())
         q = np.minimum(np.hypot(X - 10, Y - 8), np.hypot(X - 10, Y - 12))
         pb = grid.GridProblem(grid=g, f=1.0, K=0.0, q=q, lam=0.5)
         sol = grid.fmm_solve(pb)

@@ -41,8 +41,8 @@ class RadialCase:
 
     def problem(self, grid):
         """The case on grid: unit speed, q = |x| and K = 0 (trivial) or |x|
-        (circular); GridProblem gives K and q each their own array."""
-        R = np.hypot(*grid.axes())
+        (circular); the radius is one read-only array, K and q both."""
+        R = grid.radius()
         K = 0.0 if self.case == "trivial" else R
         return GridProblem(grid=grid, f=1.0, K=K, q=R, lam=self.lam)
 
@@ -69,7 +69,7 @@ def exact_value(case, point):
 
 def exact_field(case, grid):
     """Analytic value sampled on a whole grid."""
-    return _exact(case, np.hypot(*grid.axes()))
+    return _exact(case, grid.radius())
 
 
 def free_boundary_radius(lam):

@@ -33,7 +33,9 @@ class GraphProblem:
 
     Row i holds the out-edges (i, j) of node i (self-loops included when A1
     holds) at positions indptr[i]:indptr[i + 1] of dst, K and p, in the
-    order they were given in.
+    order they were given in.  ValueError unless indptr, dst, K and p form
+    such rows over node_count nodes (see _rows) and q holds one value a
+    node.
     """
 
     node_count: int
@@ -44,10 +46,13 @@ class GraphProblem:
     q: np.ndarray
 
     def __post_init__(self):
-        self.indptr, self.dst = (np.asarray(a, np.intp)
-                                 for a in (self.indptr, self.dst))
-        self.K, self.p, self.q = (np.asarray(a, float)
-                                  for a in (self.K, self.p, self.q))
+        self.indptr, self.dst, self.K, self.p, _ = _rows(
+            self.indptr, self.dst, self.K, self.p, [])
+        self.q = np.asarray(self.q, float)
+        n = self.node_count
+        if self.indptr.size != n + 1 or self.q.shape != (n,):
+            raise ValueError("indptr must hold %d + 1 entries and q %d"
+                             % (n, n))
 
     @classmethod
     def from_edges(cls, node_count, src, dst, K, p, q):

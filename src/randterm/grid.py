@@ -32,7 +32,8 @@ from .graph import check_tol, motionless
 INF = math.inf
 
 # The most points a grid, or nodes a graph or idle file, may have: every array
-# of a problem is sized by it, so it is checked before any is allocated.
+# of a problem is sized by it, so it is checked before any is allocated.  It
+# lies below 2^31, so march's acceptance index fits an int32.
 MAX_NODES = 10_000_000
 
 
@@ -89,6 +90,13 @@ class Grid2D:
         xs() and ys(), without its copies, once broadcast together."""
         return self.xs()[None, :], self.ys()[:, None]
 
+    def radius(self):
+        """|x| = hypot(x, y) at every point, as a new read-only grid, so
+        that it can serve as several fields of one problem."""
+        R = np.hypot(*self.axes())
+        R.flags.writeable = False
+        return R
+
     def nearest_index(self, point):
         """(j, i) index of the gridpoint closest to an (x, y) point."""
         i, j = (round(v) if math.isfinite(v) else -1 for v in (
@@ -109,8 +117,9 @@ class GridProblem:
     of the grid's shape is kept as given, not copied, as GraphProblem keeps
     its arrays, and anything else is copied into a new float64 grid.  An
     array that may share memory with a writable field before it (the same
-    array given for K and q, say) is copied, so that no two writable
-    fields share memory."""
+    writable array given for K and q, say) is copied, so that no two
+    writable fields share memory; a read-only array may serve several
+    fields (the loaders' radius grid as K and q)."""
 
     grid: Grid2D
     f: np.ndarray
@@ -152,7 +161,7 @@ class GridProblem:
 @dataclass
 class GridSolution:
     V: np.ndarray
-    order: np.ndarray  # acceptance index per point, -1 if never accepted
+    order: np.ndarray  # int32 acceptance index per point, -1 if never accepted
     motionless: np.ndarray
     status: str = "ok"
     iterations: int = 0  # passes of sweep_oracle; 0 for fmm_solve
@@ -327,7 +336,7 @@ def _march(g, V, seeds, blocked, eikonal, fields, steps):
             push(heap, (Vl[n], n))
             pushes += 1
     V[:] = Vl
-    return np.array(order), 2 * pushes
+    return np.array(order, np.int32), 2 * pushes
 
 
 def _field(a):
@@ -355,8 +364,9 @@ def march(grid, V, seeds, blocked, *fields):
     neighbor of n on the other axis (+inf if none).  A point is pushed when
     first reached or when its value drops.  Runs march.c when the native
     library can be built (see native.library), else the Python march, with
-    the same results bit for bit.  Returns the acceptance index per point,
-    -1 if never accepted, and the heap pushes + pops (every push is popped).
+    the same results bit for bit.  Returns the acceptance index per point
+    as int32, 4 bytes a point (MAX_NODES < 2^31), -1 if never accepted, and
+    the heap pushes + pops (every push is popped).
     """
     npts = grid.nx * grid.ny
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -373,7 +383,7 @@ def march(grid, V, seeds, blocked, *fields):
     lib = native.library()
     if lib is None:
         return _march(grid, V, seeds, blocked, eikonal, fields, steps)
-    order = np.empty(npts, dtype=np.int64)
+    order = np.empty(npts, dtype=np.int32)
     pushes = lib.march(grid.nx, grid.ny, V, seeds, seeds.size,
                        blocked.view(np.uint8), order, eikonal, grid.h,
                        *(x for pair in zip(fields, steps) for x in pair))
@@ -466,6 +476,6 @@ def sweep_oracle(problem, tol=1e-12, max_iters=2000):
         logging.getLogger("randterm").warning(
             "sweeping did not converge after %d iterations; max residual "
             "%.3e", sweep, res)
-    return GridSolution(Varr, np.full((ny, nx), -1),
+    return GridSolution(Varr, np.full((ny, nx), -1, np.int32),
                         motionless(Varr, problem.q) & ~problem.mask(),
                         status=status, iterations=sweep)

@@ -58,6 +58,7 @@ convergence table, with its blank cells, always takes the Python loop.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -400,9 +401,10 @@ def _float(v):
     return float(v)
 
 
-def _build_field(spec, grid, base_dir):
+def _build_field(spec, grid, base_dir, radius):
     """Evaluate one field spec: its number for a constant, else an (ny, nx)
-    array.
+    array.  radius() gives grid.radius(), which a radial form of no pieces
+    and default "r" returns as it is.
 
     Forms: number, {"constant": v}, {"radial": {"pieces": [{"range": [a, b],
     "value": v-or-"r"}], "default": v-or-"r"}}, {"rects": {"default": v,
@@ -420,7 +422,7 @@ def _build_field(spec, grid, base_dir):
     shape = (grid.ny, grid.nx)
     X, Y = grid.axes()
     if "radial" in spec:
-        R = np.hypot(X, Y)
+        R = radius()
 
         def val(v):
             return R if v == "r" else _float(v)
@@ -475,7 +477,9 @@ def load_grid_scenario(path, lam=None, n=None, sha256=None):
     grid, and response_cost then adds the travel-time mix into its q; it
     places every call on the grid before the first eikonal solve, and
     a mix that overflows somewhere is refused.  A constant field stays one
-    number (see GridProblem).
+    number (see GridProblem).  The radius grid |x| is built at most once a
+    load, read-only, and a field that is just the radius (radial, default
+    "r", no pieces) is that array, so K = q = |x| hold one grid.
     """
     data = _read(path, sha256)
     try:
@@ -525,9 +529,11 @@ def load_grid_scenario(path, lam=None, n=None, sha256=None):
     if "q" not in doc and "calls" not in doc:
         raise FormatError("%s: no terminal cost ('q' or 'calls')" % path)
 
+    radius = functools.cache(grid.radius)  # built at most once a load
+
     def field(key, default=None):
         try:
-            return _build_field(doc.get(key, default), grid, base_dir)
+            return _build_field(doc.get(key, default), grid, base_dir, radius)
         except _MALFORMED as exc:
             raise FormatError("%s: ill-formed field '%s' (%s)"
                               % (path, key, _reason(exc))) from None
@@ -566,8 +572,11 @@ def _call_spec(path, calls):
 
 
 def read_field_csv(path):
+    """The float64 grid of a CSV of cell values, one grid row per line;
+    each row becomes an array as it is read, float() of each cell."""
     with open(path) as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+        rows = [np.fromiter(map(float, row), np.float64, len(row))
+                for row in csv.reader(fh) if row]
     return np.array(rows)
 
 

@@ -5,7 +5,9 @@
  * that of eikonal_solve (grid.travel_update, which reads f only).  It reads
  * the fields f, K, q and lam at point n through their steps fs, Ks, qs and
  * ls, as f[n * fs]: a step of 1 for a field of nx * ny values, and of 0 for
- * a constant field held as its one value.
+ * a constant field held as its one value.  It writes the acceptance index
+ * of each point to order as an int32_t, 4 bytes a point: grid.MAX_NODES,
+ * 10^7, bounds the points of a grid below 2^31.
  *
  * settle() is the label-setting loop of randterm.graph._label_setting, on
  * the same (key, index) heap.  label() runs it once, for dijkstra_solve,
@@ -125,12 +127,13 @@ static double travel(double a, double b, double s)
 }
 
 int64_t march(int64_t nx, int64_t ny, double *V, const int64_t *seeds,
-              int64_t nseeds, const uint8_t *blocked, int64_t *order,
+              int64_t nseeds, const uint8_t *blocked, int32_t *order,
               int eikonal, double h, const double *f, int64_t fs,
               const double *K, int64_t Ks, const double *q, int64_t qs,
               const double *lam, int64_t ls)
 {
-    int64_t pushes = nseeds, accepted = 0, rc = -1;
+    int64_t pushes = nseeds, rc = -1;
+    int32_t accepted = 0;
     uint8_t *state = calloc(nx * ny, 1); /* 0 far, 1 considered, 2 accepted */
     heap hp = {malloc(64 * sizeof(entry)), 0, 64};
     if (!state || !hp.a) goto done;

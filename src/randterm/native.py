@@ -104,7 +104,7 @@ def library():
     for name, restype, argtypes in (
             ("march", i64,
              [i64, i64, arr(np.float64), arr(np.int64), i64, arr(np.uint8),
-              arr(np.int64), ctypes.c_int, f64, *[arr(np.float64), i64] * 4]),
+              arr(np.int32), ctypes.c_int, f64, *[arr(np.float64), i64] * 4]),
             ("label", i64,
              [i64, *[arr(np.int64)] * 2, *[arr(np.float64)] * 2,
               arr(np.int64), i64, f64, f64, arr(np.float64), arr(np.int64)]),

@@ -141,6 +141,7 @@ class TestCompiledMarch:
 
         (u, order, ops), (u_py, order_py, ops_py) = both_paths(run)
         assert bit_equal(u, u_py)
+        assert order.dtype == order_py.dtype == np.int32
         assert np.array_equal(order, order_py)
         assert ops == ops_py >= 2 * 41 * 31
         assert np.unique(u).size < u.size // 2

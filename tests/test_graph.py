@@ -57,6 +57,28 @@ class TestGraphProblem:
             with pytest.raises(ValueError, match=r"in \[0, 2\)"):
                 graph.GraphProblem.from_edges(2, src, pb.dst, pb.K, p, q)
 
+    @pytest.mark.parametrize("args, message", [
+        # a dst out of range: value_iteration died with an IndexError
+        ((2, [0, 1, 2], [0, 5], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0]),
+         "CSR rows over 2 nodes"),
+        # a K longer than dst: it used to solve
+        ((1, [0, 1], [0], [0.0, 0.0], [0.5], [1.0]), "CSR rows over 1 nodes"),
+        ((1, [0, 1], [0], [0.0], [0.5, 0.5], [1.0]), "CSR rows over 1 nodes"),
+        ((2, [0, 2, 1], [0, 1], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0]),
+         "CSR rows over 2 nodes"),
+        ((2, [0, 1], [0], [0.0], [0.5], [1.0, 1.0]), r"indptr must hold 2 \+"),
+        ((1, [0, 1], [0], [0.0], [0.5], [1.0, 2.0]), "and q 1$"),
+        ((2, [0, 1, 2], [0, 1], [0.0, 0.0], [0.5, 0.5], [[1.0, 1.0]]),
+         "and q 2$")])
+    def test_refuses_arrays_that_are_not_rows(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            graph.GraphProblem(*args)
+
+    def test_from_edges_refuses_a_dst_out_of_range(self):
+        with pytest.raises(ValueError, match="CSR rows over 2 nodes"):
+            graph.GraphProblem.from_edges(2, [0, 1], [0, 5], [0.0, 0.0],
+                                          [0.5, 0.5], [1.0, 1.0])
+
     def test_local_minima(self, random_problem):
         pb = random_problem
         q, src, dst = pb.q, pb.src, pb.dst

@@ -63,6 +63,9 @@ class TestFmmAgainstSweep:
         sw = grid.sweep_oracle(pb)
         assert sw.status == "ok"
         assert np.max(np.abs(fmm.V - sw.V)) <= 1e-10
+        # the sweep accepts no point: an all -1 index, of fmm's dtype
+        assert sw.order.dtype == fmm.order.dtype == np.int32
+        assert np.all(sw.order == -1)
 
     def test_agreement_variable_coefficients(self, rng):
         g = grid.Grid2D(nx=41, ny=31, h=0.1)
@@ -248,6 +251,7 @@ class TestMotionlessSet:
         # a costly far corner widens no other point's motionless tolerance
         pb = RadialCase("trivial", 0.5).problem(radial_grid(101))
         if far_q is not None:
+            pb.q = pb.q.copy()  # the case's q is its read-only radius
             pb.q[0, 0] = far_q
         sol = solve(pb)
         mset = grid.motionless_set(sol, pb)
@@ -306,6 +310,7 @@ class TestCompiledMarch:
     def check(pb):
         compiled, python = both_paths(lambda: grid.fmm_solve(pb))
         assert bit_equal(compiled.V, python.V)
+        assert compiled.order.dtype == python.order.dtype == np.int32
         assert np.array_equal(compiled.order, python.order)
         assert compiled.heap_operations == python.heap_operations
         return compiled
@@ -419,9 +424,6 @@ class TestFieldStorage:
                                                                    lam)
 
     def test_no_two_writable_fields_alias(self):
-        # the circular case gives K and q the same radii
-        pb = RadialCase("circular", 0.5).problem(radial_grid(21))
-        assert np.array_equal(pb.K, pb.q) and not np.shares_memory(pb.K, pb.q)
         a = np.full((4, 5), 2.0)
         pb = grid.GridProblem(grid=grid.Grid2D(nx=5, ny=4, h=1.0), f=a,
                               K=a, q=a[::-1], lam=a)
@@ -429,6 +431,16 @@ class TestFieldStorage:
         assert pb.f is a and all(x.flags.writeable for x in fields)
         assert not any(np.shares_memory(x, y) for k, x in enumerate(fields)
                        for y in fields[k + 1:])
+
+    @pytest.mark.parametrize("case", ["trivial", "circular"])
+    def test_one_read_only_radius(self, case):
+        # q = |x| is one read-only grid, and the circular case's K = |x| is
+        # that same grid, not a copy
+        pb = RadialCase(case, 0.5).problem(radial_grid(21))
+        assert not pb.q.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pb.q[3, 4] = 0.0
+        assert np.shares_memory(pb.K, pb.q) == (case == "circular")
 
     def test_motionless_in_blocks(self):
         # more cells than a block, V on, near and off q, and a constant q
@@ -547,8 +559,9 @@ class TestKernelLoading:
         # parameter by parameter, its scalar type or pointer element type.
         scalars = {"int64_t": ctypes.c_int64, "int": ctypes.c_int,
                    "double": ctypes.c_double}
-        elements = {"int64_t": np.int64, "double": np.float64,
-                    "uint8_t": np.uint8, "char": np.uint8}
+        elements = {"int64_t": np.int64, "int32_t": np.int32,
+                    "double": np.float64, "uint8_t": np.uint8,
+                    "char": np.uint8}
         lib, defined, drift = native.library(), [], []
         for source in native._SOURCES:
             with open(os.path.join(os.path.dirname(native.__file__),

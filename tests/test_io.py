@@ -723,12 +723,13 @@ class TestGridScenario:
         assert len(built) == 1 and built[0] is pb
 
     def test_fields_at_their_information_size(self):
-        # radial_circular: f and lambda constants, K and q the radii, each
-        # its own writable grid; a calls scenario's q one writable grid
+        # radial_circular: f and lambda constants, K and q one read-only
+        # radius grid; a calls scenario's q one writable grid
         pb = io.load_grid_scenario(scenario("radial_circular.json"))
         assert pb.f.strides == pb.lam.strides == (0, 0)
-        assert pb.K.flags.writeable and pb.q.flags.writeable
-        assert not np.shares_memory(pb.K, pb.q)
+        assert np.shares_memory(pb.K, pb.q) and pb.K.strides == (8 * 101, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            pb.q[0, 0] = 0.0
         pb = io.load_grid_scenario(scenario("slow_disk.json"))
         assert pb.K.strides == pb.lam.strides == (0, 0)
         assert pb.q.flags.writeable and pb.q.strides == (8 * pb.grid.nx, 8)
@@ -744,10 +745,12 @@ class TestGridScenario:
             io.load_grid_scenario(str(f))
 
     # One float grid of the 801^2 radial case is 8 * 801^2 bytes (5.1 MB).
-    # load_grid_scenario keeps K and q, two grids, and peaked at 2.8 grids
-    # (7.7 when f and lambda were full grids and fields were meshgrid-built);
-    # fmm_solve peaked at 2.6 grids above its entry, V, the acceptance order
-    # and bool temporaries (5.4 when the motionless set was found at once).
+    # load_grid_scenario keeps K = q, one radius grid (two when each field
+    # built its own), and peaks at 2.8 grids (7.7 when f and lambda were
+    # full grids and fields were meshgrid-built); fmm_solve keeps V, the
+    # int32 acceptance order and the bool motionless set, 13 bytes a point
+    # (17 with an int64 order), and peaks at 2.6 grids above its entry
+    # with bool temporaries (5.4 when the motionless set was found at once).
     GRID_BYTES = 8 * 801 ** 2
 
     @staticmethod
@@ -766,13 +769,15 @@ class TestGridScenario:
         peak, kept = self.traced(lambda: io.load_grid_scenario(
             scenario("radial_circular.json"), None, 801))
         assert peak < 3 * self.GRID_BYTES
-        assert kept < 2.1 * self.GRID_BYTES
+        assert kept < 1.1 * self.GRID_BYTES
 
     @pytest.mark.usefixtures("compiled_march")
     def test_radial_801_fmm_memory(self):
         pb = io.load_grid_scenario(scenario("radial_circular.json"), None, 801)
-        peak, _ = self.traced(lambda: fmm_solve(pb))
+        solutions = []
+        peak, kept = self.traced(lambda: solutions.append(fmm_solve(pb)))
         assert peak < 3 * self.GRID_BYTES
+        assert kept < 1.7 * self.GRID_BYTES
 
     def test_maze_scenario(self):
         pb = io.load_grid_scenario(scenario("maze.json"))
@@ -812,6 +817,18 @@ class TestGridScenario:
         (tmp_path / "sc.json").write_text(json.dumps(doc))
         pb = io.load_grid_scenario(str(tmp_path / "sc.json"))
         assert np.array_equal(pb.q, arr)
+
+    def test_csv_field_memory(self, tmp_path):
+        # each row becomes a float64 array as it is read: the rows and the
+        # grid made of them, about 2 grids (5.2 when every cell was first a
+        # Python float in a list)
+        arr = np.random.default_rng(3).uniform(-9.0, 9.0, (401, 401))
+        path = str(tmp_path / "field.csv")
+        io.write_field_csv(path, arr)
+        fields = []
+        peak, _ = self.traced(lambda: fields.append(io.read_field_csv(path)))
+        assert peak <= 2.5 * arr.nbytes
+        assert bit_equal(fields[0], arr)
 
 
 class TestWriters:

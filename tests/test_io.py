@@ -746,11 +746,12 @@ class TestGridScenario:
 
     # One float grid of the 801^2 radial case is 8 * 801^2 bytes (5.1 MB).
     # load_grid_scenario keeps K = q, one radius grid (two when each field
-    # built its own), and peaks at 2.8 grids (7.7 when f and lambda were
-    # full grids and fields were meshgrid-built); fmm_solve keeps V, the
-    # int32 acceptance order and the bool motionless set, 13 bytes a point
-    # (17 with an int64 order), and peaks at 2.6 grids above its entry
-    # with bool temporaries (5.4 when the motionless set was found at once).
+    # built its own), and peaks at 1.75 grids (2.75 with two radius grids,
+    # 7.7 when f and lambda were full grids and fields were meshgrid-built);
+    # fmm_solve keeps V, the int32 acceptance order and the bool motionless
+    # set, 13 bytes a point (17 with an int64 order), and peaks at 2.3
+    # grids above its entry with bool temporaries (2.6 with an int64 order,
+    # 5.4 when the motionless set was found at once).
     GRID_BYTES = 8 * 801 ** 2
 
     @staticmethod

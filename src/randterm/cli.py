@@ -38,13 +38,15 @@ def _run(args, scenario, flags, solve, write, **keys):
     wall = time.perf_counter() - t0
     if sol.status != "ok":
         return 3
+    flags = dict(flags, solver=args.solver)
+    if args.solver in ("vi", "sweep"):  # the solvers that read --tol
+        flags["tol"] = args.tol
     keys.update(write(sol), scenario=os.path.basename(args.scenario),
                 solver=args.solver, status=sol.status,
                 iterations=sol.iterations,
                 heap_operations=sol.heap_operations, wall_time_s=wall,
                 motionless_count=int(np.count_nonzero(sol.motionless)),
-                config_hash=_config_hash(scenario,
-                                         dict(flags, solver=args.solver)))
+                config_hash=_config_hash(scenario, flags))
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(keys, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -124,8 +126,7 @@ def cmd_run_grid(args):
             elif kind == "mask":
                 io.write_mask_csv(path, sol.motionless)
             elif kind == "boundary":
-                io.write_points_csv(
-                    path, grid.motionless_set(sol, problem).boundary_points)
+                io.write_points_csv(path, grid.motionless_set(sol, problem))
             else:
                 traj = trajectory.trace(sol, problem, start)
                 io.write_trajectory_csv(path, traj)
@@ -154,7 +155,8 @@ def cmd_run_convergence(args):
         sol = grid.fmm_solve(case.problem(g))
         exact = analytic.exact_field(case, g)
         line_linf, l2, linf = analytic.error_norms(sol.V, exact, g)
-        order = None if prev_linf is None else math.log2(prev_linf / linf)
+        # no order where either error is 0 (or there is no coarser grid)
+        order = math.log2(prev_linf / linf) if prev_linf and linf else None
         rows.append((g.nx, line_linf, l2, linf, order))
         prev_linf = linf
     io.write_convergence_csv(os.path.join(args.out, "convergence.csv"), rows)

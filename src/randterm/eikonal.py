@@ -75,6 +75,9 @@ def response_cost(grid, f, calls, q=None):
     sources = [grid.nearest_index(loc) for loc in calls.locations]
     q = np.zeros((grid.ny, grid.nx)) if q is None else q
     for src, prob in zip(sources, calls.probabilities):
-        if prob != 0.0:
-            q += prob * eikonal_solve(grid, f, src)
+        if prob != 0.0:  # scaled in place, and freed before the next solve
+            u = eikonal_solve(grid, f, src)
+            u *= prob
+            q += u
+            del u
     return q

@@ -161,17 +161,13 @@ class GridProblem:
 @dataclass
 class GridSolution:
     V: np.ndarray
-    order: np.ndarray  # int32 acceptance index per point, -1 if never accepted
+    # int32 acceptance index per point of fmm_solve, -1 if never accepted;
+    # None for sweep_oracle, which accepts no point
+    order: np.ndarray | None
     motionless: np.ndarray
     status: str = "ok"
     iterations: int = 0  # passes of sweep_oracle; 0 for fmm_solve
     heap_operations: int = 0  # march heap pushes + pops; 0 for sweep_oracle
-
-
-@dataclass
-class MotionlessSet:
-    boundary_mask: np.ndarray
-    boundary_points: np.ndarray  # (x, y) rows
 
 
 def one_sided_update(v1, K, q, f, lam, h):
@@ -294,19 +290,17 @@ def _march(g, V, seeds, blocked, eikonal, fields, steps):
     Vl, seeds, blocked = (a.tolist() for a in (V, seeds, blocked))
     f, K, q, lam = (a.tolist() * (nx * ny if s == 0 else 1)
                     for a, s in zip(fields, steps))
-    state = [0] * (nx * ny)  # 0 far, 1 considered, 2 accepted
-    order = [-1] * (nx * ny)
+    order = [-1] * (nx * ny)  # the state: -1 far, -2 considered, else turn
     heap = [(Vl[idx], idx) for idx in seeds]
     heapq.heapify(heap)
     for idx in seeds:
-        state[idx] = 1
+        order[idx] = -2
     n_accepted, pushes = 0, len(heap)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         va, idx = pop(heap)
-        if state[idx] == 2:  # stale: a lower entry was accepted first
+        if order[idx] >= 0:  # stale: a lower entry was accepted first
             continue
-        state[idx] = 2
         order[idx] = n_accepted
         n_accepted += 1
         j, i = divmod(idx, nx)
@@ -317,12 +311,12 @@ def _march(g, V, seeds, blocked, eikonal, fields, steps):
                                        (idx - 1, i > 0, xo),
                                        (idx + nx, j < ny - 1, yo),
                                        (idx - nx, j > 0, yo)):
-            if not inside or state[n] == 2 or blocked[n]:
+            if not inside or order[n] >= 0 or blocked[n]:
                 continue
             vo = INF
-            if lo and state[n - s] == 2:
+            if lo and order[n - s] >= 0:
                 vo = Vl[n - s]
-            if hi and state[n + s] == 2 and Vl[n + s] < vo:
+            if hi and order[n + s] >= 0 and Vl[n + s] < vo:
                 vo = Vl[n + s]
             if eikonal:
                 cand = travel_update(va, vo, h / f[n])
@@ -330,9 +324,9 @@ def _march(g, V, seeds, blocked, eikonal, fields, steps):
                 cand = quadrant_update(va, vo, K[n], q[n], f[n], lam[n], h)
             if cand < Vl[n]:
                 Vl[n] = cand
-            elif state[n]:
+            elif order[n] == -2:
                 continue
-            state[n] = 1
+            order[n] = -2
             push(heap, (Vl[n], n))
             pushes += 1
     V[:] = Vl
@@ -364,9 +358,11 @@ def march(grid, V, seeds, blocked, *fields):
     neighbor of n on the other axis (+inf if none).  A point is pushed when
     first reached or when its value drops.  Runs march.c when the native
     library can be built (see native.library), else the Python march, with
-    the same results bit for bit.  Returns the acceptance index per point
-    as int32, 4 bytes a point (MAX_NODES < 2^31), -1 if never accepted, and
-    the heap pushes + pops (every push is popped).
+    the same results bit for bit.  The acceptance index is its only state
+    per point: -1 far, -2 considered, and from 0 up the turn of an accepted
+    point; every considered point is accepted before the heap empties.
+    Returns that index as int32 (MAX_NODES < 2^31), -1 where never
+    accepted, and the heap pushes + pops (every push is popped).
     """
     npts = grid.nx * grid.ny
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -420,14 +416,11 @@ def free_boundary(motionless, blocked):
 
 
 def motionless_set(solution, problem):
-    """The free boundary of solution.motionless, as a mask and as its (x, y)
-    points in row-major order."""
-    boundary = free_boundary(solution.motionless, problem.mask())
-    j, i = np.nonzero(boundary)
+    """The (x, y) points of the free boundary of solution.motionless, as an
+    (n, 2) array in row-major order."""
+    j, i = np.nonzero(free_boundary(solution.motionless, problem.mask()))
     g = problem.grid
-    return MotionlessSet(boundary_mask=boundary,
-                         boundary_points=np.column_stack([g.xs()[i],
-                                                          g.ys()[j]]))
+    return np.column_stack([g.xs()[i], g.ys()[j]])
 
 
 def sweep_oracle(problem, tol=1e-12, max_iters=2000):
@@ -476,6 +469,6 @@ def sweep_oracle(problem, tol=1e-12, max_iters=2000):
         logging.getLogger("randterm").warning(
             "sweeping did not converge after %d iterations; max residual "
             "%.3e", sweep, res)
-    return GridSolution(Varr, np.full((ny, nx), -1, np.int32),
+    return GridSolution(Varr, None,
                         motionless(Varr, problem.q) & ~problem.mask(),
                         status=status, iterations=sweep)

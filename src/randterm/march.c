@@ -5,9 +5,11 @@
  * that of eikonal_solve (grid.travel_update, which reads f only).  It reads
  * the fields f, K, q and lam at point n through their steps fs, Ks, qs and
  * ls, as f[n * fs]: a step of 1 for a field of nx * ny values, and of 0 for
- * a constant field held as its one value.  It writes the acceptance index
- * of each point to order as an int32_t, 4 bytes a point: grid.MAX_NODES,
- * 10^7, bounds the points of a grid below 2^31.
+ * a constant field held as its one value.  Its only per-point state is the
+ * acceptance index order, an int32_t a point (grid.MAX_NODES, 10^7, bounds
+ * the points of a grid below 2^31): -1 far, -2 considered, and from 0 up
+ * the point's turn once accepted.  Every considered point is pushed and so
+ * accepted before the heap empties: no -2 is left at the end.
  *
  * settle() is the label-setting loop of randterm.graph._label_setting, on
  * the same (key, index) heap.  label() runs it once, for dijkstra_solve,
@@ -132,21 +134,20 @@ int64_t march(int64_t nx, int64_t ny, double *V, const int64_t *seeds,
               const double *K, int64_t Ks, const double *q, int64_t qs,
               const double *lam, int64_t ls)
 {
+    enum { FAR = -1, CONSIDERED = -2 }; /* order >= 0: accepted */
     int64_t pushes = nseeds, rc = -1;
     int32_t accepted = 0;
-    uint8_t *state = calloc(nx * ny, 1); /* 0 far, 1 considered, 2 accepted */
     heap hp = {malloc(64 * sizeof(entry)), 0, 64};
-    if (!state || !hp.a) goto done;
-    for (int64_t k = 0; k < nx * ny; k++) order[k] = -1;
+    if (!hp.a) goto done;
+    for (int64_t k = 0; k < nx * ny; k++) order[k] = FAR;
     for (int64_t k = 0; k < nseeds; k++) {
-        state[seeds[k]] = 1;
+        order[seeds[k]] = CONSIDERED;
         if (push(&hp, V[seeds[k]], seeds[k])) goto done;
     }
     while (hp.n) {
         entry e = pop(&hp);
         int64_t idx = e.i, j = idx / nx, i = idx % nx;
-        if (state[idx] == 2) continue; /* stale: a lower entry was accepted first */
-        state[idx] = 2;
+        if (order[idx] >= 0) continue; /* stale: a lower entry was accepted first */
         order[idx] = accepted++;
         /* neighbor, inside?, step to its other-axis neighbors, do they exist? */
         struct { int64_t n; int inside; int64_t s; int lo, hi; } nb[4] = {
@@ -156,23 +157,22 @@ int64_t march(int64_t nx, int64_t ny, double *V, const int64_t *seeds,
             {idx - nx, j > 0, 1, i > 0, i < nx - 1}};
         for (int k = 0; k < 4; k++) {
             int64_t n = nb[k].n, s = nb[k].s;
-            if (!nb[k].inside || state[n] == 2 || blocked[n]) continue;
+            if (!nb[k].inside || order[n] >= 0 || blocked[n]) continue;
             double vo = INFINITY;
-            if (nb[k].lo && state[n - s] == 2) vo = V[n - s];
-            if (nb[k].hi && state[n + s] == 2 && V[n + s] < vo) vo = V[n + s];
+            if (nb[k].lo && order[n - s] >= 0) vo = V[n - s];
+            if (nb[k].hi && order[n + s] >= 0 && V[n + s] < vo) vo = V[n + s];
             double cand = eikonal ? travel(e.v, vo, h / f[n * fs])
                                   : quadrant(e.v, vo, K[n * Ks], q[n * qs],
                                              f[n * fs], lam[n * ls], h);
             if (cand < V[n]) V[n] = cand;
-            else if (state[n]) continue;
-            state[n] = 1;
+            else if (order[n] == CONSIDERED) continue;
+            order[n] = CONSIDERED;
             if (push(&hp, V[n], n)) goto done;
             pushes++;
         }
     }
     rc = pushes;
 done:
-    free(state);
     free(hp.a);
     return rc;
 }

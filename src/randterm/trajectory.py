@@ -148,20 +148,17 @@ def start_index(problem, start):
     return j, i
 
 
-def trace(solution, problem, start, step=None):
+def trace(solution, problem, start):
     """Gradient-descent polyline from start to its motionless endpoint.
 
     Stops on entering the motionless set, or snaps straight to the nearest
-    free-boundary point once within SNAP_CELLS * h of it.  Arclength per step
-    is at most h/2; ValueError unless a given step is positive and finite,
-    or for a start that start_index refuses.
+    free-boundary point once within SNAP_CELLS * h of it.  Each step moves
+    h/2 along -grad V (less where the grid's edge clamps it), for at most
+    10 (nx + ny) steps; ValueError for a start that start_index refuses.
     """
     grid = problem.grid
     h = grid.h
-    if step is not None and not 0 < step < math.inf:
-        raise ValueError("trajectory step must be positive and finite, "
-                         "not %r" % (step,))
-    step = h / 2 if step is None else min(step, h / 2)
+    step = h / 2
     tiles = _Tiles(solution, problem)
     snap_dist = SNAP_CELLS * h
 

@@ -158,17 +158,16 @@ def _bilinear(field, g, x, y):
             + ty * ((1 - tx) * f10 + tx * f11))
 
 
-def trace_oracle(solution, problem, start, step=None):
+def trace_oracle(solution, problem, start):
     """trajectory.trace on whole-grid arrays, its bit-identity oracle: the
     gradient and V of every point, and every free-boundary point scanned at
     each step."""
     g = problem.grid
     h = g.h
-    step = h / 2 if step is None else min(step, h / 2)
-    mset = grid.motionless_set(solution, problem)
-    boundary = mset.boundary_points
-    boundary_vals = solution.V[mset.boundary_mask]
+    step = h / 2
     mask = problem.mask()
+    boundary = grid.motionless_set(solution, problem)
+    boundary_vals = solution.V[grid.free_boundary(solution.motionless, mask)]
     Vsafe = np.where(mask, 0.0, solution.V)
     Gx, Gy = map(np.nan_to_num,
                  gradient_field(np.where(mask, np.nan, solution.V), mask, h))

@@ -87,8 +87,7 @@ def test_criterion_3_free_boundary_radius():
     for lam in (0.5, 5.0, 25.0):
         pb = analytic.RadialCase("circular", lam).problem(g)
         sol = grid.fmm_solve(pb)
-        mset = grid.motionless_set(sol, pb)
-        radii = np.hypot(mset.boundary_points[:, 0], mset.boundary_points[:, 1])
+        radii = np.hypot(*grid.motionless_set(sol, pb).T)
         radii = radii[radii > 0.5]  # drop the isolated motionless origin
         means.append(float(radii.mean()))
     exact = [analytic.free_boundary_radius(l) for l in (0.5, 5.0, 25.0)]

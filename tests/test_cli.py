@@ -92,6 +92,26 @@ class TestRunGraph:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["config_hash"] == config_hash
 
+    @pytest.mark.parametrize("argv, hashes", [
+        (["run-graph", "two_node_cycle.txt", "--p", "0.25", "--solver", "vi"],
+         2),
+        (["run-grid", "radial_trivial.json", "--grid", "21", "--solver",
+          "sweep"], 2),
+        (["run-graph", "three_node_chain.txt", "--p", "0.1"], 1),
+        (["run-grid", "radial_trivial.json", "--grid", "21"], 1),
+    ])
+    def test_config_hash_of_tol(self, tmp_path, argv, hashes):
+        # --tol is hashed where the solver reads it (vi, sweep), and only there
+        command, name, *flags = argv
+
+        def config_hash(tol):
+            assert run(command, scenario(name), *flags, "--tol", tol,
+                       "--out", str(tmp_path)) == 0
+            return json.loads((tmp_path / "summary.json").read_text())[
+                "config_hash"]
+
+        assert len({config_hash("1e-13"), config_hash("1e-2")}) == hashes
+
     @pytest.mark.parametrize("name", ["three_node_chain.txt", "idle_ring.txt"])
     def test_scenario_read_once(self, tmp_path, opened, name):
         path = scenario(name)
@@ -736,6 +756,22 @@ class TestRunConvergence:
         assert 0.5 <= float(last[4]) <= 1.5  # first-order
         printed = capsys.readouterr().out
         assert "order=" in printed
+
+    @pytest.mark.parametrize("grids, rows", [
+        ("2,3", ["2,0.0,0.0,0.0,", "3,0.0,0.0,0.0,"]),
+        ("3,5", ["3,0.0,0.0,0.0,", "5,0.36081604172419945,0.05238465177334567,"
+                 "0.36081604172419945,"]),
+    ])
+    def test_zero_error_has_no_order(self, tmp_path, capsys, grids, rows):
+        # an exact solve (Linf = 0) on either grid of a pair leaves its order
+        # blank, as on the first grid
+        assert run("run-convergence", "circular", "--grids", grids,
+                   "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "convergence.csv").read_text().splitlines()
+        assert lines == ["grid,line_Linf,L2,Linf,order"] + rows
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2
+        assert all(line.endswith("order=-") for line in printed)
 
 
 class TestImport:

@@ -1,5 +1,5 @@
-"""Every top-level definition of the package, and every method of its
-classes, is exported or used by the package or its benchmark."""
+"""Every top-level definition of the package, and every method and field of
+its classes, is exported or used by the package or its benchmark."""
 
 import ast
 import collections
@@ -11,14 +11,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def _definitions(node):
     """(name, definition) of each thing a module-level statement defines: a
     function; a class, and as Class.name each method or property of its
-    body; or the plain names an assignment binds, defined by the whole
-    statement."""
+    body, and each annotated name of its body (a dataclass field), which the
+    whole class defines; or the plain names an assignment binds, defined by
+    the whole statement."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return [(node.name, node)]
     if isinstance(node, ast.ClassDef):
         return [(node.name, node)] + [
             ("%s.%s" % (node.name, m.name), m) for m in node.body
-            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))] + [
+            ("%s.%s" % (node.name, m.target.id), node) for m in node.body
+            if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)]
     targets = (node.targets if isinstance(node, ast.Assign) else
                [node.target] if isinstance(node, ast.AnnAssign) else [])
     return [(n.id, node) for t in targets for n in ast.walk(t)
@@ -48,11 +51,12 @@ def _uses(tree):
 
 def dead_definitions(root=ROOT):
     """module:name of every top-level function, class or constant, and
-    module:Class.name of every method or property of a top-level class, of
-    src/randterm, dunder names aside, that randterm/__init__.py does not
-    export and that no module of src/ or perfbench/ uses (see _uses)
-    outside its own definition.  A method counts by its bare name, as an
-    attribute has no type.  Uses in tests/ do not count: a definition that
+    module:Class.name of every method, property or field of a top-level
+    class, of src/randterm, dunder names aside, that randterm/__init__.py
+    does not export and that no module of src/ or perfbench/ uses (see
+    _uses) outside its own definition; a field's is its whole class.  A
+    method or field counts by its bare name, as an attribute has no type.
+    Uses in tests/ do not count: a definition that
     only tests reach is either the package's API, and exported, or a test
     helper, and belongs in tests/."""
     uses = collections.Counter()
@@ -95,3 +99,24 @@ def test_methods_count(tmp_path):
     (tmp_path / "tests" / "test_m.py").write_text("Shape().side\n")
     assert dead_definitions(tmp_path) == ["m.py:Shape.area",
                                           "m.py:Shape.side"]
+
+
+def test_fields_count(tmp_path):
+    # a dataclass field that only its own class or tests/ read is dead; one
+    # that another module or perfbench reads is not
+    package = tmp_path / "src" / "randterm"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "tests").mkdir()
+    (package / "__init__.py").write_text(
+        "from .m import Point\nfrom .n import first\n")
+    (package / "m.py").write_text(
+        "import dataclasses\n\n"
+        "@dataclasses.dataclass\nclass Point:\n"
+        "    x: float\n    y: float\n    z: float = 0.0\n\n"
+        "    def total(self):\n        return self.x + self.z\n")
+    (package / "n.py").write_text("def first(p):\n    return p.x\n")
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "p = Point(1, 2)\np.total()\np.y\n")
+    (tmp_path / "tests" / "test_m.py").write_text("Point(1, 2).z\n")
+    assert dead_definitions(tmp_path) == ["m.py:Point.z"]

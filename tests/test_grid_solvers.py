@@ -17,7 +17,7 @@ from randterm import analytic, graph, grid, io, native
 from randterm.analytic import RadialCase, radial_grid
 from randterm.eikonal import eikonal_solve
 
-from conftest import SCENARIOS, bit_equal, both_paths, scenario
+from conftest import JSON_SCENARIOS, SCENARIOS, bit_equal, both_paths, scenario
 
 
 class TestGeometry:
@@ -63,9 +63,9 @@ class TestFmmAgainstSweep:
         sw = grid.sweep_oracle(pb)
         assert sw.status == "ok"
         assert np.max(np.abs(fmm.V - sw.V)) <= 1e-10
-        # the sweep accepts no point: an all -1 index, of fmm's dtype
-        assert sw.order.dtype == fmm.order.dtype == np.int32
-        assert np.all(sw.order == -1)
+        # the sweep accepts no point and keeps no index
+        assert fmm.order.dtype == np.int32
+        assert sw.order is None
 
     def test_agreement_variable_coefficients(self, rng):
         g = grid.Grid2D(nx=41, ny=31, h=0.1)
@@ -120,6 +120,31 @@ class TestSolutionProperties:
             if prev is not None:
                 assert np.all(sol.V >= prev - 1e-10)
             prev = sol.V
+
+    LAMBDAS = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+    def lambda_order(self, pb):
+        """Whether V(lam) <= V(lam') <= q at every live point of pb's fields
+        for lam < lam' in LAMBDAS, exactly."""
+        live = ~pb.mask()
+        below = [pb.q[live]]
+        for lam in reversed(self.LAMBDAS):
+            below.append(grid.fmm_solve(grid.GridProblem(
+                grid=pb.grid, f=pb.f, K=pb.K, q=pb.q, lam=lam)).V[live])
+        return all(np.all(lo <= hi) for hi, lo in zip(below, below[1:]))
+
+    @pytest.mark.parametrize("name", JSON_SCENARIOS)
+    def test_lambda_order_both_paths(self, name):
+        # a larger termination rate leaves less time to gain by moving, so V
+        # grows with lambda toward q; on these scenarios with no slack
+        pb = io.load_grid_scenario(scenario(name), n=61)
+        assert both_paths(lambda: self.lambda_order(pb)) == (True, True)
+
+    @pytest.mark.usefixtures("compiled_march")
+    @pytest.mark.parametrize("name", JSON_SCENARIOS)
+    def test_lambda_order_201(self, name):
+        pb = io.load_grid_scenario(scenario(name), n=201)
+        assert self.lambda_order(pb)
 
     def test_motionless_nesting(self):
         # motionless set grows with lambda (circular case: disk shrinks toward
@@ -237,8 +262,7 @@ class TestMotionlessSet:
         lam = 1.0
         pb = RadialCase("circular", lam).problem(radial_grid(101))
         sol = grid.fmm_solve(pb)
-        mset = grid.motionless_set(sol, pb)
-        radii = np.hypot(mset.boundary_points[:, 0], mset.boundary_points[:, 1])
+        radii = np.hypot(*grid.motionless_set(sol, pb).T)
         # the origin is an isolated motionless point; the circle is the rest
         radii = radii[radii > 0.5]
         r_exact = analytic.free_boundary_radius(lam)
@@ -254,11 +278,10 @@ class TestMotionlessSet:
             pb.q = pb.q.copy()  # the case's q is its read-only radius
             pb.q[0, 0] = far_q
         sol = solve(pb)
-        mset = grid.motionless_set(sol, pb)
         jj, ii = np.nonzero(sol.motionless)
         assert len(jj) == 1
         assert (jj[0], ii[0]) == pb.grid.nearest_index((0.0, 0.0))
-        assert mset.boundary_points.tolist() == [[0.0, 0.0]]
+        assert grid.motionless_set(sol, pb).tolist() == [[0.0, 0.0]]
 
     @pytest.mark.parametrize("solve", [grid.fmm_solve, grid.sweep_oracle])
     def test_boundary_of_the_solution(self, solve):
@@ -278,14 +301,14 @@ class TestMotionlessSet:
         assert np.array_equal(sol.motionless,
                               graph.motionless(sol.V, pb.q) & ~pb.mask())
         assert not sol.motionless[pb.mask()].any()
-        mset = grid.motionless_set(sol, pb)
         assert expected.any() and pb.mask().any()
-        assert np.array_equal(mset.boundary_mask, expected)
-        assert np.array_equal(mset.boundary_points,
+        assert np.array_equal(grid.free_boundary(sol.motionless, pb.mask()),
+                              expected)
+        assert np.array_equal(grid.motionless_set(sol, pb),
                               np.column_stack([X[expected], Y[expected]]))
         # what it reads is the solution's set, not one recomputed from V
         sol.motionless = np.zeros_like(sol.motionless)
-        assert not grid.motionless_set(sol, pb).boundary_mask.any()
+        assert grid.motionless_set(sol, pb).shape == (0, 2)
 
 
 def random_problem(rng, nx, ny):

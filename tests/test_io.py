@@ -773,6 +773,18 @@ class TestGridScenario:
         assert kept < 1.1 * self.GRID_BYTES
 
     @pytest.mark.usefixtures("compiled_march")
+    def test_slow_disk_401_load_memory(self):
+        # a calls load keeps f and q, 2.01 grids, and peaks at 3.64 while a
+        # call's travel times are scaled and added into q (4.02 when each
+        # call made a scaled copy of them, 4.64 when each was kept until the
+        # next solve had made its own)
+        grid_bytes = 8 * 401 ** 2
+        peak, kept = self.traced(lambda: io.load_grid_scenario(
+            scenario("slow_disk.json"), None, 401))
+        assert peak <= 3.8 * grid_bytes
+        assert kept < 2.1 * grid_bytes
+
+    @pytest.mark.usefixtures("compiled_march")
     def test_radial_801_fmm_memory(self):
         pb = io.load_grid_scenario(scenario("radial_circular.json"), None, 801)
         solutions = []
@@ -968,8 +980,7 @@ class TestCompiledWriter:
         traj = trace(sol, pb, (x0 + 0.7 * n * h, y0 + 0.6 * n * h))
         for write, arg in ((io.write_field_csv, sol.V),
                            (io.write_mask_csv, sol.motionless),
-                           (io.write_points_csv,
-                            motionless_set(sol, pb).boundary_points),
+                           (io.write_points_csv, motionless_set(sol, pb)),
                            (io.write_trajectory_csv, traj)):
             compiled, python = written(tmp_path, write, arg)
             assert compiled == python and python.count(b"\r\n") > 1

@@ -49,8 +49,8 @@ def eikonal_solve(grid, f, source, mask=None):
     source is a (j, i) index pair; masked points stay at +inf (state
     constraint: motion along boundary rows/columns is allowed, leaving the
     domain is not).  Marches (grid.march, compiled when it can be built)
-    from u = 0 at the source with the standard two-axis upwind update
-    (grid.travel_update).
+    from u = 0 at the source with grid.quadrant_update at K = 1, q = 0 and
+    lambda = 0, where its equation is |grad u| f = 1.
     """
     nx, ny = grid.nx, grid.ny
     f = np.broadcast_to(np.asarray(f, float), (ny, nx))  # a number stays one
@@ -64,7 +64,8 @@ def eikonal_solve(grid, f, source, mask=None):
         raise ValueError("source lies on a masked point")
     u = np.full(nx * ny, INF)
     u[sidx] = 0.0
-    march(grid, u, [sidx], blocked, f)
+    one, zero = (np.broadcast_to(v, (ny, nx)) for v in (1.0, 0.0))
+    march(grid, u, [sidx], blocked, f, one, zero, zero)
     return u.reshape(ny, nx)
 
 

@@ -10,12 +10,14 @@ The upwind discretization replaces |grad V| by the Rouy-Tourin one-sided
 maximum in each axis.  Each gridpoint value is the minimum of q and four
 quadrant solutions, each a root of a quadratic; this is causal in the smaller
 neighbors, so a Fast-Marching sweep (heap ordered acceptance) solves the whole
-system non-iteratively; the same marching skeleton serves the eikonal travel
-times.  It runs as compiled C (march.c) where a C compiler is available, with
-results equal bit for bit to the Python march.  A Gauss-Seidel sweeping
-solver is kept as an independent oracle.  A live point is motionless by the
-graph nodes' rule, graph.motionless: V within 1e-12 max(1, |q|) of its own q
-(the solvers only lower V from q, so where stopping pays V = q to roundoff).
+system non-iteratively.  With K = 1, q = 0 and lambda = 0 the same equation
+is the eikonal |grad u| f = 1, so the one march and its one update also give
+the travel times of eikonal_solve.  It runs as compiled C (march.c) where a
+C compiler is available, with results equal bit for bit to the Python
+march.  A Gauss-Seidel sweeping solver is kept as an independent oracle.  A
+live point is motionless by the graph nodes' rule, graph.motionless: V within
+1e-12 max(1, |q|) of its own q (the solvers only lower V from q, so where
+stopping pays V = q to roundoff).
 """
 
 from __future__ import annotations
@@ -179,7 +181,16 @@ def one_sided_update(v1, K, q, f, lam, h):
 def quadrant_update(v1, v2, K, q, f, lam, h):
     """Solve f^2 [ (V-v1)^2 + (V-v2)^2 ] / h^2 = (K + lam q - lam V)^2 for the
     smallest root with V >= max(v1, v2); falls back to the one-sided form with
-    min(v1, v2) when no such root exists."""
+    min(v1, v2) when no such root exists.
+
+    The quadratic is solved for the offset x = V - lo from the smaller
+    neighbour lo, with d = hi - lo and s = K + lam (q - lo):
+
+        (f/h)^2 [ x^2 + (x - d)^2 ] = (s - lam x)^2.
+
+    Its terms are of the size of the increment, so they do not cancel where
+    V is large and its gradient small.  With K = 1, q = 0 and lam = 0 it is
+    the two-axis update of the eikonal |grad u| f = 1 (eikonal_solve)."""
     lo = min(v1, v2)
     hi = max(v1, v2)
     if not math.isfinite(hi):
@@ -187,33 +198,21 @@ def quadrant_update(v1, v2, K, q, f, lam, h):
             return one_sided_update(lo, K, q, f, lam, h)
         return INF
     g = f / h
-    s = K + lam * q
+    d = hi - lo
+    s = K + lam * (q - lo)
     a = 2.0 * g * g - lam * lam
-    b = -2.0 * g * g * (v1 + v2) + 2.0 * lam * s
-    c = g * g * (v1 * v1 + v2 * v2) - s * s
-    roots = _real_roots(a, b, c)
+    b = -2.0 * g * g * d + 2.0 * lam * s
+    c = g * g * d * d - s * s
     tol = 1e-12 * max(1.0, abs(hi))
     best = None
-    for r in roots:
+    for x in _real_roots(a, b, c):
         # discard spurious roots introduced by squaring (negative upwind slope)
-        if r >= hi - tol and s - lam * r >= -1e-12 * max(1.0, abs(s)):
-            if best is None or r < best:
-                best = r
+        if x >= d - tol and s - lam * x >= -1e-12 * max(1.0, abs(s)):
+            if best is None or x < best:
+                best = x
     if best is None:
         return one_sided_update(lo, K, q, f, lam, h)
-    return max(best, hi)
-
-
-def travel_update(a, b, s):
-    """Two-axis upwind update of the eikonal |grad u| f = 1 with step time
-    s = h / f: the root u >= max(a, b) of (u-a)^2 + (u-b)^2 = s^2, or a + s
-    from the smaller neighbour alone when |a - b| >= s."""
-    if a > b:
-        a, b = b, a
-    d = b - a
-    if d >= s:
-        return a + s
-    return 0.5 * (a + b + math.sqrt(2.0 * s * s - d * d))
+    return max(lo + best, hi)
 
 
 def _real_roots(a, b, c):
@@ -282,7 +281,7 @@ def local_minima_mask(q):
     return m
 
 
-def _march(g, V, seeds, blocked, eikonal, fields, steps):
+def _march(g, V, seeds, blocked, fields, steps):
     """The Python march, the reference for march.c; see march."""
     nx, ny, h = g.nx, g.ny, g.h
     # flat python lists are noticeably faster than ndarray scalar access; a
@@ -318,10 +317,7 @@ def _march(g, V, seeds, blocked, eikonal, fields, steps):
                 vo = Vl[n - s]
             if hi and order[n + s] >= 0 and Vl[n + s] < vo:
                 vo = Vl[n + s]
-            if eikonal:
-                cand = travel_update(va, vo, h / f[n])
-            else:
-                cand = quadrant_update(va, vo, K[n], q[n], f[n], lam[n], h)
+            cand = quadrant_update(va, vo, K[n], q[n], f[n], lam[n], h)
             if cand < Vl[n]:
                 Vl[n] = cand
             elif order[n] == -2:
@@ -344,10 +340,10 @@ def _field(a):
     return np.ascontiguousarray(a).ravel(), 1
 
 
-def march(grid, V, seeds, blocked, *fields):
-    """Fast-Marching pass (Sethian 1996) of fmm_solve, with fields f, K, q,
-    lam and quadrant_update, or of eikonal_solve, with field f and
-    travel_update at step time h / f.  A field of the grid's shape whose
+def march(grid, V, seeds, blocked, f, K, q, lam):
+    """Fast-Marching pass (Sethian 1996) with quadrant_update over the
+    fields f, K, q and lam: that of fmm_solve, and with K = 1, q = 0 and
+    lam = 0 that of eikonal_solve.  A field of the grid's shape whose
     strides are all 0 (a GridProblem constant) is passed on as its one
     value with step 0; march.c reads point n of a field at n * step.
 
@@ -368,20 +364,17 @@ def march(grid, V, seeds, blocked, *fields):
     seeds = np.asarray(seeds, dtype=np.int64)
     blocked = np.ascontiguousarray(blocked)
     if (V.dtype != np.float64 or blocked.dtype != bool
-            or any(np.size(a) != npts for a in (V, blocked, *fields))
+            or any(np.size(a) != npts for a in (V, blocked, f, K, q, lam))
             or not np.all((seeds >= 0) & (seeds < npts))):
         raise ValueError("march arrays must have nx * ny = %d points and "
                          "seeds lie in range" % npts)
-    fields, steps = zip(*map(_field, fields))
-    eikonal = len(fields) == 1
-    if eikonal:  # eikonal reads f only
-        fields, steps = fields * 4, steps * 4
+    fields, steps = zip(*map(_field, (f, K, q, lam)))
     lib = native.library()
     if lib is None:
-        return _march(grid, V, seeds, blocked, eikonal, fields, steps)
+        return _march(grid, V, seeds, blocked, fields, steps)
     order = np.empty(npts, dtype=np.int32)
     pushes = lib.march(grid.nx, grid.ny, V, seeds, seeds.size,
-                       blocked.view(np.uint8), order, eikonal, grid.h,
+                       blocked.view(np.uint8), order, grid.h,
                        *(x for pair in zip(fields, steps) for x in pair))
     if pushes < 0:
         raise MemoryError("out of memory for the march heap")

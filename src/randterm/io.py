@@ -256,7 +256,11 @@ def load_graph(path, default_p=None, sha256=None):
             if default_p is not None:
                 raise FormatError("%s: an idle file takes p from 'lambda'; "
                                   "a default p (--p) does not apply" % path)
-            return idle.build_problem(load_idle(path, data))
+            scenario = load_idle(path, data)
+            try:
+                return idle.build_problem(scenario)
+            except ValueError as exc:  # a node that cannot reach a call
+                raise FormatError("%s: %s" % (path, exc)) from None
         scanned = _parse(path, data, *_GRAPH)
     del data
     default_p = default_p if scanned[1] is None else scanned[1]
@@ -315,9 +319,12 @@ def load_idle(path, data=None):
         path, _scan(data, *_IDLE) or _parse(path, data, *_IDLE), "call")
     if lam is None or not calls.size:
         raise FormatError("%s: needs 'lambda' and 'call' lines" % path)
-    return IdleScenario(node_count=M, src=src[rows], dst=dst[rows],
-                        tau=tau[rows], lam=lam, call_nodes=calls,
-                        call_probs=probs)
+    try:
+        return IdleScenario(node_count=M, src=src[rows], dst=dst[rows],
+                            tau=tau[rows], lam=lam, call_nodes=calls,
+                            call_probs=probs)
+    except ValueError as exc:  # a rate, a tau or call probabilities
+        raise FormatError("%s: %s" % (path, exc)) from None
 
 
 def is_idle_scenario(path, data=None):
@@ -568,7 +575,10 @@ def _call_spec(path, calls):
     except _MALFORMED as exc:
         raise FormatError("%s: 'calls' needs a list of {\"location\": [x, y], "
                           "\"prob\": p} (%s)" % (path, _reason(exc))) from None
-    return CallSpec(locations=locations, probabilities=probabilities)
+    try:
+        return CallSpec(locations=locations, probabilities=probabilities)
+    except ValueError as exc:  # probabilities that do not sum to 1
+        raise FormatError("%s: 'calls': %s" % (path, exc)) from None
 
 
 def read_field_csv(path):

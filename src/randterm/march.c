@@ -1,11 +1,11 @@
 /* The package's two heap loops, twins of Python code:
  *
- * march() is randterm.grid.march, twin of the Python grid._march.  It runs
- * the update of fmm_solve (grid.quadrant_update) or, when eikonal is set,
- * that of eikonal_solve (grid.travel_update, which reads f only).  It reads
- * the fields f, K, q and lam at point n through their steps fs, Ks, qs and
- * ls, as f[n * fs]: a step of 1 for a field of nx * ny values, and of 0 for
- * a constant field held as its one value.  Its only per-point state is the
+ * march() is randterm.grid.march, twin of the Python grid._march.  Its one
+ * local update, quadrant(), is grid.quadrant_update: that of fmm_solve, and
+ * with K = 1, q = 0 and lam = 0 that of eikonal_solve.  It reads the fields
+ * f, K, q and lam at point n through their steps fs, Ks, qs and ls, as
+ * f[n * fs]: a step of 1 for a field of nx * ny values, and of 0 for a
+ * constant field held as its one value.  Its only per-point state is the
  * acceptance index order, an int32_t a point (grid.MAX_NODES, 10^7, bounds
  * the points of a grid below 2^31): -1 far, -2 considered, and from 0 up
  * the point's turn once accepted.  Every considered point is pushed and so
@@ -91,16 +91,17 @@ static double one_sided(double v1, double K, double q, double f, double lam, dou
     return (h * K + lam * h * q + f * v1) / (lam * h + f);
 }
 
-/* quadrant_update and _real_roots; a NaN root fails every test, as in Python */
+/* quadrant_update and _real_roots, in the offset x = V - lo; a NaN root
+ * fails every test, as in Python */
 static double quadrant(double v1, double v2, double K, double q, double f, double lam, double h)
 {
     double lo = v2 < v1 ? v2 : v1, hi = v2 > v1 ? v2 : v1;
     if (!isfinite(hi))
         return isfinite(lo) ? one_sided(lo, K, q, f, lam, h) : INFINITY;
-    double g = f / h, s = K + lam * q;
+    double g = f / h, d = hi - lo, s = K + lam * (q - lo);
     double a = 2.0 * g * g - lam * lam;
-    double b = -2.0 * g * g * (v1 + v2) + 2.0 * lam * s;
-    double c = g * g * (v1 * v1 + v2 * v2) - s * s;
+    double b = -2.0 * g * g * d + 2.0 * lam * s;
+    double c = g * g * d * d - s * s;
     double r[2] = {NAN, NAN}, disc;
     if (a == 0.0) {
         if (b != 0.0) r[0] = -c / b;
@@ -114,23 +115,16 @@ static double quadrant(double v1, double v2, double K, double q, double f, doubl
     double stol = -1e-12 * (fabs(s) > 1.0 ? fabs(s) : 1.0);
     double best = NAN;
     for (int k = 0; k < 2; k++)
-        if (r[k] >= hi - tol && s - lam * r[k] >= stol && (isnan(best) || r[k] < best))
+        if (r[k] >= d - tol && s - lam * r[k] >= stol && (isnan(best) || r[k] < best))
             best = r[k];
     if (isnan(best)) return one_sided(lo, K, q, f, lam, h);
+    best += lo;
     return hi > best ? hi : best;
-}
-
-static double travel(double a, double b, double s)
-{
-    if (a > b) { double t = a; a = b; b = t; }
-    double d = b - a;
-    if (d >= s) return a + s;
-    return 0.5 * (a + b + sqrt(2.0 * s * s - d * d));
 }
 
 int64_t march(int64_t nx, int64_t ny, double *V, const int64_t *seeds,
               int64_t nseeds, const uint8_t *blocked, int32_t *order,
-              int eikonal, double h, const double *f, int64_t fs,
+              double h, const double *f, int64_t fs,
               const double *K, int64_t Ks, const double *q, int64_t qs,
               const double *lam, int64_t ls)
 {
@@ -161,9 +155,8 @@ int64_t march(int64_t nx, int64_t ny, double *V, const int64_t *seeds,
             double vo = INFINITY;
             if (nb[k].lo && order[n - s] >= 0) vo = V[n - s];
             if (nb[k].hi && order[n + s] >= 0 && V[n + s] < vo) vo = V[n + s];
-            double cand = eikonal ? travel(e.v, vo, h / f[n * fs])
-                                  : quadrant(e.v, vo, K[n * Ks], q[n * qs],
-                                             f[n * fs], lam[n * ls], h);
+            double cand = quadrant(e.v, vo, K[n * Ks], q[n * qs], f[n * fs],
+                                   lam[n * ls], h);
             if (cand < V[n]) V[n] = cand;
             else if (order[n] == CONSIDERED) continue;
             order[n] = CONSIDERED;

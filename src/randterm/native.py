@@ -2,7 +2,8 @@
 
 Every C source of the package is compiled on first use with the system C
 compiler into one library.  march.c holds the two heap loops: march() of
-grid.march (the Fast-Marching pass), and the label-setting loop of
+grid.march (the Fast-Marching pass of fmm_solve and eikonal_solve, with
+the one local update grid.quadrant_update), and the label-setting loop of
 graph._label_setting, which label() runs for dijkstra_solve, dial_solve and
 solve_v0, and distance_mix() once per call node for graph.distance_mix (the
 travel times of idle.expected_response_times).  scan.c holds the two
@@ -104,7 +105,7 @@ def library():
     for name, restype, argtypes in (
             ("march", i64,
              [i64, i64, arr(np.float64), arr(np.int64), i64, arr(np.uint8),
-              arr(np.int32), ctypes.c_int, f64, *[arr(np.float64), i64] * 4]),
+              arr(np.int32), f64, *[arr(np.float64), i64] * 4]),
             ("label", i64,
              [i64, *[arr(np.int64)] * 2, *[arr(np.float64)] * 2,
               arr(np.int64), i64, f64, f64, arr(np.float64), arr(np.int64)]),

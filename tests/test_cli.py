@@ -327,6 +327,36 @@ class TestRunGraph:
         assert summary["motionless_count"] == 6  # symmetric ring: stay put
 
 
+class TestContentRefusalsNameTheFile:
+    """A scenario whose lines parse but whose content the model refuses
+    exits 2 with a message that starts with the file's path, as every
+    other FormatError does."""
+
+    IDLE = "nodes 2\nlambda %s\nedge 0 1 %s\nedge 1 0 1.0\ncall 0 1.0\n"
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("bad.json", json.dumps({
+            "grid": {"n": 11, "extent": [0, 1, 0, 1]}, "lambda": 0.5,
+            "calls": [{"location": [0.2, 0.2], "prob": 0.25},
+                      {"location": [0.8, 0.8], "prob": 0.25}]}),
+         "'calls': call probabilities must be >= 0 and sum to 1 (sum 0.5)"),
+        ("bad.txt", IDLE % ("-1", "1.0"),
+         "call rate must be positive and finite"),
+        ("bad.txt", IDLE % ("1.0", "0"), "tau must be positive on edge (0,1)"),
+        ("bad.txt", "nodes 3\nlambda 1.0\nedge 0 1 1.0\nedge 1 0 1.0\n"
+                    "edge 0 2 1.0\ncall 0 1.0\n",
+         "some node cannot reach a call location"),
+    ], ids=["grid-probabilities", "idle-rate", "idle-tau", "idle-unreachable"])
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, name, text,
+                                    message):
+        bad = tmp_path / name
+        bad.write_text(text)
+        command = "run-grid" if name.endswith(".json") else "run-graph"
+        assert run(command, str(bad), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunGrid:
     def test_default_emit_value(self, tmp_path):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randterm import eikonal
+from randterm import eikonal, io
 from randterm.grid import Grid2D, march, neighbours
 
-from conftest import bit_equal, both_paths
+from conftest import bit_equal, both_paths, scenario
 
 
 def unit_grid(n=51, extent=2.0):
@@ -90,6 +91,25 @@ class TestEikonalSolve:
         assert check.sum() > 0.8 * (~mask).sum()
         assert np.max(np.abs(grad - g.h / f)[check]) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["maze.json", "slow_disk.json"])
+    def test_call_residual_201(self, name):
+        # f |grad u| = 1 to 1e-12 at every point but the source, for each
+        # call of the scenario at 201^2: the update's quadratic, solved for
+        # the offset from the smaller neighbour, does not cancel far from
+        # the source (built from absolute values it left 2.8e-11 to 4.9e-11)
+        pb = io.load_grid_scenario(scenario(name), n=201)
+        with open(scenario(name)) as fh:
+            calls = json.load(fh)["calls"]
+        for call in calls:
+            source = pb.grid.nearest_index(call["location"])
+            u = eikonal.eikonal_solve(pb.grid, pb.f, source)
+            west, east, south, north = neighbours(u, math.inf)
+            a, b = np.minimum(west, east), np.minimum(south, north)
+            res = pb.f * np.hypot(np.maximum(u - a, 0.0),
+                                  np.maximum(u - b, 0.0)) / pb.grid.h - 1.0
+            res[source] = 0.0
+            assert np.max(np.abs(res)) <= 1e-12
+
     def test_speed_must_be_positive_off_mask(self):
         g = Grid2D(nx=11, ny=11, h=0.1)
         f = np.ones((11, 11))
@@ -127,8 +147,9 @@ class TestCompiledMarch:
             assert bit_equal(compiled, python)
 
     def test_mirror_sources_tie(self):
-        # two sources mirrored across the middle column at constant speed:
-        # equal travel times on both halves, so the index breaks the ties
+        # two sources mirrored across the middle column at constant speed
+        # (K = 1, q = 0 and lambda = 0: the eikonal): equal travel times on
+        # both halves, so the index breaks the ties
         g = Grid2D(nx=41, ny=31, h=0.1)
         seeds = [15 * 41 + 12, 15 * 41 + 28]
         blocked = np.zeros(41 * 31, dtype=bool)
@@ -136,7 +157,8 @@ class TestCompiledMarch:
         def run():
             u = np.full(41 * 31, math.inf)
             u[seeds] = 0.0
-            order, ops = march(g, u, seeds, blocked, np.ones(41 * 31))
+            ones, zeros = np.ones(41 * 31), np.zeros(41 * 31)
+            order, ops = march(g, u, seeds, blocked, ones, ones, zeros, zeros)
             return u, order, ops
 
         (u, order, ops), (u_py, order_py, ops_py) = both_paths(run)

@@ -60,27 +60,27 @@ RUN_GRAPH = [
 # (scenario, --grid or None, sha256 of value.csv, mask.csv, boundary.csv)
 RUN_GRID = [
     ('maze.json', None,
-     '30f18f4adaabdc1ebd30cf85b6ef14a7af1ac501b03db760e12e7043508dd20d',
+     'f293862e6b5df5a0afa4cf2da32404d06d3bf5b0f8a30a67ef35f63ac1be1f4e',
      'fe185e374006a76dc9dfe4a297384cb556ea405eaba9d8ba9174dbdd5fb54d91',
      'b399d44a8d5b154371a91793727f6890672cf3c9fe59054b520821e7a2a49b47'),
     ('maze.json', '201',
-     '01b37e13e4274a0b50d07afb26bb88c61a56aed84a652a5f725ce208412e15cb',
+     '4719beed541ccedcd315b6de5f95af2ac4e428be4e9b821ab741f48f7270d121',
      'fde4fd65899787a2f5027f428b2599f954cb2ab5a783899ad46ab1524e548982',
      '31eacaba60f8fc946ff3e226717884f3cb6f2646c3c620900ebfdac6bb0d1c2c'),
     ('radial_circular.json', None,
-     'cf65973e51e9d85166c13415bd607f27ceba35c7754f9ea636d805bb73aa29f0',
+     'c07d52b627a28e242b01553ffe400dcee827e2fdc9765a1fec9c750608282b84',
      '99ae587313d6d3e970f2be6ca45e5ac50e0323baf00253c33a0f5525dc5e2f50',
      '9c3c48ccebd8d68c5c19f8fcd06e18e2d290867633364023ce79ad54e72d2278'),
     ('radial_trivial.json', None,
-     '6d30f57aa1f9bb99114a41710fcf5a88c730de84d0f7d812aef4fa495ab26adb',
+     'b6e6b4e15945a81f5ea4188e7826079a0a2d6ab974f574c0e627fd2c3f54f8a5',
      'db2e34e7766410a6e05a85c3388ca964bb7b15b3ea2763cdce6b77db3d21cf10',
      '4097f3f9883a29b851d509f9a246490c168f9ad9ab6d99691f037091d6613b43'),
     ('slow_disk.json', None,
-     'aa2925c9a223b3cfe98a07daa81130e60dd1fece51b45bdf720a75a866bd87ed',
+     'ef12068c76d96cba124739b467b5f3bf2a1138319b1c1016033bd02a3d76fa97',
      '46a3232b0888dd9f3b8daba34e89ef814ff0fe306254214b5372ef34ada53210',
      '194b73147b268b8b9c3a26dc50aa73268638567cdc6ea7a647539bab2ffd08f6'),
     ('slow_disk.json', '201',
-     'aa101540c3d1a3194c9fa66fdebc025275da5394073bc4ce1cc23ccaeaafe9c7',
+     'b347bacabca79e3eeaeee3bdea015f8976d0fc053aa7a28a3f0590de5e495581',
      '710d94560691f00f3c084cd4d0268ef64bc1ea53d1331327606fc9c8b6281cab',
      'd9f6e7a1488fe1dbe435b4b1e7e8b541f0f12879acf7e9ba5a1e8f4818b105af'),
 ]

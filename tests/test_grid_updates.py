@@ -86,43 +86,59 @@ class TestQuadrant:
 
 
 class TestTravel:
+    """quadrant_update at K = 1, q = 0 and lam = 0 is the two-axis update of
+    the eikonal |grad u| f = 1 (eikonal_solve), with step time s = h / f."""
+
+    @staticmethod
+    def update(a, b, f, h):
+        return grid.quadrant_update(a, b, 1.0, 0.0, f, 0.0, h)
+
     def test_one_sided(self, rng):
-        # a + s from the smaller neighbour when the other is s or more above
-        assert grid.travel_update(0.5, 0.75, 0.25) == 0.75  # |a - b| == s
+        # from the smaller neighbour alone when the other is s or more above
+        assert self.update(0.5, 0.75, 4.0, 1.0) == 0.75  # |a - b| == s
         for _ in range(200):
-            a, s = rng.uniform(0, 4), rng.uniform(0.01, 2)
-            for b in (a + s + rng.uniform(0, 4), math.inf):
-                assert b - a >= s
-                assert grid.travel_update(a, b, s) == a + s
+            a, f, h = rng.uniform(0, 4), rng.uniform(0.2, 3), rng.uniform(0.01, 1)
+            s = h / f
+            for b in (a + s * (1 + 1e-9) + rng.uniform(0, 4), math.inf):
+                assert self.update(a, b, f, h) == \
+                    grid.one_sided_update(a, 1.0, 0.0, f, 0.0, h)
+                assert self.update(a, b, f, h) == pytest.approx(a + s,
+                                                                rel=1e-15)
 
     def test_symmetric(self, rng):
         for _ in range(200):
             a, b = rng.uniform(0, 4, 2)
-            s = rng.uniform(0.01, 2)
-            assert grid.travel_update(a, b, s) == grid.travel_update(b, a, s)
+            f, h = rng.uniform(0.2, 3), rng.uniform(0.01, 1)
+            assert self.update(a, b, f, h) == self.update(b, a, f, h)
 
     def test_equal_neighbours(self):
-        for a, s in ((0.0, 1.0), (2.5, 0.3), (1e3, 1e-3)):
-            assert grid.travel_update(a, a, s) == \
-                pytest.approx(a + s / math.sqrt(2), rel=1e-15)
+        for a, f, h in ((0.0, 1.0, 1.0), (2.5, 2.0, 0.6), (1e3, 1.0, 1e-3)):
+            assert self.update(a, a, f, h) == \
+                pytest.approx(a + h / f / math.sqrt(2), rel=1e-15)
 
     def test_square_by_multiplication_on_both_paths(self):
-        # at d = b - a below, libm's pow(d, 2.0) (1.0750354493863283) is one
-        # ulp from d * d (1.0750354493863286), the correctly rounded square,
-        # and the update tells them apart; point 1 of a 2 x 2 march between
-        # seeds 0 (value a) and 3 (value b) takes the two-axis update
-        a, b, s = 0.0, 1.0368391627375619, 1.25
+        # at d = b - a below, with f = h = 1, libm's pow(B, 2.0) of the
+        # quadratic's B = -2 d is one ulp from B * B, the correctly rounded
+        # square, and the update tells them apart; point 1 of a 2 x 2
+        # march between seeds 0 (value a) and 3 (value b) takes the
+        # two-axis update
+        a, b = 0.0, 0.9188617499238373
         d = b - a
-        assert math.pow(d, 2.0) != d * d
-        want = 0.5 * (a + b + math.sqrt(2.0 * s * s - d * d))
-        by_pow = 0.5 * (a + b + math.sqrt(2.0 * s * s - math.pow(d, 2.0)))
+        B, C = -2.0 * d, d * d - 1.0
+        assert math.pow(B, 2.0) != B * B
+
+        def root(square):
+            return a + (-0.5 * (B - math.sqrt(square - 8.0 * C))) / 2.0
+
+        want, by_pow = root(B * B), root(math.pow(B, 2.0))
         assert want != by_pow
-        assert grid.travel_update(a, b, s) == want
+        assert self.update(a, b, 1.0, 1.0) == want
 
         def run():
             V = np.array([a, math.inf, math.inf, b])
-            grid.march(grid.Grid2D(2, 2, s), V, [0, 3], np.zeros(4, bool),
-                       np.ones(4))
+            ones, zeros = np.ones(4), np.zeros(4)
+            grid.march(grid.Grid2D(2, 2, 1.0), V, [0, 3], np.zeros(4, bool),
+                       ones, ones, zeros, zeros)
             return V[1]
 
         assert both_paths(run) == (want, want)

@@ -4,7 +4,7 @@ problems bit for bit, on the compiled library and on the Python twins.
 - Scaling K and q by 2 scales V by 2, and halving the speed f doubles
   eikonal_solve's travel times.  Every operation of the updates is
   homogeneous (sums, products by the unscaled p, f, h and lambda, square
-  roots of 4x, h / (f / 2), the bucket (2v - 2 base) / (2 delta)), and a
+  roots of 4x, (f / 2) / h, the bucket (2v - 2 base) / (2 delta)), and a
   power of two changes no rounding, so the relations hold exactly.  Value
   iteration stops on an absolute change, so a scaled problem could stop a
   sweep apart; on these graphs both reach the fixed point exactly.
